@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["Job", "run", "main"]
@@ -50,8 +50,6 @@ class Job:
     grid: int = 16
     lp_constraints: str = "all-pairs"
     out: Optional[str] = None
-    seed: Optional[int] = None
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -148,7 +146,9 @@ def _range_arg(text: str) -> Tuple[float, float]:
     return lo, hi
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The flag parser, built once per process and reused by every run()."""
     parser = _Parser(
         prog="nemprism",
         description="Tangent unit-vector configurations on a box: "
@@ -162,12 +162,6 @@ def _build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write the artifact here instead of stdout")
-    common.add_argument("--seed", type=int, help="seed for randomized sampling, where a command uses any")
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="cap threads used by vectorized kernels (current kernels are single-threaded)",
-    )
 
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -228,7 +222,7 @@ def _job_from_args(args: argparse.Namespace) -> Job:
     for name in (
         "prism", "family", "K", "K1", "K2", "K3", "tol", "quad_tol",
         "omega0", "range", "steps", "grid", "lp_constraints",
-        "out", "seed", "threads",
+        "out",
     ):
         attr = name
         if hasattr(args, attr) and getattr(args, attr) is not None:
@@ -248,7 +242,7 @@ def _job_from_args(args: argparse.Namespace) -> Job:
 
 
 # ----------------------------------------------------------------------
-# Command handlers (heavy imports happen here, after thread caps apply)
+# Command handlers
 # ----------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -402,17 +396,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             job = _job_from_args(args)
 
-        if job.threads is not None:
-            if job.threads < 1:
-                raise ValueError(f"--threads must be at least 1, got {job.threads}")
-            for var in (
-                "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS",
-            ):
-                os.environ[var] = str(job.threads)
-
         payload = _HANDLERS[job.command](job)
     except SystemExit as exc:
         # argparse --help exits 0; flag errors exit 1 via _Parser.error.
@@ -424,7 +407,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         from .errors import AccuracyError
 
         detail = ""
-        if isinstance(exc, AccuracyError):
+        if isinstance(exc, AccuracyError) and exc.evaluations > 0:
             detail = f"; best estimate {exc.value!r}"
         print(f"nemprism: accuracy failure: {exc}{detail}", file=sys.stderr)
         return 2

@@ -28,11 +28,10 @@ import numpy as np
 from .conformal import (
     RationalMapSpec,
     _area_density_arrays,
-    _project_points,
     bracket_offsets,
     factor_scales,
 )
-from .errors import AccuracyError, DomainError, SumRuleError
+from .errors import DomainError, SumRuleError
 from .geometry import Prism
 from .invariants import trapped_area
 from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d
@@ -52,9 +51,6 @@ __all__ = [
     "scaled_energy",
     "energy_report",
 ]
-
-_AXES = ("x", "y", "z")
-
 
 @dataclass(frozen=True)
 class ElasticConstants:
@@ -283,49 +279,63 @@ def _face_cuts(
     return cuts_u, cuts_v
 
 
-def _face_integral(
+# All three octant faces go to one quad2d call, each face in its own
+# quadrant of the (u, v) plane: face x in (+, +), face y in (-, +), face z
+# in (-, -).  The integrand recovers the face from the signs and uses |u|,
+# |v|; negation is exact, so every node is a node of the unmirrored face.
+_FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def _faces_integral(
     prism: Prism,
     spec: RationalMapSpec,
-    axis: str,
-    value: float,
-    weight: str,
+    values: Tuple[float, float, float],
+    energy_weight: Optional[float],
     tol: float,
     max_evals: int,
 ) -> QuadratureResult:
-    """Quadrature of a flux integrand over one octant face.
+    """Quadrature of a flux integrand over the three octant faces at once.
 
-    ``axis``/``value`` fix the face plane; the free coordinates range over
-    the other two half-sides.  weight "energy" integrates 16 K-less
-    r (D . nhat) = 16 value * density / r^2; weight "flux" integrates
-    D . nhat = value * density / r^3 (signed).
+    Face k lies in the plane where coordinate k equals ``values[k]``; its
+    free coordinates range over the other two half-sides.  With an
+    ``energy_weight`` the integrand is energy_weight * r (D . nhat) =
+    energy_weight * value * density / r^2 (16 K for the energy); without
+    one it is the signed flux D . nhat = value * density / r^3.  ``tol``
+    and ``max_evals`` are shared by the three faces.
     """
-    k = _AXES.index(axis)
-    free = [m for m in range(3) if m != k]
     half = (prism.Lx / 2.0, prism.Ly / 2.0, prism.Lz / 2.0)
     sign = -1.0 if spec.is_anticonformal else 1.0
 
     def integrand(u, v):
-        pts = np.empty(u.shape + (3,))
-        pts[..., k] = value
-        pts[..., free[0]] = u
-        pts[..., free[1]] = v
-        r2 = np.sum(pts * pts, axis=-1)
+        on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
+        on_z = v < 0.0
+        value = np.where(on_x, values[0], np.where(on_z, values[2], values[1]))
+        au = np.abs(u)
+        av = np.abs(v)
+        x = np.where(on_x, value, au)
+        y = np.where(on_x, au, np.where(on_z, av, value))
+        z = np.where(on_z, value, av)
+        r2 = x * x + y * y + z * z
         r = np.sqrt(r2)
-        w = _project_points(pts)
+        w = (x + 1j * y) / (r + z)  # stereographic projection, as _project_points
         dens = _area_density_arrays(spec, w) * (1.0 + np.abs(w) ** 2) ** 2 / 4.0
-        if weight == "energy":
-            return 16.0 * value * dens / r2
+        if energy_weight is not None:
+            return energy_weight * value * dens / r2
         return sign * value * dens / (r2 * r)
 
-    limits = (half[free[0]], half[free[1]])
-    splits = _face_cuts(spec, k, value, free, limits) if value > 0.0 else None
-    return quad2d(
-        integrand,
-        (0.0, limits[0], 0.0, limits[1]),
-        tol=tol,
-        max_evals=max_evals,
-        initial_splits=splits,
-    )
+    rects = []
+    splits = []
+    for k, (su, sv) in enumerate(_FACE_SIGNS):
+        free = [m for m in range(3) if m != k]
+        limits = (half[free[0]], half[free[1]])
+        (u0, u1), (v0, v1) = sorted((0.0, su * limits[0])), sorted((0.0, sv * limits[1]))
+        rects.append((u0, u1, v0, v1))
+        if values[k] > 0.0:
+            cuts_u, cuts_v = _face_cuts(spec, k, values[k], free, limits)
+            splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
+        else:
+            splits.append(None)
+    return quad2d(integrand, rects, tol=tol, max_evals=max_evals, initial_splits=splits)
 
 
 def conformal_energy(
@@ -337,39 +347,18 @@ def conformal_energy(
 ) -> QuadratureResult:
     """Exact elastic energy of the configuration over the whole box.
 
-    Sums 16 K r (D . nhat) over the three interior octant faces by adaptive
-    quadrature (tolerance split evenly between faces).  The exterior faces
-    contribute nothing: D is radial, so its normal component vanishes on any
-    plane through the vertex.  Raises AccuracyError if a face cannot reach
-    its share of the tolerance within the evaluation budget.
+    Sums 16 K r (D . nhat) over the three interior octant faces in one
+    adaptive quadrature: the absolute tolerance ``tol`` and a budget of
+    3 * ``max_evals_per_face`` evaluations are shared by the faces, so
+    refinement goes wherever the error is, whichever face holds it.  The
+    exterior faces contribute nothing: D is radial, so its normal component
+    vanishes on any plane through the vertex.  Raises AccuracyError if the
+    faces cannot reach ``tol`` within the budget.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    total = 0.0
-    err = 0.0
-    evals = 0
-    failed = False
-    scaled_tol = tol / (3.0 * max(K, 1e-300))
-    for axis, value in (("x", prism.Lx / 2), ("y", prism.Ly / 2), ("z", prism.Lz / 2)):
-        try:
-            res = _face_integral(prism, spec, axis, value, "energy", scaled_tol, max_evals_per_face)
-        except AccuracyError as exc:
-            # finish the other faces so the best estimate covers the box
-            failed = True
-            res = QuadratureResult(exc.value, exc.error_estimate, exc.evaluations)
-        total += res.value
-        err += res.error_estimate
-        evals += res.evaluations
-    if failed:
-        raise AccuracyError(
-            "face quadrature budget of "
-            f"{max_evals_per_face} evaluations exhausted "
-            f"(error estimate {K * err:.3e} > tol {tol:.3e})",
-            K * total,
-            K * err,
-            evals,
-        )
-    return QuadratureResult(K * total, K * err, evals)
+    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
+    return _faces_integral(prism, spec, half, 16.0 * K, tol, 3 * max_evals_per_face)
 
 
 def face_flux(
@@ -382,19 +371,13 @@ def face_flux(
     """Signed flux of D through the interior (or exterior) octant faces.
 
     Over the interior faces the total equals the trapped solid angle; over
-    an exterior face the integrand vanishes identically.
+    an exterior face the integrand vanishes identically.  One adaptive
+    quadrature covers the three faces, sharing the absolute tolerance
+    ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations.
     """
-    total = 0.0
-    err = 0.0
-    evals = 0
-    half = {"x": prism.Lx / 2, "y": prism.Ly / 2, "z": prism.Lz / 2}
-    for axis in _AXES:
-        value = half[axis] if which == "interior" else 0.0
-        res = _face_integral(prism, spec, axis, value, "flux", tol / 3.0, max_evals_per_face)
-        total += res.value
-        err += res.error_estimate
-        evals += res.evaluations
-    return QuadratureResult(total, err, evals)
+    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
+    values = half if which == "interior" else (0.0, 0.0, 0.0)
+    return _faces_integral(prism, spec, values, None, tol, 3 * max_evals_per_face)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Input problems raise ValueError subclasses; failures to reach a requested
 numerical accuracy raise RuntimeError subclasses that carry the best
-estimate obtained so far.
+estimate obtained so far (if any).
 """
 from __future__ import annotations
 
@@ -53,9 +53,10 @@ class AccuracyError(RuntimeError):
     Attributes
     ----------
     value : float
-        Best integral estimate at the point of failure.
+        Best integral estimate at the point of failure; nan when the
+        quadrature refused before evaluating anything.
     error_estimate : float
-        Error estimate attached to ``value``.
+        Error estimate attached to ``value`` (inf with a nan ``value``).
     evaluations : int
         Number of integrand evaluations consumed.
     """

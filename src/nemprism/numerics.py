@@ -3,8 +3,11 @@
 Four small tools used throughout the package, written against plain numpy
 so there is no solver or quadrature dependency:
 
-* quad2d              adaptive 2-D quadrature on a rectangle using a nested
-                      tensor Gauss(7)/Kronrod(15) pair per cell,
+* quad2d              adaptive 2-D quadrature over one rectangle or several
+                      disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
+                      pair per cell; it refines in rounds, rates at most 32
+                      cells per integrand call, and shares one tolerance and
+                      one evaluation budget across the rectangles,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
 * minimize_1d         coarse scan plus golden-section refinement,
@@ -13,7 +16,6 @@ so there is no solver or quadrature dependency:
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,13 +127,18 @@ _WKK = np.outer(_WK, _WK)
 _WGG = np.outer(_WG, _WG)
 
 
-def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+# Integrand evaluations per cell, and the most cells one integrand call rates.
+_CELL_EVALS = 225
+_BATCH_CELLS = 32
+
+
+def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the nested tensor rule to a batch of cells.
 
     ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1).  Returns the
     Kronrod values, the |K15 - G7| error estimates, the preferred split axis
-    per cell (0 for x, 1 for y), and the evaluation count.  All integrand
-    calls receive flat coordinate arrays.
+    per cell (0 for x, 1 for y).  The integrand receives flat coordinate
+    arrays.
 
     The split axis follows the larger total variation of the sampled values
     (ridge features aligned with one axis are then bisected across the
@@ -159,7 +166,7 @@ def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     tvy = np.abs(np.diff(vals, axis=2)).sum(axis=(1, 2))
     longer = (hy > hx).astype(int)
     axis = np.where(tvx > 1.5 * tvy, 0, np.where(tvy > 1.5 * tvx, 1, longer))
-    return kron, np.abs(kron - gauss), axis, m * 225
+    return kron, np.abs(kron - gauss), axis
 
 
 def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
@@ -174,102 +181,128 @@ def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[floa
     return out
 
 
-def quad2d(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    domain: Tuple[float, float, float, float],
-    tol: float = 1e-9,
-    max_evals: int = 1_000_000,
-    initial_splits: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-) -> QuadratureResult:
-    """Adaptively integrate ``f`` over the rectangle (x0, x1) x (y0, y1).
-
-    Each cell is rated by a tensor Kronrod-15 rule against its embedded
-    Gauss-7 rule; the cell with the largest error estimate is bisected
-    (across the dominant variation of its sampled values) until the summed
-    error estimate drops below ``tol`` (absolute).  Refinement order and the
-    final summation order are deterministic for fixed inputs.
-
-    ``initial_splits`` places cell boundaries at known feature locations
-    (two sequences of x and y cuts).  A narrow integrand bump lying between
-    the nodes of a large cell is invisible to the error estimate; a cut
-    through the bump puts clustered near-edge nodes right on top of it.
-
-    Raises AccuracyError (carrying the best estimate) if more than
-    ``max_evals`` integrand evaluations would be needed.
-    """
-    x0, x1, y0, y1 = map(float, domain)
-    if not (x1 > x0 and y1 > y0):
-        raise DomainError(f"empty integration domain {domain!r}")
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-
-    sx, sy = (None, None) if initial_splits is None else initial_splits
-    xs = _segment(x0, x1, sx)
-    ys = _segment(y0, y1, sy)
-    root = np.array(
-        [
+def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> np.ndarray:
+    """Root cells (x0, x1, y0, y1) of one rectangle or of several."""
+    rects = np.asarray(domain, dtype=float)
+    if rects.ndim not in (1, 2) or rects.shape[-1] != 4 or rects.size == 0:
+        raise DomainError(f"domain must be (x0, x1, y0, y1) or a sequence of them, got {domain!r}")
+    if rects.ndim == 1:
+        rects = rects[None, :]
+        splits = [initial_splits]
+    else:
+        splits = [None] * len(rects) if initial_splits is None else list(initial_splits)
+    if len(splits) != len(rects):
+        raise DomainError(
+            f"initial_splits has {len(splits)} entries for {len(rects)} rectangles"
+        )
+    cells = []
+    for (x0, x1, y0, y1), split in zip(rects, splits):
+        if not (x1 > x0 and y1 > y0):
+            raise DomainError(f"empty integration domain {domain!r}")
+        sx, sy = (None, None) if split is None else split
+        xs = _segment(x0, x1, sx)
+        ys = _segment(y0, y1, sy)
+        cells.extend(
             [xs[i], xs[i + 1], ys[j], ys[j + 1]]
             for i in range(len(xs) - 1)
             for j in range(len(ys) - 1)
-        ]
-    )
-    vals, errs, axes, evals = _rate_cells(f, root)
+        )
+    return np.array(cells)
 
-    # Heap of (-error, insertion order, cell bounds, split axis).
-    heap: List[Tuple[float, int, Tuple[float, float, float, float], int]] = [
-        (-float(errs[k]), k, tuple(root[k]), int(axes[k]))
-        for k in range(root.shape[0])
-    ]
-    heapq.heapify(heap)
-    values = {k: float(vals[k]) for k in range(root.shape[0])}
-    counter = root.shape[0] - 1
-    total_err = float(errs.sum())
-    since_resync = 0
 
-    while total_err > tol:
-        if evals + 450 > max_evals:
-            value = math.fsum(values.values())
-            error = math.fsum(-neg for neg, _, _, _ in heap)
+def _bisect(cells: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """The two halves of each cell, split at the midpoint of its axis."""
+    lo = cells.copy()
+    hi = cells.copy()
+    rows = np.arange(len(cells))
+    mid = 0.5 * (cells[rows, 2 * axes] + cells[rows, 2 * axes + 1])
+    lo[rows, 2 * axes + 1] = mid
+    hi[rows, 2 * axes] = mid
+    return np.stack([lo, hi], axis=1).reshape(-1, 4)
+
+
+def quad2d(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    domain: Sequence,
+    tol: float = 1e-9,
+    max_evals: int = 1_000_000,
+    initial_splits: Optional[Sequence] = None,
+) -> QuadratureResult:
+    """Adaptively integrate ``f`` over one rectangle or several.
+
+    ``domain`` is one rectangle (x0, x1, y0, y1) or a sequence of disjoint
+    rectangles; the result is the integral over their union, and ``tol``
+    (absolute) and ``max_evals`` are shared by all of them.  ``f(x, y)``
+    receives flat coordinate arrays.
+
+    Each cell is rated by a tensor Kronrod-15 rule against its embedded
+    Gauss-7 rule.  Refinement runs in rounds over all cells at once: each
+    round orders the cells by error estimate (ties by creation order) and
+    bisects the shortest prefix whose removal would bring the summed error
+    to ``tol`` or below, each cell across the dominant variation of its
+    sampled values.  One integrand call rates at most 32 cells (7200
+    points), which caps a round at 16 bisections; root cells are rated in
+    chunks of the same size.  Refinement order and the final summation
+    order are deterministic for fixed inputs.
+
+    ``initial_splits`` places cell boundaries at known feature locations:
+    one (x cuts, y cuts) pair for a single rectangle, or a sequence of such
+    pairs (or None), one per rectangle.  A narrow integrand bump lying
+    between the nodes of a large cell is invisible to the error estimate; a
+    cut through the bump puts clustered near-edge nodes right on top of it.
+
+    The budget is checked before every integrand call, so ``evaluations``
+    never exceeds ``max_evals``.  Raises AccuracyError when the root cells
+    alone would exceed it (before any evaluation, with value nan), or when
+    the budget runs out before the tolerance is met (carrying the best
+    estimate).
+    """
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    cells = _root_cells(domain, initial_splits)
+    if len(cells) * _CELL_EVALS > max_evals:
+        raise AccuracyError(
+            f"{len(cells)} root cells need {len(cells) * _CELL_EVALS} evaluations, "
+            f"above the quadrature budget of {max_evals}",
+            math.nan,
+            math.inf,
+            0,
+        )
+    rated = [_rate_cells(f, cells[i:i + _BATCH_CELLS]) for i in range(0, len(cells), _BATCH_CELLS)]
+    vals, errs, axes = (np.concatenate(part) for part in zip(*rated))
+    evals = len(cells) * _CELL_EVALS
+
+    while True:
+        total_err = math.fsum(errs)
+        if total_err <= tol:
+            break
+        # The arrays hold the cells in creation order, which breaks ties.
+        order = np.argsort(-errs, kind="stable")
+        # prefixes whose removal would still leave the sum above tol
+        still_over = np.cumsum(errs[order]) < total_err - tol
+        n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS // 2,
+                      (max_evals - evals) // (2 * _CELL_EVALS))
+        if n_split == 0:
             raise AccuracyError(
                 f"quadrature budget of {max_evals} evaluations exhausted "
-                f"(error estimate {error:.3e} > tol {tol:.3e})",
-                float(value),
-                float(error),
+                f"(error estimate {total_err:.3e} > tol {tol:.3e})",
+                math.fsum(vals),
+                total_err,
                 evals,
             )
-        neg_err, order, cell, axis = heapq.heappop(heap)
-        cx0, cx1, cy0, cy1 = cell
-        if axis == 0:
-            mid = 0.5 * (cx0 + cx1)
-            children = np.array([[cx0, mid, cy0, cy1], [mid, cx1, cy0, cy1]])
-        else:
-            mid = 0.5 * (cy0 + cy1)
-            children = np.array([[cx0, cx1, cy0, mid], [cx0, cx1, mid, cy1]])
-        cvals, cerrs, caxes, used = _rate_cells(f, children)
-        evals += used
+        split = order[:n_split]
+        children = _bisect(cells[split], axes[split])
+        cvals, cerrs, caxes = _rate_cells(f, children)
+        evals += len(children) * _CELL_EVALS
 
-        del values[order]
-        total_err += float(cerrs.sum()) - (-neg_err)
-        for k in range(2):
-            counter += 1
-            values[counter] = float(cvals[k])
-            heapq.heappush(
-                heap, (-float(cerrs[k]), counter, tuple(children[k]), int(caxes[k]))
-            )
+        keep = np.ones(len(cells), dtype=bool)
+        keep[split] = False
+        cells = np.concatenate([cells[keep], children])
+        vals = np.concatenate([vals[keep], cvals])
+        errs = np.concatenate([errs[keep], cerrs])
+        axes = np.concatenate([axes[keep], caxes])
 
-        # Incremental error tracking drifts; resync periodically so the
-        # stopping test stays honest at tight tolerances.
-        since_resync += 1
-        if since_resync >= 512:
-            total_err = math.fsum(-neg for neg, _, _, _ in heap)
-            since_resync = 0
-
-    # Deterministic final sums in cell insertion order.
-    order_sorted = sorted(values)
-    value = math.fsum(values[k] for k in order_sorted)
-    errors = {order: -neg for neg, order, _, _ in heap}
-    error = math.fsum(errors[k] for k in order_sorted)
-    return QuadratureResult(float(value), float(error), evals)
+    return QuadratureResult(math.fsum(vals), total_err, evals)
 
 
 # ======================================================================

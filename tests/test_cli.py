@@ -212,3 +212,28 @@ def test_out_file_keeps_stdout_clean(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["lower"] == pytest.approx(8.0)
+
+
+def test_repeated_runs_in_one_process(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    for _ in range(2):
+        assert run(["energy", "--prism", "1,1,1", "--spec", spec, "--bogus"]) == 1
+        assert "--bogus" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "invariants" in capsys.readouterr().out
+    energy = ["energy", "--prism", "2,1,1", "--spec", spec, "--tol", "1e-5"]
+    bounds = ["bounds", "--prism", "1,1,1", "--omega0", "1.5"]
+    outs = []
+    for argv in (energy, bounds, energy, bounds):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2]
+    assert outs[1] == outs[3]
+
+
+def test_seed_and_threads_are_not_flags(capsys):
+    for flag in ("--seed", "--threads"):
+        assert run(["bounds", "--prism", "1,1,1", "--omega0", "1.0", flag, "1"]) == 1
+        assert flag in capsys.readouterr().err
+    with pytest.raises(ValueError, match="seed"):
+        Job.from_dict({"command": "bounds", "prism": [1, 1, 1], "omega0": 1.0, "seed": 1})

@@ -194,3 +194,21 @@ def test_conformal_energy_budget_failure():
         )
     assert math.isfinite(exc.value.value)
     assert exc.value.error_estimate > 0.0
+
+
+def test_fused_faces_match_unwrapped_within_tol():
+    for prism in (make_prism(1.0, 1.0, 1.0), make_prism(20.0, 10.0, 1.0)):
+        e0 = unwrapped_energy(prism, tol=1e-12)
+        for tol in (1e-4, 1e-7):
+            res = conformal_energy(prism, RationalMapSpec(1, 1), tol=tol)
+            assert res.error_estimate <= tol
+            assert abs(res.value - e0) <= tol
+
+
+def test_faces_share_one_budget():
+    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
+    with pytest.raises(AccuracyError) as exc:
+        conformal_energy(
+            make_prism(1.0, 1.0, 1.0), spec, tol=1e-14, max_evals_per_face=20000
+        )
+    assert 0 < exc.value.evaluations <= 3 * 20000

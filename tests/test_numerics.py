@@ -5,6 +5,7 @@ import pytest
 
 from nemprism import (
     AccuracyError,
+    DomainError,
     InfeasibleError,
     UnboundedError,
     appell_f2_restricted,
@@ -67,6 +68,67 @@ def test_quad2d_budget_failure_carries_best_estimate():
     assert math.isfinite(err.value)
     assert err.error_estimate > 0.0
     assert 0 < err.evaluations <= 5000 + 450
+
+
+def _counting(f):
+    """f plus the point count of each call made to it."""
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.size)
+        return f(x, y)
+
+    return counted, calls
+
+
+def test_quad2d_several_rectangles_match_the_sum_of_single_calls():
+    f = lambda x, y: np.exp(-3.0 * (x * x + y * y)) * np.cos(4.0 * x * y)
+    rects = [(0.0, 1.0, 0.0, 1.0), (-2.0, 0.0, 0.0, 0.5), (-1.0, 0.0, -3.0, 0.0)]
+    splits = [([0.3], [0.7]), None, ([], [-1.5])]
+    whole = quad2d(f, rects, tol=1e-10, initial_splits=splits)
+    parts = [quad2d(f, r, tol=1e-10, initial_splits=s) for r, s in zip(rects, splits)]
+    assert whole.error_estimate <= 1e-10
+    assert abs(whole.value - sum(p.value for p in parts)) <= (
+        whole.error_estimate + sum(p.error_estimate for p in parts)
+    )
+    with pytest.raises(DomainError):
+        quad2d(f, rects, initial_splits=splits[:2])
+
+
+def test_quad2d_evaluations_never_exceed_the_budget():
+    f = lambda x, y: np.sin(300.0 * x) * np.sin(300.0 * y)
+    for max_evals in (225, 5000, 7425, 20000):
+        counted, calls = _counting(f)
+        with pytest.raises(AccuracyError) as exc:
+            quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-15, max_evals=max_evals)
+        assert exc.value.evaluations == sum(calls) <= max_evals
+        assert max(calls) <= 32 * 225
+    res = quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-6, max_evals=1_000_000)
+    assert res.evaluations <= 1_000_000
+
+
+def test_quad2d_root_cells_over_budget_refuse_before_evaluating():
+    cuts = list(np.linspace(0.05, 0.95, 19))  # 20 x 20 root cells
+    counted, calls = _counting(lambda x, y: x + y)
+    with pytest.raises(AccuracyError, match="400 root cells") as exc:
+        quad2d(counted, (0.0, 1.0, 0.0, 1.0), max_evals=400 * 225 - 1,
+               initial_splits=(cuts, cuts))
+    assert calls == []
+    assert exc.value.evaluations == 0
+    assert math.isnan(exc.value.value)
+    # at exactly the budget the roots are rated, 32 cells per call
+    res = quad2d(counted, (0.0, 1.0, 0.0, 1.0), max_evals=400 * 225,
+                 initial_splits=(cuts, cuts))
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert res.evaluations == sum(calls) == 400 * 225
+    assert len(calls) == 13 and max(calls) == 32 * 225
+
+
+def test_quad2d_repeat_calls_are_bit_identical():
+    f = lambda x, y: 1.0 / (1e-3 + (x - 0.31) ** 2 + (y - 0.77) ** 2)
+    runs = [quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-8) for _ in range(2)]
+    a, b = ((r.value, r.error_estimate, r.evaluations) for r in runs)
+    assert a == b
 
 
 def test_appell_f2_restricted_anchors():
