@@ -4,7 +4,9 @@ Every command reads its inputs from flags (or from a JSON job file via
 ``--job``), runs one computation, and writes a single JSON or CSV artifact
 to stdout or to ``--out``.  Output bytes are deterministic for fixed inputs
 and tolerances.  Exit codes: 0 success, 1 invalid input (the message names
-the offending flag or field), 2 numerical-accuracy failure.
+the offending flag or field), 2 numerical-accuracy failure.  A ``sweep`` with
+failed rows still writes every row, names each failed ``s`` on stderr and
+exits 2.
 """
 from __future__ import annotations
 
@@ -245,6 +247,19 @@ def _job_from_args(args: argparse.Namespace) -> Job:
 # Command handlers
 # ----------------------------------------------------------------------
 
+class _PartialArtifact(Exception):
+    """A complete artifact of which some parts missed their tolerance.
+
+    The artifact is still written, each problem goes to stderr, and the
+    command exits 2.
+    """
+
+    def __init__(self, payload: str, problems: List[str]):
+        super().__init__(payload)
+        self.payload = payload
+        self.problems = problems
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -316,6 +331,7 @@ def _run_sweep(job: Job) -> str:
         values = []
     rows = sweep_energy(family, prism, values, K=job.K, tol=job.tol)
     lines = ["s,E,E_err,eps_scaled,lower,upper"]
+    problems: List[str] = []
     for row in rows:
         s = "" if row.s is None else _fmt(row.s)
         lines.append(
@@ -323,7 +339,15 @@ def _run_sweep(job: Job) -> str:
                 [s] + [_fmt(v) for v in (row.energy, row.energy_err, row.scaled, row.lower, row.upper)]
             )
         )
-    return "\n".join(lines) + "\n"
+        if row.accuracy_failed:
+            where = f"s={s}" if s else f"of {job.family}"
+            problems.append(
+                f"sweep row {where}: error estimate {row.energy_err:.3e} > tol {job.tol:.3e}"
+            )
+    payload = "\n".join(lines) + "\n"
+    if problems:
+        raise _PartialArtifact(payload, problems)
+    return payload
 
 
 def _run_minimize(job: Job) -> str:
@@ -379,6 +403,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     Returns the process exit code; all error text goes to stderr.
     """
     parser = _build_parser()
+    code = 0
     try:
         args = parser.parse_args(argv)
         if args.job is not None:
@@ -397,6 +422,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             job = _job_from_args(args)
 
         payload = _HANDLERS[job.command](job)
+    except _PartialArtifact as exc:
+        for problem in exc.problems:
+            print(f"nemprism: accuracy failure: {problem}", file=sys.stderr)
+        payload, code = exc.payload, 2
     except SystemExit as exc:
         # argparse --help exits 0; flag errors exit 1 via _Parser.error.
         return int(exc.code) if exc.code else 0
@@ -421,7 +450,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 1
     else:
         sys.stdout.write(payload)
-    return 0
+    return code
 
 
 def main() -> None:

@@ -353,7 +353,8 @@ def conformal_energy(
     refinement goes wherever the error is, whichever face holds it.  The
     exterior faces contribute nothing: D is radial, so its normal component
     vanishes on any plane through the vertex.  Raises AccuracyError if the
-    faces cannot reach ``tol`` within the budget.
+    faces cannot reach ``tol`` within the budget, or at once when ``tol``
+    lies below the round-off floor (see ``quad2d``).
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")

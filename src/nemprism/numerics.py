@@ -6,8 +6,10 @@ so there is no solver or quadrature dependency:
 * quad2d              adaptive 2-D quadrature over one rectangle or several
                       disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
                       pair per cell; it refines in rounds, rates at most 32
-                      cells per integrand call, and shares one tolerance and
-                      one evaluation budget across the rectangles,
+                      cells per integrand call, shares one tolerance and
+                      one evaluation budget across the rectangles, and
+                      refuses a tolerance below the round-off floor as soon
+                      as the error estimate reaches that floor,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
 * minimize_1d         coarse scan plus golden-section refinement,
@@ -17,6 +19,7 @@ so there is no solver or quadrature dependency:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -130,6 +133,10 @@ _WGG = np.outer(_WG, _WG)
 # Integrand evaluations per cell, and the most cells one integrand call rates.
 _CELL_EVALS = 225
 _BATCH_CELLS = 32
+
+# Below this multiple of the summed |cell values| an error estimate is
+# dominated by round-off (QUADPACK's 50 eps; Gander & Gautschi, BIT 40, 2000).
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,6 +263,17 @@ def quad2d(
     alone would exceed it (before any evaluation, with value nan), or when
     the budget runs out before the tolerance is met (carrying the best
     estimate).
+
+    A summed error estimate at or below the round-off floor
+    ``50 * eps * sum(|cell values|)`` cannot be trusted to fall further, so
+    once it reaches the floor while still above ``tol`` the call raises
+    AccuracyError at once (with the best estimate, the error estimate and
+    the evaluations spent) instead of spending the budget.  This also
+    refuses a ``tol`` that slow refinement below the floor might still meet,
+    e.g. ``5e-14`` on an integral of about 44 (floor about ``5e-13``).  The
+    floor is checked only when ``tol`` lies below that of the root cells;
+    where sign changes make the summed |cell values| grow under refinement,
+    a ``tol`` above the root-level floor ends on the budget instead.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -271,11 +289,24 @@ def quad2d(
     rated = [_rate_cells(f, cells[i:i + _BATCH_CELLS]) for i in range(0, len(cells), _BATCH_CELLS)]
     vals, errs, axes = (np.concatenate(part) for part in zip(*rated))
     evals = len(cells) * _CELL_EVALS
+    # For a tol at or above the root cells' floor the check is skipped: it
+    # could only fire if sign changes raised the summed |values| later on.
+    check_floor = tol < _ROUNDOFF * math.fsum(np.abs(vals))
 
     while True:
         total_err = math.fsum(errs)
         if total_err <= tol:
             break
+        if check_floor:
+            floor = _ROUNDOFF * math.fsum(np.abs(vals))
+            if total_err <= floor:
+                raise AccuracyError(
+                    f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
+                    f"(error estimate {total_err:.3e} after {evals} evaluations)",
+                    math.fsum(vals),
+                    total_err,
+                    evals,
+                )
         # The arrays hold the cells in creation order, which breaks ties.
         order = np.argsort(-errs, kind="stable")
         # prefixes whose removal would still leave the sum above tol

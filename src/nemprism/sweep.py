@@ -163,30 +163,18 @@ def sweep_energy(
     """Exact energy across parameter values, with bounds attached.
 
     The invariants do not depend on the parameter (factor counts and signs
-    are fixed along a family), so they are computed once.  A parameter value
-    whose quadrature runs out of budget yields a row flagged
-    ``accuracy_failed`` carrying the best estimate; the sweep continues.
+    are fixed along a family), so they are computed once.  A parameter-free
+    family yields one row with ``s`` None.  A point whose quadrature fails
+    (budget exhausted, or ``tol`` below the round-off floor) yields a row
+    flagged ``accuracy_failed`` carrying the best estimate; the sweep
+    continues.
     """
-    if not family.has_parameter:
-        spec = family.instantiate()
-        inv = invariants_of(spec)
-        res = conformal_energy(prism, spec, K, tol)
-        return [
-            SweepRow(
-                None, res.value, res.error_estimate,
-                scaled_energy(res.value, prism),
-                lower_bound_prism(prism, inv.omega0, K),
-                upper_bound_prism(prism, inv.omega0, K),
-                inv,
-            )
-        ]
-
-    inv = invariants_of(family.instantiate(float(s_values[0])))
+    points = [float(s) for s in s_values] if family.has_parameter else [None]
+    inv = invariants_of(family.instantiate(points[0]))
     lower = lower_bound_prism(prism, inv.omega0, K)
     upper = upper_bound_prism(prism, inv.omega0, K)
     rows: List[SweepRow] = []
-    for s in s_values:
-        s = float(s)
+    for s in points:
         spec = family.instantiate(s)
         failed = False
         try:

@@ -196,6 +196,17 @@ def test_exit_code_2_on_accuracy_failure(tmp_path, capsys):
     assert "best estimate" in err
 
 
+def test_sweep_writes_every_row_and_exits_2_on_failed_rows(capsys):
+    code = run(["sweep", "--family", "imag1", "--prism", "1,1,1", "--steps", "2",
+                "--range", "0.3:0.5", "--tol", "1e-16"])
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "s,E,E_err,eps_scaled,lower,upper"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0.3", "0.5"]
+    assert "s=0.3" in captured.err and "s=0.5" in captured.err
+
+
 def test_out_file_keeps_stdout_clean(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = run(

@@ -131,6 +131,37 @@ def test_quad2d_repeat_calls_are_bit_identical():
     assert a == b
 
 
+_GAUSS = lambda x, y: np.exp(-x * x - y * y)
+_GAUSS_EXACT = (0.5 * math.sqrt(math.pi) * math.erf(3.0)) ** 2
+
+
+def test_quad2d_refuses_a_tolerance_below_the_round_off_floor_early():
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(AccuracyError, match="below the round-off floor") as exc:
+            quad2d(_GAUSS, (0.0, 3.0, 0.0, 3.0), tol=1e-16, max_evals=1_000_000)
+        refusals.append(exc.value)
+    err = refusals[0]
+    assert 0 < err.evaluations <= 50_000
+    assert err.value == pytest.approx(_GAUSS_EXACT, rel=1e-12)
+    assert err.error_estimate > 1e-16
+    a, b = ((e.value, e.error_estimate, e.evaluations) for e in refusals)
+    assert a == b
+
+
+def test_quad2d_tolerance_above_the_round_off_floor_converges():
+    tol = 1e3 * np.finfo(float).eps * _GAUSS_EXACT
+    res = quad2d(_GAUSS, (0.0, 3.0, 0.0, 3.0), tol=tol, max_evals=1_000_000)
+    assert res.error_estimate <= tol
+    assert res.value == pytest.approx(_GAUSS_EXACT, rel=1e-12)
+
+
+def test_quad2d_unresolved_oscillation_still_ends_on_the_budget():
+    f = lambda x, y: np.sin(300.0 * x) * np.sin(300.0 * y)
+    with pytest.raises(AccuracyError, match="budget of 5000 evaluations exhausted"):
+        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-15, max_evals=5000)
+
+
 def test_appell_f2_restricted_anchors():
     assert appell_f2_restricted(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert appell_f2_restricted(1.0, 1.0) == pytest.approx(F2_1_1, abs=1e-10)

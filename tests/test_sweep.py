@@ -97,6 +97,14 @@ def test_sweep_flags_accuracy_failures_and_continues():
     assert rows[0].energy_err > 0.0
 
 
+def test_sweep_flags_accuracy_failure_of_a_parameter_free_family():
+    rows = sweep_energy(builtin_family("unwrapped"), make_prism(1.0, 1.0, 1.0), [], tol=1e-16)
+    assert len(rows) == 1
+    assert rows[0].s is None
+    assert rows[0].accuracy_failed
+    assert rows[0].energy == pytest.approx(15.348248444887467, rel=1e-9)
+
+
 def test_cube_energy_decreases_toward_edge_limit():
     fam = builtin_family("imag1")
     rows = sweep_energy(
