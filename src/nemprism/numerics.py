@@ -271,9 +271,8 @@ def quad2d(
     the evaluations spent) instead of spending the budget.  This also
     refuses a ``tol`` that slow refinement below the floor might still meet,
     e.g. ``5e-14`` on an integral of about 44 (floor about ``5e-13``).  The
-    floor is checked only when ``tol`` lies below that of the root cells;
-    where sign changes make the summed |cell values| grow under refinement,
-    a ``tol`` above the root-level floor ends on the budget instead.
+    floor is recomputed every round from the cells then held, so it follows
+    the summed |cell values| as sign changes are resolved.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -289,24 +288,20 @@ def quad2d(
     rated = [_rate_cells(f, cells[i:i + _BATCH_CELLS]) for i in range(0, len(cells), _BATCH_CELLS)]
     vals, errs, axes = (np.concatenate(part) for part in zip(*rated))
     evals = len(cells) * _CELL_EVALS
-    # For a tol at or above the root cells' floor the check is skipped: it
-    # could only fire if sign changes raised the summed |values| later on.
-    check_floor = tol < _ROUNDOFF * math.fsum(np.abs(vals))
 
     while True:
         total_err = math.fsum(errs)
         if total_err <= tol:
             break
-        if check_floor:
-            floor = _ROUNDOFF * math.fsum(np.abs(vals))
-            if total_err <= floor:
-                raise AccuracyError(
-                    f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
-                    f"(error estimate {total_err:.3e} after {evals} evaluations)",
-                    math.fsum(vals),
-                    total_err,
-                    evals,
-                )
+        floor = _ROUNDOFF * math.fsum(np.abs(vals))
+        if total_err <= floor:
+            raise AccuracyError(
+                f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
+                f"(error estimate {total_err:.3e} after {evals} evaluations)",
+                math.fsum(vals),
+                total_err,
+                evals,
+            )
         # The arrays hold the cells in creation order, which breaks ties.
         order = np.argsort(-errs, kind="stable")
         # prefixes whose removal would still leave the sum above tol

@@ -156,10 +156,24 @@ def test_quad2d_tolerance_above_the_round_off_floor_converges():
     assert res.value == pytest.approx(_GAUSS_EXACT, rel=1e-12)
 
 
-def test_quad2d_unresolved_oscillation_still_ends_on_the_budget():
+def test_quad2d_unresolved_integrand_below_the_floor_ends_on_the_budget():
+    # tol lies below the root cells' floor (about 3.6e-16), so the floor is
+    # compared on every round; the error estimate stays far above it.
     f = lambda x, y: np.sin(300.0 * x) * np.sin(300.0 * y)
     with pytest.raises(AccuracyError, match="budget of 5000 evaluations exhausted"):
-        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-15, max_evals=5000)
+        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-18, max_evals=5000)
+
+
+def test_quad2d_floor_follows_cells_whose_values_cancel_at_the_root():
+    # The root cell of sin(4 pi x) e^y sums to about 1e-17, so its floor is
+    # near 1e-31; the halves carry |values| near 0.5 and lift the floor to
+    # about 1e-14.  Against the root floor alone tol=1e-17 would look
+    # reachable and spend the whole budget.
+    f = lambda x, y: np.sin(4.0 * np.pi * x) * np.exp(y)
+    with pytest.raises(AccuracyError, match="below the round-off floor") as exc:
+        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-17, max_evals=1_000_000)
+    assert 0 < exc.value.evaluations <= 10_000
+    assert abs(exc.value.value) <= 1e-15
 
 
 def test_appell_f2_restricted_anchors():
