@@ -24,13 +24,19 @@ map.
 
 Evaluation is projective: numerator, denominator, and their derivatives are
 accumulated factor by factor, so poles need no special casing and the area
-density stays finite everywhere.
+density stays finite everywhere.  This arithmetic is written once, in a
+shared kernel: ``_parts`` (the projective parts, w conjugated first for
+anticonformal maps), ``_scaled`` (division by max(|P|, |Q|)), ``_lift`` (the
+unit director of a scaled pair), ``_wronskian_density`` (the area density),
+``sphere_density`` (times the sphere factor (1 + |w|^2)^2 / 4) and
+``_project`` (a point to w, the -z axis to infinity).  The director, flux
+and density functions below, the energy face integrand, the trapped-area
+integrand and the winding sampler all call it.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -230,17 +236,19 @@ class HomogeneousValue:
 
 
 # ----------------------------------------------------------------------
-# Projective evaluation
+# The projective kernel
 # ----------------------------------------------------------------------
 
 def _parts(spec: RationalMapSpec, w):
-    """Projective evaluation of f at finite w (scalar or ndarray).
+    """Projective parts (P, Q, dP, dQ) of the configuration map at finite w.
 
-    Returns (P, Q, dP, dQ).  The anticonformal input conjugation is NOT
-    applied here; callers that evaluate a configuration go through
-    _config_parts.
+    Takes a scalar or an ndarray; anticonformal orientation conjugates w
+    first.  f = P/Q and f' = (dP Q - P dQ)/Q^2.
     """
     w = np.asarray(w, dtype=complex)
+    if spec.is_anticonformal:
+        # asarray keeps a 0-d input an array: numpy scalars round differently
+        w = np.asarray(np.conj(w))
     na = abs(spec.n)
     if spec.n > 0:
         P = spec.epsilon * w**na
@@ -283,13 +291,38 @@ def _parts(spec: RationalMapSpec, w):
     return P, Q, dP, dQ
 
 
-def _config_parts(spec: RationalMapSpec, w):
-    """Projective parts of the configuration map at w (conjugates input
-    first for anticonformal orientation)."""
-    w = np.asarray(w, dtype=complex)
-    if spec.is_anticonformal:
-        w = np.conj(w)
-    return _parts(spec, w)
+def _scaled(P, Q, *derivatives):
+    """P, Q (and any derivatives) divided by max(|P|, |Q|), so that the
+    pair stays of order one at zeros and poles alike."""
+    scale = np.maximum(np.abs(P), np.abs(Q))
+    return [part / scale for part in (P, Q, *derivatives)]
+
+
+def _lift(p, q):
+    """Components (e_x, e_y, e_z) of the unit vector with
+    (e_x + i e_y)/(1 + e_z) = p/q, for a scaled pair."""
+    denom = np.abs(p) ** 2 + np.abs(q) ** 2
+    cross = 2.0 * p * np.conj(q)
+    return cross.real / denom, cross.imag / denom, (np.abs(q) ** 2 - np.abs(p) ** 2) / denom
+
+
+def _wronskian_density(p, q, dp, dq):
+    """Area density 4 |dp q - p dq|^2 / (|p|^2 + |q|^2)^2 of a scaled pair."""
+    return 4.0 * np.abs(dp * q - p * dq) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
+
+
+def _project(x, y, z):
+    """Stereographic projection w = (x + i y)/(|r| + z) of points, with
+    r^2 and |r|.
+
+    Takes coordinate scalars or arrays.  A single point on the -z axis,
+    where |r| + z = 0, projects to infinity.
+    """
+    r2 = x * x + y * y + z * z
+    r = np.sqrt(r2)
+    if np.ndim(r) == 0 and r + z == 0.0:
+        return complex(math.inf, 0.0), r2, r
+    return (x + 1j * y) / (r + z), r2, r
 
 
 def eval_f(spec: RationalMapSpec, w: ComplexLike) -> HomogeneousValue:
@@ -303,28 +336,12 @@ def eval_f(spec: RationalMapSpec, w: ComplexLike) -> HomogeneousValue:
     if _is_inf(w):
         P0, Q0, _, _ = _parts(spec, 0.0)
         return HomogeneousValue(complex(Q0), complex(P0), 0.0, 0.0)
-    P, Q, dP, dQ = _config_parts(spec, complex(w))
-    return HomogeneousValue(complex(P), complex(Q), complex(dP), complex(dQ))
+    return HomogeneousValue(*(complex(part) for part in _parts(spec, complex(w))))
 
 
 # ----------------------------------------------------------------------
 # Stereographic correspondence
 # ----------------------------------------------------------------------
-
-def _lift_projective(P, Q):
-    """Unit vector with (e_x + i e_y)/(1 + e_z) = P/Q, stable at poles."""
-    P = np.asarray(P, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
-    scale = np.maximum(np.abs(P), np.abs(Q))
-    p = P / scale
-    q = Q / scale
-    denom = np.abs(p) ** 2 + np.abs(q) ** 2
-    cross = 2.0 * p * np.conj(q)
-    ex = cross.real / denom
-    ey = cross.imag / denom
-    ez = (np.abs(q) ** 2 - np.abs(p) ** 2) / denom
-    return np.stack(np.broadcast_arrays(ex, ey, ez), axis=-1)
-
 
 def stereo_lift(w: ComplexLike) -> np.ndarray:
     """Inverse stereographic projection: complex plane (plus infinity) to S^2.
@@ -333,7 +350,7 @@ def stereo_lift(w: ComplexLike) -> np.ndarray:
     """
     if _is_inf(w):
         return np.array([0.0, 0.0, -1.0])
-    return np.asarray(_lift_projective(complex(w), 1.0 + 0.0j), dtype=float)
+    return np.array(_lift(*_scaled(complex(w), 1.0 + 0.0j)))
 
 
 def stereo_project(e: Sequence[float]) -> complex:
@@ -358,42 +375,27 @@ def stereo_project(e: Sequence[float]) -> complex:
 # Director field and derived quantities
 # ----------------------------------------------------------------------
 
-def _project_points(pts: np.ndarray) -> np.ndarray:
-    """w = (x + i y)/(|r| + z) for an (N, 3) array of nonzero points."""
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    return (pts[..., 0] + 1j * pts[..., 1]) / (r + pts[..., 2])
-
-
-def _director_many(spec: RationalMapSpec, pts: np.ndarray) -> np.ndarray:
-    w = _project_points(np.asarray(pts, dtype=float))
-    P, Q, _, _ = _config_parts(spec, w)
-    return _lift_projective(P, Q)
-
-
-def director(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:
-    """Unit director at a point (radially constant; undefined at the origin)."""
+def _box_point(r: Sequence[float], what: str) -> np.ndarray:
+    """r as a 3-vector away from the box vertex, where ``what`` has no limit."""
     pt = np.asarray(r, dtype=float)
     if pt.shape != (3,):
         raise UndefinedAtVertexError(f"expected a 3-vector, got shape {pt.shape}")
     if float(np.dot(pt, pt)) == 0.0:
-        raise UndefinedAtVertexError("the director has no limit at the box vertex")
-    if float(np.linalg.norm(pt)) + pt[2] == 0.0:
-        # Direction -z projects to infinity; take the projective value there.
-        hv = eval_f(spec, complex(math.inf, 0.0))
-        return np.asarray(_lift_projective(hv.P, hv.Q), dtype=float)
-    return np.asarray(_director_many(spec, pt[None, :])[0], dtype=float)
+        raise UndefinedAtVertexError(f"{what} has no limit at the box vertex")
+    return pt
 
 
-def _area_density_arrays(spec: RationalMapSpec, w) -> np.ndarray:
-    P, Q, dP, dQ = _config_parts(spec, w)
-    scale = np.maximum(np.abs(P), np.abs(Q))
-    p = P / scale
-    q = Q / scale
-    dp = dP / scale
-    dq = dQ / scale
-    wr = dp * q - p * dq
-    denom = (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
-    return 4.0 * np.abs(wr) ** 2 / denom
+def _director_many(spec: RationalMapSpec, pts: np.ndarray) -> np.ndarray:
+    pts = np.asarray(pts, dtype=float)
+    w = _project(pts[..., 0], pts[..., 1], pts[..., 2])[0]
+    P, Q, _, _ = _parts(spec, w)
+    return np.stack(_lift(*_scaled(P, Q)), axis=-1)
+
+
+def director(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:
+    """Unit director at a point (radially constant; undefined at the origin)."""
+    hv = eval_f(spec, _project(*_box_point(r, "the director"))[0])
+    return np.array(_lift(*_scaled(hv.P, hv.Q)))
 
 
 def area_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
@@ -403,11 +405,11 @@ def area_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
     finite everywhere, poles included.  Vanishes in the limit at infinity.
     Accepts a scalar or an ndarray of points.
     """
-    if np.isscalar(w) or isinstance(w, complex):
-        if _is_inf(w):
-            return 0.0
-        return float(_area_density_arrays(spec, complex(w)))
-    return _area_density_arrays(spec, w)
+    scalar = np.ndim(w) == 0
+    if scalar and _is_inf(w):
+        return 0.0
+    density = _wronskian_density(*_scaled(*_parts(spec, w)))
+    return float(density) if scalar else density
 
 
 def sphere_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
@@ -418,13 +420,11 @@ def sphere_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
     density * rhat / r^2; for the identity map it is 1 everywhere.  At
     infinity it equals its value at 0 by the reciprocal symmetry.
     """
-    if np.isscalar(w) or isinstance(w, complex):
-        if _is_inf(w):
-            w = 0.0
-        w = complex(w)
-        return float(area_density(spec, w) * (1.0 + abs(w) ** 2) ** 2 / 4.0)
-    w = np.asarray(w, dtype=complex)
-    return _area_density_arrays(spec, w) * (1.0 + np.abs(w) ** 2) ** 2 / 4.0
+    scalar = np.ndim(w) == 0
+    if scalar and _is_inf(w):
+        w = 0.0
+    density = area_density(spec, w) * (1.0 + np.abs(w) ** 2) ** 2 / 4.0
+    return float(density) if scalar else density
 
 
 def factor_scales(spec: RationalMapSpec) -> List[Tuple[complex, float]]:
@@ -478,17 +478,10 @@ def flux_field(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:
     anticonformal orientation (the sphere map reverses orientation).  For
     the identity map this is r / |r|^3.
     """
-    pt = np.asarray(r, dtype=float)
-    if pt.shape != (3,):
-        raise UndefinedAtVertexError(f"expected a 3-vector, got shape {pt.shape}")
-    rr = float(np.dot(pt, pt))
-    if rr == 0.0:
-        raise UndefinedAtVertexError("the flux field has no limit at the box vertex")
-    norm = math.sqrt(rr)
-    w = complex((pt[0] + 1j * pt[1]) / (norm + pt[2])) if norm + pt[2] != 0.0 else complex(math.inf, 0.0)
-    dens = sphere_density(spec, w)
+    pt = _box_point(r, "the flux field")
+    w, _, norm = _project(*pt)
     sign = -1.0 if spec.is_anticonformal else 1.0
-    return sign * dens * pt / norm**3
+    return sign * sphere_density(spec, w) * pt / norm**3
 
 
 @dataclass(frozen=True)
@@ -505,6 +498,4 @@ def director_sample(spec: RationalMapSpec, r: Sequence[float]) -> DirectorSample
     pt = tuple(float(v) for v in np.asarray(r, dtype=float))
     n = director(spec, pt)
     D = flux_field(spec, pt)
-    norm = math.sqrt(sum(v * v for v in pt))
-    w = complex((pt[0] + 1j * pt[1]) / (norm + pt[2])) if norm + pt[2] != 0.0 else complex(math.inf, 0.0)
-    return DirectorSample(pt, n, D, float(area_density(spec, w)))
+    return DirectorSample(pt, n, D, area_density(spec, _project(*pt)[0]))

@@ -21,15 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .conformal import (
     RationalMapSpec,
-    _area_density_arrays,
+    _project,
     bracket_offsets,
     factor_scales,
+    sphere_density,
 )
 from .errors import DomainError, SumRuleError
 from .geometry import Prism
@@ -315,10 +316,8 @@ def _faces_integral(
         x = np.where(on_x, value, au)
         y = np.where(on_x, au, np.where(on_z, av, value))
         z = np.where(on_z, value, av)
-        r2 = x * x + y * y + z * z
-        r = np.sqrt(r2)
-        w = (x + 1j * y) / (r + z)  # stereographic projection, as _project_points
-        dens = _area_density_arrays(spec, w) * (1.0 + np.abs(w) ** 2) ** 2 / 4.0
+        w, r2, r = _project(x, y, z)
+        dens = sphere_density(spec, w)
         if energy_weight is not None:
             return energy_weight * value * dens / r2
         return sign * value * dens / (r2 * r)
@@ -356,8 +355,8 @@ def conformal_energy(
     faces cannot reach ``tol`` within the budget, or at once when ``tol``
     lies below the round-off floor (see ``quad2d``).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if not (math.isfinite(K) and K > 0):
+        raise DomainError(f"K must be positive and finite, got {K!r}")
     half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
     return _faces_integral(prism, spec, half, 16.0 * K, tol, 3 * max_evals_per_face)
 
@@ -376,6 +375,8 @@ def face_flux(
     quadrature covers the three faces, sharing the absolute tolerance
     ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations.
     """
+    if which not in ("interior", "exterior"):
+        raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
     half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
     values = half if which == "interior" else (0.0, 0.0, 0.0)
     return _faces_integral(prism, spec, values, None, tol, 3 * max_evals_per_face)

@@ -28,8 +28,11 @@ import numpy as np
 
 from .conformal import (
     RationalMapSpec,
-    _area_density_arrays,
-    _config_parts,
+    _lift,
+    _parts,
+    _scaled,
+    _wronskian_density,
+    area_density,
     bracket_offsets,
     factor_scales,
 )
@@ -121,9 +124,9 @@ def kink_numbers(spec: RationalMapSpec) -> Tuple[int, int, int]:
     n_y reflection of the anticonformal configuration negates k_x and k_z
     and leaves k_y alone.
     """
-    e_x = spec.epsilon * _parity(spec.a)
-    e_y = spec.epsilon * _parity(spec.b) * _parity((spec.n - 1) // 2)
-    e_z = 1 if spec.n > 0 else -1
+    e_x, e_y, e_z = edge_orientations(spec)
+    if spec.is_anticonformal:
+        e_y = -e_y  # the factor sums below take the conformal e_y
 
     rhos = [sign for _, sign in sorted(spec.real_factors, key=lambda f: f[0])]
     sigmas = [sign for _, sign in sorted(spec.imag_factors, key=lambda f: f[0])]
@@ -194,7 +197,7 @@ def numeric_trapped_area(
 
     def integrand(rho, theta):
         w = rho * np.exp(1j * theta)
-        return _area_density_arrays(spec, w) * rho
+        return area_density(spec, w) * rho
 
     rho_cuts = (
         [r for r, _ in spec.real_factors]
@@ -268,20 +271,9 @@ def _track_winding(
 
     def sample(ts):
         w = path(ts)
-        P, Q, dP, dQ = _config_parts(spec, w)
-        scale = np.maximum(np.abs(P), np.abs(Q))
-        p = P / scale
-        q = Q / scale
-        denom = np.abs(p) ** 2 + np.abs(q) ** 2
-        cross = 2.0 * p * np.conj(q)
-        comp = {
-            0: cross.real / denom,
-            1: cross.imag / denom,
-            2: (np.abs(q) ** 2 - np.abs(p) ** 2) / denom,
-        }
-        alpha = np.arctan2(comp[i], comp[j])
-        speed = 2.0 * np.abs((dP / scale) * q - p * (dQ / scale)) / denom
-        return alpha, speed, w
+        p, q, dp, dq = _scaled(*_parts(spec, w))
+        e = _lift(p, q)
+        return np.arctan2(e[i], e[j]), np.sqrt(_wronskian_density(p, q, dp, dq)), w
 
     alpha, speed, w = sample(params)
     while True:

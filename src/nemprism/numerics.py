@@ -274,8 +274,8 @@ def quad2d(
     floor is recomputed every round from the cells then held, so it follows
     the summed |cell values| as sign changes are resolved.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     cells = _root_cells(domain, initial_splits)
     if len(cells) * _CELL_EVALS > max_evals:
         raise AccuracyError(
@@ -380,6 +380,8 @@ def minimize_1d(
         raise DomainError(f"interval must satisfy a < b, got {interval!r}")
     if coarse < 3:
         raise DomainError(f"coarse sample count must be >= 3, got {coarse}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
     grid = np.linspace(a, b, coarse)
     samples = [float(f(float(x))) for x in grid]

@@ -43,7 +43,6 @@ class ConfigFamily:
 
     name: str
     template: dict
-    parameter: Optional[str] = "s"
 
     @property
     def has_parameter(self) -> bool:
@@ -99,28 +98,28 @@ _FAMILIES = {
         },
     ),
     "unwrapped": ConfigFamily(
-        "unwrapped", _unwrapped_template(1, 1, "conformal"), None
+        "unwrapped", _unwrapped_template(1, 1, "conformal")
     ),
     "unwrapped-neg": ConfigFamily(
-        "unwrapped-neg", _unwrapped_template(-1, 1, "conformal"), None
+        "unwrapped-neg", _unwrapped_template(-1, 1, "conformal")
     ),
     "unwrapped-inv": ConfigFamily(
-        "unwrapped-inv", _unwrapped_template(1, -1, "conformal"), None
+        "unwrapped-inv", _unwrapped_template(1, -1, "conformal")
     ),
     "unwrapped-neg-inv": ConfigFamily(
-        "unwrapped-neg-inv", _unwrapped_template(-1, -1, "conformal"), None
+        "unwrapped-neg-inv", _unwrapped_template(-1, -1, "conformal")
     ),
     "unwrapped-anti": ConfigFamily(
-        "unwrapped-anti", _unwrapped_template(1, 1, "anticonformal"), None
+        "unwrapped-anti", _unwrapped_template(1, 1, "anticonformal")
     ),
     "unwrapped-neg-anti": ConfigFamily(
-        "unwrapped-neg-anti", _unwrapped_template(-1, 1, "anticonformal"), None
+        "unwrapped-neg-anti", _unwrapped_template(-1, 1, "anticonformal")
     ),
     "unwrapped-inv-anti": ConfigFamily(
-        "unwrapped-inv-anti", _unwrapped_template(1, -1, "anticonformal"), None
+        "unwrapped-inv-anti", _unwrapped_template(1, -1, "anticonformal")
     ),
     "unwrapped-neg-inv-anti": ConfigFamily(
-        "unwrapped-neg-inv-anti", _unwrapped_template(-1, -1, "anticonformal"), None
+        "unwrapped-neg-inv-anti", _unwrapped_template(-1, -1, "anticonformal")
     ),
 }
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -248,3 +249,58 @@ def test_seed_and_threads_are_not_flags(capsys):
         assert flag in capsys.readouterr().err
     with pytest.raises(ValueError, match="seed"):
         Job.from_dict({"command": "bounds", "prism": [1, 1, 1], "omega0": 1.0, "seed": 1})
+
+
+def test_field_rows_match_the_director(tmp_path, capsys):
+    from nemprism import director
+
+    payload = {
+        "epsilon": -1,
+        "n": 1,
+        "real": [[0.3, 1]],
+        "imag": [[0.6, -1]],
+        "complex": [[0.4, 0.5, 1]],
+    }
+    spec = RationalMapSpec.from_dict(payload)
+    assert spec.degree == 9
+    path = write_spec(tmp_path, payload, "deg9.json")
+    assert run(["field", "--prism", "2,1,0.5", "--spec", path, "--grid", "4"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 + 5**3 - 1
+    for ln in lines[1:]:
+        x, y, z, *n = map(float, ln.split(","))
+        assert max(abs(n - director(spec, (x, y, z)))) <= 1e-11
+
+
+BAD_MODULUS_OR_TOLERANCE = [
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "-1"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "0"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "nan"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "inf"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--tol", "nan"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--tol=-1e-6"],
+    ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--tol", "inf"],
+    ["invariants", "--spec", "{spec}", "--tol", "nan"],
+    ["sweep", "--family", "imag1", "--prism", "1,1,1", "--K", "nan"],
+    ["sweep", "--family", "imag1", "--prism", "1,1,1", "--tol", "0"],
+    ["minimize", "--family", "imag1", "--prism", "1,1,1", "--K", "-1"],
+    ["minimize", "--family", "unwrapped", "--prism", "1,1,1", "--K", "nan"],
+    ["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "nan"],
+    ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "nan"],
+    ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_MODULUS_OR_TOLERANCE, ids=" ".join)
+def test_bad_modulus_or_tolerance_exits_1_at_once(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path)
+    argv = [spec if arg == "{spec}" else arg for arg in argv]
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("nemprism: error:")
+    assert "positive and finite" in captured.err
+    assert elapsed < 0.1

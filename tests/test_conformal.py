@@ -262,3 +262,24 @@ def test_director_sample_consistency():
     assert float(np.linalg.norm(s.D)) * rad**2 == pytest.approx(
         s.density * (1.0 + abs(w) ** 2) ** 2 / 4.0, rel=1e-12
     )
+
+
+def test_flux_and_sample_on_the_minus_z_axis():
+    # -z projects to infinity, where the sphere density takes its value at
+    # 0 and the chart density vanishes
+    spec = RationalMapSpec(
+        -1,
+        1,
+        real_factors=((0.3, 1),),
+        imag_factors=((0.6, -1),),
+        complex_factors=((complex(0.4, 0.5), 1),),
+        orientation="anticonformal",
+    )
+    r = (0.0, 0.0, -2.0)
+    expected = -sphere_density(spec, 0) * np.array(r) / 8.0
+    assert sphere_density(spec, 0) > 0.0
+    assert flux_field(spec, r) == pytest.approx(expected, rel=1e-14)
+    s = director_sample(spec, r)
+    assert s.density == 0.0
+    assert s.D == pytest.approx(expected, rel=1e-14)
+    assert s.n == pytest.approx(director(spec, r), abs=0.0)

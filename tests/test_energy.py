@@ -212,3 +212,27 @@ def test_faces_share_one_budget():
             make_prism(1.0, 1.0, 1.0), spec, tol=1e-14, max_evals_per_face=20000
         )
     assert 0 < exc.value.evaluations <= 3 * 20000
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
+def test_conformal_energy_rejects_a_modulus_that_is_not_positive_and_finite(K):
+    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
+    with pytest.raises(DomainError, match="K must be positive and finite"):
+        conformal_energy(make_prism(1.0, 1.0, 1.0), spec, K)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_energy_and_flux_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    cube = make_prism(1.0, 1.0, 1.0)
+    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
+    with pytest.raises(DomainError, match="tolerance"):
+        conformal_energy(cube, spec, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        face_flux(cube, spec, tol=tol)
+
+
+def test_face_flux_rejects_an_unknown_face_set():
+    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
+    for which in ("Interior", "all", ""):
+        with pytest.raises(DomainError, match="which"):
+            face_flux(make_prism(1.0, 1.0, 1.0), spec, which)

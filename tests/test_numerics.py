@@ -255,3 +255,29 @@ def test_lp_solve_zero_objective_picks_origin():
     x, val = lp_solve([0.0, 0.0], [(0, 1, 3.0)])
     assert val == 0.0
     assert x == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_quad2d_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    calls = []
+
+    def f(x, y):
+        calls.append(x.size)
+        return x * y
+
+    with pytest.raises(DomainError, match="positive and finite"):
+        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_minimize_1d_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(DomainError, match="positive and finite"):
+        minimize_1d(f, (0.0, 1.0), tol=tol)
+    assert calls == []
