@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cache
@@ -31,6 +32,12 @@ _NEEDS = {
     "field": "spec",
 }
 
+# 'tol' is a parameter resolution for minimize and an absolute quadrature
+# tolerance for the other commands, so its default depends on the command.
+# Every other default is the Job field's; the flags have none of their own,
+# so a job file and the equivalent flags give the same artifact.
+_DEFAULT_TOL = {"minimize": 1e-3}
+
 
 @dataclass(frozen=True)
 class Job:
@@ -44,7 +51,7 @@ class Job:
     K1: Optional[float] = None
     K2: Optional[float] = None
     K3: Optional[float] = None
-    tol: float = 1e-6
+    tol: Optional[float] = None  # None: _DEFAULT_TOL, else 1e-6
     quad_tol: float = 1e-5
     omega0: Optional[float] = None
     range: Tuple[float, float] = (0.05, 0.95)
@@ -58,6 +65,8 @@ class Job:
             raise ValueError(
                 f"command must be one of {', '.join(_COMMANDS)}, got {self.command!r}"
             )
+        if self.tol is None:
+            object.__setattr__(self, "tol", _DEFAULT_TOL.get(self.command, 1e-6))
         needs = _NEEDS[self.command]
         if needs == "spec":
             if self.spec is None:
@@ -169,42 +178,41 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invariants", parents=[common], help="closed-form invariants with numeric cross-checks")
     p.add_argument("--spec", required=True, metavar="FILE", help="rational-map JSON file")
-    p.add_argument("--tol", type=float, default=1e-6, help="quadrature tolerance for the numeric solid angle")
+    p.add_argument("--tol", type=float, help="quadrature tolerance for the numeric solid angle")
 
     p = sub.add_parser("bounds", parents=[common], help="topological bounds from a trapped solid angle")
     p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
     p.add_argument("--omega0", required=True, type=float, help="trapped solid angle in radians")
-    p.add_argument("--K", type=float, default=1.0, help="one-constant elastic modulus")
+    p.add_argument("--K", type=float, help="one-constant elastic modulus")
     p.add_argument("--K1", type=float, help="splay constant (give all three for a min-constant bound)")
     p.add_argument("--K2", type=float, help="twist constant")
     p.add_argument("--K3", type=float, help="bend constant")
     p.add_argument(
         "--lp-constraints",
         choices=("all-pairs", "edges"),
-        default="all-pairs",
         help="vertex pairs constrained in the LP certificate",
     )
 
     p = sub.add_parser("energy", parents=[common], help="exact energy with bounds")
     p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
     p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-6, help="absolute energy tolerance")
+    p.add_argument("--K", type=float)
+    p.add_argument("--tol", type=float, help="absolute energy tolerance")
 
     p = sub.add_parser("sweep", parents=[common], help="energy across a family parameter, as CSV")
     p.add_argument("--family", required=True, help="built-in family name (for example imag1)")
     p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--range", type=_range_arg, default=(0.05, 0.95), metavar="LO:HI")
-    p.add_argument("--steps", type=int, default=19, help="number of parameter values")
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-6, help="absolute energy tolerance per value")
+    p.add_argument("--range", type=_range_arg, metavar="LO:HI")
+    p.add_argument("--steps", type=int, help="number of parameter values")
+    p.add_argument("--K", type=float)
+    p.add_argument("--tol", type=float, help="absolute energy tolerance per value")
 
     p = sub.add_parser("minimize", parents=[common], help="minimize scaled energy over a family")
     p.add_argument("--family", required=True)
     p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-3, help="parameter resolution")
-    p.add_argument("--quad-tol", type=float, default=1e-5, help="energy tolerance inside the search")
+    p.add_argument("--K", type=float)
+    p.add_argument("--tol", type=float, help="parameter resolution")
+    p.add_argument("--quad-tol", type=float, help="energy tolerance inside the search")
 
     p = sub.add_parser("field", parents=[common], help="director samples on an octant grid, as CSV")
     p.add_argument("--spec", required=True, metavar="FILE")
@@ -212,7 +220,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--grid",
         type=int,
-        default=16,
         help="subdivisions per axis; samples sit at the grid nodes, the singular vertex excluded",
     )
 
@@ -289,6 +296,15 @@ def _run_bounds(job: Job) -> str:
 
     prism = make_prism(*job.prism)
     constants = ElasticConstants(job.K, job.K1, job.K2, job.K3)
+    # Every bound printed is at most 8 k |diagonal| |omega0| for k = 1 (the LP
+    # objective before scaling by K), K or the min constant.
+    for k in (1.0, job.K, constants.min_constant()):
+        upper = upper_bound_prism(prism, job.omega0, k)
+        if not math.isfinite(upper):
+            raise ValueError(
+                f"--omega0 {job.omega0!r} with K={k!r} gives the bound "
+                f"8 K |diagonal| |omega0| = {upper!r}, which must be finite"
+            )
     report = EnergyReport(
         lower=lower_bound_prism(prism, job.omega0, job.K),
         upper=upper_bound_prism(prism, job.omega0, job.K),

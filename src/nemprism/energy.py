@@ -33,7 +33,7 @@ from .conformal import (
     sphere_density,
 )
 from .errors import DomainError, SumRuleError
-from .geometry import Prism
+from .geometry import Prism, edge_length
 from .invariants import trapped_area
 from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d
 
@@ -231,14 +231,12 @@ def prism_lp_certificate(
     if constraints == "all-pairs":
         pairs: Union[str, List[Tuple[int, int]]] = "all"
     elif constraints == "edges":
-        pairs = []
-        for i in range(8):
-            for j in range(i + 1, 8):
-                differing = sum(
-                    1 for k in range(3) if vertices[i].coords[k] != vertices[j].coords[k]
-                )
-                if differing == 1:
-                    pairs.append((i, j))
+        pairs = [
+            (i, j)
+            for i in range(8)
+            for j in range(i + 1, 8)
+            if edge_length(prism, vertices[i], vertices[j]) is not None
+        ]
     else:
         raise DomainError(
             f"constraints must be 'all-pairs' or 'edges', got {constraints!r}"

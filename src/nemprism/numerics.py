@@ -13,8 +13,8 @@ so there is no solver or quadrature dependency:
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
 * minimize_1d         coarse scan plus golden-section refinement,
-* lp_solve            dense simplex in exact rational arithmetic for
-                      difference-constrained linear programs.
+* lp_solve            difference-constrained linear programs, solved exactly
+                      as the dual min-cost flow (successive shortest paths).
 """
 from __future__ import annotations
 
@@ -416,15 +416,8 @@ def minimize_1d(
 
 
 # ======================================================================
-# Dense simplex for difference-constrained LPs, exact arithmetic
+# Difference-constrained LPs as exact min-cost flows
 # ======================================================================
-
-def _lex_negative(col: Sequence[Fraction]) -> bool:
-    for z in col:
-        if z != 0:
-            return z < 0
-    return False
-
 
 def lp_solve(
     costs: Sequence[float],
@@ -432,22 +425,28 @@ def lp_solve(
 ) -> Tuple[List[float], float]:
     """Maximize costs . x subject to |x_a - x_b| <= d and x >= 0.
 
-    ``constraints`` lists (a, b, d) triples.  The solve runs a dense tableau
-    simplex in exact Fraction arithmetic with a stacked objective: the true
-    objective first, then -x_0, -x_1, ... in order, so the result is the
-    lexicographically smallest optimal vertex.  The leaving row is picked by
-    the lexicographic ratio test (rhs, then slack block, then structural
-    block), which rules out cycling.
+    ``constraints`` lists (a, b, d) triples.  The dual is a transshipment
+    problem, solved exactly over Fractions by successive shortest paths
+    (Bellman-Ford): with a ground node g at x_g = 0, each constraint
+    x_i - x_j <= w is an uncapacitated arc i -> j of cost w (both ways per
+    pair, the smaller d for a repeated pair, and g -> v of cost 0 for
+    x_v >= 0); v supplies c_v and g supplies -sum(c).  No arc enters g, so
+    if sum(c) > 0, or a supply reaches no demand, the dual is infeasible and
+    the objective unbounded above (x = 0 is feasible): UnboundedError.
 
-    Returns the optimal vector and the objective value.  Raises
-    InfeasibleError for a negative bound and UnboundedError when the
-    objective grows without limit.
+    By complementary slackness the optimal face is the feasible set with
+    every flow-carrying arc tight, a system of difference constraints
+    x_u - x_v <= w over the residual arcs u -> v (the arcs, and the reverse
+    of each arc with flow at cost -w).  It is closed under componentwise
+    min, so its least point x_v = -(residual distance from g to v) is the
+    lexicographically smallest optimal vertex.  Returns that point and the
+    objective value; a negative bound raises InfeasibleError.
     """
     n = len(costs)
     if n == 0:
         raise DomainError("at least one variable is required")
     c = [Fraction(v) for v in costs]
-    bounds: List[Tuple[int, int, Fraction]] = []
+    bounds = {}
     for a, b, d in constraints:
         a, b = int(a), int(b)
         if not (0 <= a < n and 0 <= b < n) or a == b:
@@ -455,71 +454,47 @@ def lp_solve(
         dd = Fraction(d)
         if dd < 0:
             raise InfeasibleError(f"negative difference bound {d!r} for pair ({a}, {b})")
-        bounds.append((a, b, dd))
+        bounds[a, b] = bounds[b, a] = min(dd, bounds.get((a, b), dd))
 
-    m = 2 * len(bounds)
-    width = n + m  # structural + slack columns
-    # Tableau [A | I | rhs]; the slack basis is feasible because all bounds
-    # are nonnegative, so no phase-1 is needed.
-    T: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for a, b, d in bounds:
-        for sgn in (1, -1):
-            row = [Fraction(0)] * width
-            row[a] = Fraction(sgn)
-            row[b] = Fraction(-sgn)
-            row[n + len(T)] = Fraction(1)
-            T.append(row)
-            rhs.append(d)
-    basis = list(range(n, n + m))
+    # arcs[k ^ 1] reverses arcs[k]; cap[k] is None if uncapacitated, else the flow it can cancel
+    arcs, cap = [], []
+    for (u, v), w in [((n, v), Fraction(0)) for v in range(n)] + list(bounds.items()):
+        arcs += [(u, v, w), (v, u, -w)]
+        cap += [None, Fraction(0)]
+    supply = c + [-sum(c)]
 
-    # Stacked objective rows, stored in z-row form (negated objective).
-    Z: List[List[Fraction]] = [[-ci for ci in c] + [Fraction(0)] * m]
-    for i in range(n):
-        row = [Fraction(0)] * width
-        row[i] = Fraction(1)
-        Z.append(row)
+    def shortest(source):  # Bellman-Ford over the arcs with capacity left
+        dist, last = [None] * (n + 1), [None] * (n + 1)
+        dist[source] = Fraction(0)
+        changed = True
+        while changed:  # ends: the residual arcs carry no negative cycle
+            changed = False
+            for k, (u, v, w) in enumerate(arcs):
+                if cap[k] != 0 and dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
+                    dist[v], last[v], changed = dist[u] + w, k, True
+        return dist, last
 
-    for _ in range(100_000):
-        enter = -1
-        for j in range(width):
-            if _lex_negative([Z[k][j] for k in range(len(Z))]):
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best_key = None
-        for i in range(m):
-            piv = T[i][enter]
-            if piv > 0:
-                key = [rhs[i] / piv]
-                key.extend(T[i][n + k] / piv for k in range(m))
-                key.extend(T[i][k] / piv for k in range(n))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    leave = i
-        if leave < 0:
-            raise UnboundedError("objective is unbounded along a feasible ray")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        rhs[leave] = rhs[leave] / piv
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                factor = T[i][enter]
-                T[i] = [vi - factor * vl for vi, vl in zip(T[i], T[leave])]
-                rhs[i] = rhs[i] - factor * rhs[leave]
-        for k in range(len(Z)):
-            if Z[k][enter] != 0:
-                factor = Z[k][enter]
-                Z[k] = [vi - factor * vl for vi, vl in zip(Z[k], T[leave])]
-        basis[leave] = enter
-    else:
-        raise RuntimeError("simplex iteration cap exceeded")
+    for source in range(n + 1):
+        while supply[source] > 0:
+            dist, last = shortest(source)
+            sinks = [v for v in range(n + 1) if supply[v] < 0 and dist[v] is not None]
+            if not sinks:
+                raise UnboundedError("objective is unbounded along a feasible ray")
+            sink = min(sinks, key=dist.__getitem__)
+            path, v = [], sink
+            while v != source:
+                path.append(last[v])
+                v = arcs[last[v]][0]
+            amount = min([supply[source], -supply[sink]] + [cap[k] for k in path if cap[k] is not None])
+            for k in path:
+                if cap[k] is None:
+                    cap[k ^ 1] += amount
+                else:
+                    cap[k] -= amount
+            supply[source] -= amount
+            supply[sink] += amount
 
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = rhs[i]
+    dist, _ = shortest(n)
+    x = [-dist[v] for v in range(n)]
     objective = sum(ci * xi for ci, xi in zip(c, x))
     return [float(v) for v in x], float(objective)

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import nemprism.energy
 from nemprism import invariants_report, RationalMapSpec
 from nemprism.cli import Job, run
 
@@ -304,3 +305,125 @@ def test_bad_modulus_or_tolerance_exits_1_at_once(tmp_path, capsys, argv):
     assert captured.err.startswith("nemprism: error:")
     assert "positive and finite" in captured.err
     assert elapsed < 0.1
+
+
+def _bounds_bytes(sides, lower, objective, ratio, upper):
+    """A bounds artifact whose LP potentials are 1 on the even-parity
+    vertices 0, 3, 5, 6 and 0 on the others."""
+    points = [
+        [float(bool(i & 1)) * sides[0], float(bool(i & 2)) * sides[1], float(bool(i & 4)) * sides[2]]
+        for i in range(8)
+    ]
+    payload = {
+        "exact": None,
+        "exact_err": None,
+        "lower": lower,
+        "lp": {
+            "feasible": True,
+            "objective": objective,
+            "points": points,
+            "xi": [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+        },
+        "ratio": ratio,
+        "scaled": None,
+        "upper": upper,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# stdout of `nemprism bounds`, as printed by the dense-simplex LP
+BOUNDS_ARTIFACTS = [
+    (
+        ["--prism", "1,1,1", "--omega0", "1.5707963267948966"],
+        _bounds_bytes((1.0, 1.0, 1.0), 12.566370614359172, 12.566370614359172,
+                      1.7320508075688772, 21.765592370810612),
+    ),
+    (
+        ["--prism", "20,10,1", "--omega0", "4.71238898038469", "--lp-constraints", "edges"],
+        _bounds_bytes((20.0, 10.0, 1.0), 37.69911184307752, 37.69911184307752,
+                      22.38302928559939, 843.820324424691),
+    ),
+]
+
+
+@pytest.mark.parametrize("flags,expected", BOUNDS_ARTIFACTS, ids=["readme-cube", "slab-edges"])
+def test_bounds_artifact_bytes_are_pinned(capsys, flags, expected):
+    assert run(["bounds"] + flags) == 0
+    assert capsys.readouterr().out == expected
+
+
+# (flags, the same job as a job file); neither gives a tolerance
+FLAGS_AND_JOBS = [
+    (
+        ["minimize", "--family", "imag1", "--prism", "1,1,1"],
+        {"command": "minimize", "family": "imag1", "prism": [1, 1, 1]},
+    ),
+    (
+        ["energy", "--prism", "1,1,1", "--spec", "{spec}"],
+        {"command": "energy", "prism": [1, 1, 1], "spec": SPEC},
+    ),
+    (
+        ["invariants", "--spec", "{spec}"],
+        {"command": "invariants", "spec": SPEC},
+    ),
+    (
+        ["sweep", "--family", "imag1", "--prism", "2,1,1", "--steps", "3"],
+        {"command": "sweep", "family": "imag1", "prism": [2, 1, 1], "steps": 3},
+    ),
+    (
+        ["bounds", "--prism", "3,2,1", "--omega0", "-1.5"],
+        {"command": "bounds", "prism": [3, 2, 1], "omega0": -1.5},
+    ),
+    (
+        ["field", "--prism", "1,1,1", "--spec", "{spec}", "--grid", "2"],
+        {"command": "field", "prism": [1, 1, 1], "spec": SPEC, "grid": 2},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,job", FLAGS_AND_JOBS, ids=[argv[0] for argv, _ in FLAGS_AND_JOBS])
+def test_job_file_takes_the_flag_defaults(tmp_path, capsys, argv, job):
+    spec = write_spec(tmp_path)
+    assert run([spec if arg == "{spec}" else arg for arg in argv]) == 0
+    from_flags = capsys.readouterr().out
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run(["--job", str(path)]) == 0
+    assert capsys.readouterr().out == from_flags
+
+
+# (bounds inputs on the unit cube, the name the error message must give)
+BAD_BOUNDS_NUMBERS = [
+    ({"omega0": math.nan}, "--omega0"),
+    ({"omega0": math.inf}, "--omega0"),
+    ({"omega0": -math.inf}, "--omega0"),
+    ({"omega0": 1e308}, "--omega0"),
+    ({"omega0": -1e308}, "--omega0"),
+    ({"omega0": 1.0, "K": 1e308}, "K=1e+308"),
+    ({"omega0": 1e308, "K": 1e-300}, "--omega0"),
+    ({"omega0": 1.0, "K1": 1e308, "K2": 1e308, "K3": 1e308}, "K=1e+308"),
+]
+
+
+@pytest.mark.parametrize("as_job", [False, True], ids=["flags", "job"])
+@pytest.mark.parametrize(
+    "values,name",
+    BAD_BOUNDS_NUMBERS,
+    ids=[",".join(f"{k}={v!r}" for k, v in values.items()) for values, _ in BAD_BOUNDS_NUMBERS],
+)
+def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, monkeypatch, values, name, as_job):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(nemprism.energy, "lp_solve", no_lp)
+    if as_job:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(values, command="bounds", prism=[1, 1, 1])))
+        argv = ["--job", str(path)]
+    else:
+        argv = ["bounds", "--prism", "1,1,1"] + [f"--{key}={value!r}" for key, value in values.items()]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nemprism: error:")
+    assert name in captured.err

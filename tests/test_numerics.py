@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -281,3 +282,95 @@ def test_minimize_1d_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(DomainError, match="positive and finite"):
         minimize_1d(f, (0.0, 1.0), tol=tol)
     assert calls == []
+
+
+def _lp_instance(rng):
+    """Up to 7 variables, split into two blocks that share no constraint.
+
+    Bounds are multiples of 1/2 (0 included) and pairs may repeat.  Most
+    instances give each block a cost sum <= 0, so that the LP can be bounded.
+    Only rng.random() is used: its sequence is fixed for a given seed.
+    """
+    def pick(k):
+        return int(rng.random() * k)
+
+    n = 1 + pick(7)
+    cut = pick(n)
+    costs = [(pick(9) - 4) / (1 + pick(2)) for _ in range(n)]
+    if rng.random() < 0.7:
+        for lo, hi in ((0, cut), (cut, n)):
+            if hi > lo:
+                costs[hi - 1] -= sum(costs[lo:hi]) + pick(2) / 2
+    constraints = []
+    for _ in range(pick(3 * n)):
+        a, b = pick(n), pick(n)
+        if a != b and (a < cut) == (b < cut):
+            constraints.append((a, b, pick(7) / 2))
+    return costs, constraints
+
+
+# (x, objective) or the exception, as the dense lexicographic simplex
+# returned them for the instances of random.Random(13)
+LP_FROZEN = [
+    ([0.0, 0.0], 0.0),
+    ([0.0, 0.5, 0.0, 0.0], 0.75),
+    ([0.0, 0.0, 0.0, 2.5], 1.25),
+    ([0.0, 1.0, 0.0], 0.5),
+    ([1.0, 2.0, 1.5, 0.5, 0.0], 5.5),
+    UnboundedError,
+    ([4.0, 0.0, 4.0, 2.5, 1.5, 4.0, 0.0], 14.0),
+    ([0.0, 0.0, 0.0, 0.0], 0.0),
+    UnboundedError,
+    ([0.0, 0.0, 0.0], 0.0),
+    ([0.0, 0.5], 0.5),
+    ([3.0, 1.0, 0.0, 0.0], 2.5),
+    UnboundedError,
+    ([0.0, 0.0, 0.0], 0.0),
+    UnboundedError,
+    ([0.0, 0.0, 2.5, 4.0], 2.0),
+    ([0.0], 0.0),
+    UnboundedError,
+    ([0.0, 0.0, 0.0], 0.0),
+    UnboundedError,
+    UnboundedError,
+    ([0.0], 0.0),
+    UnboundedError,
+    UnboundedError,
+    UnboundedError,
+    ([0.0, 0.0, 2.0], 5.0),
+    UnboundedError,
+    UnboundedError,
+    ([0.0, 0.0, 2.0, 1.0, 0.0, 3.0, 1.0], 3.5),
+    ([0.0, 0.0], 0.0),
+]
+
+
+def _components(n, constraints):
+    label = list(range(n))
+    for a, b, _ in constraints:
+        old, new = label[a], label[b]
+        label = [new if v == old else v for v in label]
+    return len(set(label))
+
+
+def test_lp_solve_matches_the_frozen_simplex_results():
+    rng = random.Random(13)
+    instances = [_lp_instance(rng) for _ in LP_FROZEN]
+    for (costs, constraints), expected in zip(instances, LP_FROZEN):
+        if isinstance(expected, tuple):
+            assert lp_solve(costs, constraints) == expected, (costs, constraints)
+        else:
+            with pytest.raises(expected):
+                lp_solve(costs, constraints)
+
+    # the instances cover the cases the frozen list is meant to pin
+    bounded = [inst for inst, e in zip(instances, LP_FROZEN) if isinstance(e, tuple)]
+    assert any(_components(len(c), cons) > 1 for c, cons in bounded)
+    assert any(d == 0 for _, cons in bounded for _, _, d in cons)
+    assert any(
+        len({(min(a, b), max(a, b), d) for a, b, d in cons})
+        > len({(min(a, b), max(a, b)) for a, b, _ in cons})
+        for _, cons in bounded
+    )
+    signs = {(sum(c) > 0) - (sum(c) < 0) for (c, _), e in zip(instances, LP_FROZEN) if e is UnboundedError}
+    assert signs == {-1, 0, 1}
