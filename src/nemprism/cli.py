@@ -6,7 +6,8 @@ to stdout or to ``--out``.  Output bytes are deterministic for fixed inputs
 and tolerances.  Exit codes: 0 success, 1 invalid input (the message names
 the offending flag or field), 2 numerical-accuracy failure.  A ``sweep`` with
 failed rows still writes every row, names each failed ``s`` on stderr and
-exits 2.
+exits 2; so does a ``minimize`` with failed points, unless every point of
+its scan failed (then it writes nothing).
 """
 from __future__ import annotations
 
@@ -37,6 +38,35 @@ _NEEDS = {
 # Every other default is the Job field's; the flags have none of their own,
 # so a job file and the equivalent flags give the same artifact.
 _DEFAULT_TOL = {"minimize": 1e-3}
+
+
+# JSON type of each job field (and the length of a list field); 'spec' is
+# checked by RationalMapSpec.from_dict.  A field may be null only where its
+# default is.
+_FIELD_TYPES = {
+    "command": (str, None),
+    "family": (str, None),
+    "lp_constraints": (str, None),
+    "out": (str, None),
+    "steps": (int, None),
+    "grid": (int, None),
+    "prism": (float, 3),
+    "range": (float, 2),
+    **{name: (float, None) for name in ("K", "K1", "K2", "K3", "tol", "quad_tol", "omega0")},
+}
+
+
+def _field_value(name: str, value, kind):
+    """``value`` as ``kind``, or ValueError naming the job field."""
+    if kind is str and isinstance(value, str):
+        return value
+    # bool is an int in Python, but true/false are not numbers in JSON
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    what = {str: "a string", int: "an integer", float: "a number"}[kind]
+    raise ValueError(f"job field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,17 +136,22 @@ class Job:
             raise ValueError(f"unknown job field(s): {', '.join(sorted(unknown))}")
         if "command" not in data:
             raise ValueError("job field 'command' is required")
-        kwargs = dict(data)
-        if kwargs.get("prism") is not None:
-            p = kwargs["prism"]
-            if len(p) != 3:
-                raise ValueError(f"job field 'prism' must have three entries, got {p!r}")
-            kwargs["prism"] = tuple(float(v) for v in p)
-        if kwargs.get("range") is not None:
-            r = kwargs["range"]
-            if len(r) != 2:
-                raise ValueError(f"job field 'range' must have two entries, got {r!r}")
-            kwargs["range"] = (float(r[0]), float(r[1]))
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for name, value in data.items():
+            kind, length = _FIELD_TYPES.get(name, (None, None))
+            if value is None and defaults[name] is not None:
+                raise ValueError(f"job field {name!r} must not be null")
+            if value is None or kind is None:
+                kwargs[name] = value
+            elif length is None:
+                kwargs[name] = _field_value(name, value, kind)
+            elif isinstance(value, list) and len(value) == length:
+                kwargs[name] = tuple(_field_value(name, v, kind) for v in value)
+            else:
+                raise ValueError(
+                    f"job field {name!r} must be a list of {length} numbers, got {value!r}"
+                )
         return cls(**kwargs)
 
 
@@ -275,6 +310,15 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _prism(job: Job):
+    from .geometry import make_prism
+
+    try:
+        return make_prism(*job.prism)
+    except ValueError as exc:
+        raise ValueError(f"--prism: {exc}") from exc
+
+
 def _run_invariants(job: Job) -> str:
     from .conformal import RationalMapSpec
     from .invariants import invariants_report
@@ -292,9 +336,8 @@ def _run_bounds(job: Job) -> str:
         prism_lp_certificate,
         upper_bound_prism,
     )
-    from .geometry import make_prism
 
-    prism = make_prism(*job.prism)
+    prism = _prism(job)
     constants = ElasticConstants(job.K, job.K1, job.K2, job.K3)
     # Every bound printed is at most 8 k |diagonal| |omega0| for k = 1 (the LP
     # objective before scaling by K), K or the min constant.
@@ -323,9 +366,8 @@ def _run_bounds(job: Job) -> str:
 def _run_energy(job: Job) -> str:
     from .conformal import RationalMapSpec
     from .energy import energy_report
-    from .geometry import make_prism
 
-    prism = make_prism(*job.prism)
+    prism = _prism(job)
     spec = RationalMapSpec.from_dict(job.spec)
     report = energy_report(prism, spec, K=job.K, tol=job.tol)
     return _emit_json(report.to_dict())
@@ -334,10 +376,9 @@ def _run_energy(job: Job) -> str:
 def _run_sweep(job: Job) -> str:
     import numpy as np
 
-    from .geometry import make_prism
     from .sweep import builtin_family, sweep_energy
 
-    prism = make_prism(*job.prism)
+    prism = _prism(job)
     family = builtin_family(job.family)
     if family.has_parameter:
         if job.steps < 1:
@@ -367,28 +408,34 @@ def _run_sweep(job: Job) -> str:
 
 
 def _run_minimize(job: Job) -> str:
-    from .geometry import make_prism
     from .sweep import builtin_family, minimize_family
 
-    prism = make_prism(*job.prism)
+    prism = _prism(job)
     family = builtin_family(job.family)
+    failures = []
     result, classification = minimize_family(
-        family, prism, K=job.K, tol=job.tol, quad_tol=job.quad_tol
+        family, prism, K=job.K, tol=job.tol, quad_tol=job.quad_tol, failures=failures
     )
     payload = result.to_dict()
     payload["classification"] = classification
-    return _emit_json(payload)
+    payload = _emit_json(payload)
+    if failures:
+        raise _PartialArtifact(payload, [
+            f"minimize point s={_fmt(s)}: error estimate {exc.error_estimate:.3e} "
+            f"> quad-tol {job.quad_tol:.3e}, counted as +inf"
+            for s, exc in failures
+        ])
+    return payload
 
 
 def _run_field(job: Job) -> str:
     import numpy as np
 
     from .conformal import RationalMapSpec, _director_many
-    from .geometry import make_prism
 
     if job.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {job.grid}")
-    prism = make_prism(*job.prism)
+    prism = _prism(job)
     spec = RationalMapSpec.from_dict(job.spec)
     hx, hy, hz = prism.octant.half_lengths
     axes = [np.linspace(0.0, h, job.grid + 1) for h in (hx, hy, hz)]

@@ -31,17 +31,20 @@ unit director of a scaled pair), ``_wronskian_density`` (the area density),
 ``sphere_density`` (times the sphere factor (1 + |w|^2)^2 / 4) and
 ``_project`` (a point to w, the -z axis to infinity).  The director, flux
 and density functions below, the energy face integrand, the trapped-area
-integrand and the winding sampler all call it.
+integrand and the winding sampler all call it.  ``_spec_points`` lets one
+kernel call evaluate many specs of one structure, each point under its
+own spec (a batched family scan).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidSpecError, NormalizationError, UndefinedAtVertexError
+from .errors import DomainError, InvalidSpecError, NormalizationError, UndefinedAtVertexError
 
 __all__ = [
     "RationalMapSpec",
@@ -119,6 +122,12 @@ class RationalMapSpec:
     @property
     def is_anticonformal(self) -> bool:
         return self.orientation == "anticonformal"
+
+    @property
+    def quartics(self) -> Tuple[Tuple[float, float, int], ...]:
+        """(u, v, sign) per complex factor, where the real-coefficient
+        quartic (w^2 - t^2)(w^2 - conj(t)^2) equals w^4 - u w^2 + v."""
+        return tuple((2.0 * (t * t).real, abs(t) ** 4, sign) for t, sign in self.complex_factors)
 
     def to_dict(self) -> dict:
         return {
@@ -243,7 +252,9 @@ def _parts(spec: RationalMapSpec, w):
     """Projective parts (P, Q, dP, dQ) of the configuration map at finite w.
 
     Takes a scalar or an ndarray; anticonformal orientation conjugates w
-    first.  f = P/Q and f' = (dP Q - P dQ)/Q^2.
+    first.  f = P/Q and f' = (dP Q - P dQ)/Q^2.  ``spec`` may also be a
+    per-point view from ``_spec_points``, whose factor data are arrays
+    shaped like w.
     """
     w = np.asarray(w, dtype=complex)
     if spec.is_anticonformal:
@@ -279,16 +290,67 @@ def _parts(spec: RationalMapSpec, w):
     for s, sign in spec.imag_factors:
         s2 = s * s
         push(w2 + s2, 2.0 * w, s2 * w2 + 1.0, 2.0 * s2 * w, sign)
-    for t, sign in spec.complex_factors:
-        # (w^2 - t^2)(w^2 - conj(t)^2) has real coefficients u, v below.
-        u = 2.0 * (t * t).real
-        v = abs(t) ** 4
+    for u, v, sign in spec.quartics:
         num = w2 * w2 - u * w2 + v
         dnum = 4.0 * w2 * w - 2.0 * u * w
         den = v * w2 * w2 - u * w2 + 1.0
         dden = 4.0 * v * w2 * w - 2.0 * u * w
         push(num, dnum, den, dden, sign)
     return P, Q, dP, dQ
+
+
+def _structure(spec: RationalMapSpec) -> tuple:
+    return (
+        spec.epsilon,
+        spec.n,
+        spec.orientation,
+        tuple(sign for _, sign in spec.real_factors),
+        tuple(sign for _, sign in spec.imag_factors),
+        tuple(sign for _, sign in spec.complex_factors),
+    )
+
+
+def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], SimpleNamespace]:
+    """A per-point view of specs that share one structure.
+
+    The specs must agree in epsilon, n, orientation and the sign of every
+    factor; only factor positions may differ (DomainError otherwise).
+    Returns ``at(k)``: a stand-in for a spec in the kernel (``_parts`` and
+    the density functions above) with the attributes the kernel reads
+    (epsilon, n, is_anticonformal, real_factors, imag_factors, quartics),
+    where the factor data of point i are those of ``specs[k[i]]``.  The
+    data are computed per spec as the spec itself computes them and only
+    gathered per point, so every density is bit-identical to the one the
+    spec gives.
+    """
+    first = specs[0]
+    key = _structure(first)
+    for spec in specs:
+        if _structure(spec) != key:
+            raise DomainError(
+                f"specs must share one structure (epsilon, n, orientation, factor "
+                f"counts and signs): {spec!r} differs from {first!r}"
+            )
+
+    def columns(rows):
+        return [np.array(col) for col in zip(*rows)] if rows[0] else []
+
+    real = columns([[pos for pos, _ in spec.real_factors] for spec in specs])
+    imag = columns([[pos for pos, _ in spec.imag_factors] for spec in specs])
+    quartics = columns([[(u, v) for u, v, _ in spec.quartics] for spec in specs])
+    real_signs, imag_signs, complex_signs = key[3:]
+
+    def at(k: np.ndarray) -> SimpleNamespace:
+        return SimpleNamespace(
+            epsilon=first.epsilon,
+            n=first.n,
+            is_anticonformal=first.is_anticonformal,
+            real_factors=[(col[k], sign) for col, sign in zip(real, real_signs)],
+            imag_factors=[(col[k], sign) for col, sign in zip(imag, imag_signs)],
+            quartics=[(col[k, 0], col[k, 1], sign) for col, sign in zip(quartics, complex_signs)],
+        )
+
+    return at
 
 
 def _scaled(P, Q, *derivatives):

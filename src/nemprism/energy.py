@@ -15,6 +15,12 @@ Bounds need only the trapped solid angle omega0:
 so upper/lower = sqrt(a_xz^2 + a_yz^2 + 1) depends on shape alone.  A
 sharper certificate comes from the small linear program over per-vertex
 potentials with difference bounds given by vertex distances.
+
+``conformal_energy`` integrates one configuration; ``conformal_energies``
+integrates many of one structure (a family scan) in one batched
+quadrature with identical results.  ``energy_report`` refuses, with
+AccuracyError, an energy that falls outside its bounds by more than its
+error estimate.
 """
 from __future__ import annotations
 
@@ -28,14 +34,15 @@ import numpy as np
 from .conformal import (
     RationalMapSpec,
     _project,
+    _spec_points,
     bracket_offsets,
     factor_scales,
     sphere_density,
 )
-from .errors import DomainError, SumRuleError
+from .errors import AccuracyError, DomainError, SumRuleError
 from .geometry import Prism, edge_length
 from .invariants import trapped_area
-from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d
+from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d, quad2d_many
 
 __all__ = [
     "ElasticConstants",
@@ -47,6 +54,7 @@ __all__ = [
     "lower_bound_lp",
     "prism_lp_certificate",
     "conformal_energy",
+    "conformal_energies",
     "face_flux",
     "unwrapped_energy",
     "scaled_energy",
@@ -278,48 +286,22 @@ def _face_cuts(
     return cuts_u, cuts_v
 
 
-# All three octant faces go to one quad2d call, each face in its own
+# All three octant faces go to one quadrature, each face in its own
 # quadrant of the (u, v) plane: face x in (+, +), face y in (-, +), face z
 # in (-, -).  The integrand recovers the face from the signs and uses |u|,
 # |v|; negation is exact, so every node is a node of the unmirrored face.
 _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _faces_integral(
-    prism: Prism,
-    spec: RationalMapSpec,
-    values: Tuple[float, float, float],
-    energy_weight: Optional[float],
-    tol: float,
-    max_evals: int,
-) -> QuadratureResult:
-    """Quadrature of a flux integrand over the three octant faces at once.
+def _faces_domain(
+    prism: Prism, spec: RationalMapSpec, values: Tuple[float, float, float]
+) -> Tuple[List[Tuple[float, float, float, float]], list]:
+    """The three octant faces as quadrature rectangles with their cuts.
 
     Face k lies in the plane where coordinate k equals ``values[k]``; its
-    free coordinates range over the other two half-sides.  With an
-    ``energy_weight`` the integrand is energy_weight * r (D . nhat) =
-    energy_weight * value * density / r^2 (16 K for the energy); without
-    one it is the signed flux D . nhat = value * density / r^3.  ``tol``
-    and ``max_evals`` are shared by the three faces.
+    free coordinates range over the other two half-sides.
     """
     half = (prism.Lx / 2.0, prism.Ly / 2.0, prism.Lz / 2.0)
-    sign = -1.0 if spec.is_anticonformal else 1.0
-
-    def integrand(u, v):
-        on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
-        on_z = v < 0.0
-        value = np.where(on_x, values[0], np.where(on_z, values[2], values[1]))
-        au = np.abs(u)
-        av = np.abs(v)
-        x = np.where(on_x, value, au)
-        y = np.where(on_x, au, np.where(on_z, av, value))
-        z = np.where(on_z, value, av)
-        w, r2, r = _project(x, y, z)
-        dens = sphere_density(spec, w)
-        if energy_weight is not None:
-            return energy_weight * value * dens / r2
-        return sign * value * dens / (r2 * r)
-
     rects = []
     splits = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
@@ -332,7 +314,53 @@ def _faces_integral(
             splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
         else:
             splits.append(None)
-    return quad2d(integrand, rects, tol=tol, max_evals=max_evals, initial_splits=splits)
+    return rects, splits
+
+
+def _faces_density(spec, values, energy_weight: Optional[float], u, v):
+    """The flux integrand at face points (u, v) of ``_faces_domain``.
+
+    With an ``energy_weight`` it is energy_weight * r (D . nhat) =
+    energy_weight * value * density / r^2 (16 K for the energy); without
+    one it is the signed flux D . nhat = value * density / r^3.  ``spec``
+    may be a per-point view from ``_spec_points``.
+    """
+    on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
+    on_z = v < 0.0
+    value = np.where(on_x, values[0], np.where(on_z, values[2], values[1]))
+    au = np.abs(u)
+    av = np.abs(v)
+    x = np.where(on_x, value, au)
+    y = np.where(on_x, au, np.where(on_z, av, value))
+    z = np.where(on_z, value, av)
+    w, r2, r = _project(x, y, z)
+    dens = sphere_density(spec, w)
+    if energy_weight is not None:
+        return energy_weight * value * dens / r2
+    sign = -1.0 if spec.is_anticonformal else 1.0
+    return sign * value * dens / (r2 * r)
+
+
+def _faces_integral(
+    prism: Prism,
+    spec: RationalMapSpec,
+    values: Tuple[float, float, float],
+    energy_weight: Optional[float],
+    tol: float,
+    max_evals: int,
+) -> QuadratureResult:
+    """Quadrature of ``_faces_density`` over the three octant faces at once;
+    ``tol`` and ``max_evals`` are shared by the three faces."""
+    rects, splits = _faces_domain(prism, spec, values)
+    return quad2d(
+        lambda u, v: _faces_density(spec, values, energy_weight, u, v),
+        rects, tol=tol, max_evals=max_evals, initial_splits=splits,
+    )
+
+
+def _check_modulus(K: float) -> None:
+    if not (math.isfinite(K) and K > 0):
+        raise DomainError(f"K must be positive and finite, got {K!r}")
 
 
 def conformal_energy(
@@ -353,10 +381,41 @@ def conformal_energy(
     faces cannot reach ``tol`` within the budget, or at once when ``tol``
     lies below the round-off floor (see ``quad2d``).
     """
-    if not (math.isfinite(K) and K > 0):
-        raise DomainError(f"K must be positive and finite, got {K!r}")
+    _check_modulus(K)
     half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
     return _faces_integral(prism, spec, half, 16.0 * K, tol, 3 * max_evals_per_face)
+
+
+def conformal_energies(
+    prism: Prism,
+    specs: Sequence[RationalMapSpec],
+    K: float = 1.0,
+    tol: float = 1e-6,
+    max_evals_per_face: int = 1_000_000,
+) -> List[Union[QuadratureResult, AccuracyError]]:
+    """``conformal_energy`` of many specs in one batched quadrature.
+
+    The specs must share one structure (epsilon, n, orientation, factor
+    counts and signs; DomainError otherwise), as the members of a family
+    do.  Each spec is one problem of ``quad2d_many`` with the faces, cuts,
+    tolerance and budget that ``conformal_energy`` gives it, and one kernel
+    call per integrand call evaluates every spec in it.  Returns, in input
+    order, the QuadratureResult of each spec, or the AccuracyError that
+    ``conformal_energy`` would raise for it; every entry equals the
+    serial call's (value, error estimate and evaluations).
+    """
+    _check_modulus(K)
+    if not specs:
+        return []
+    at = _spec_points(specs)
+    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
+    weight = 16.0 * K
+    return quad2d_many(
+        lambda u, v, k: _faces_density(at(k), half, weight, u, v),
+        [_faces_domain(prism, spec, half) for spec in specs],
+        tol=tol,
+        max_evals=3 * max_evals_per_face,
+    )
 
 
 def face_flux(
@@ -412,11 +471,25 @@ def energy_report(
     K: float = 1.0,
     tol: float = 1e-6,
 ) -> EnergyReport:
-    """Bounds plus the exact quadrature energy for one configuration."""
+    """Bounds plus the exact quadrature energy for one configuration.
+
+    The bounds certify the quadrature: an energy E with error estimate err
+    outside lower - err <= E <= upper + err is wrong (a bump the cells
+    missed), so AccuracyError is raised instead of a report.
+    """
     omega0 = trapped_area(spec)
     lower = lower_bound_prism(prism, omega0, K)
     upper = upper_bound_prism(prism, omega0, K)
     exact = conformal_energy(prism, spec, K, tol)
+    err = exact.error_estimate
+    if not (lower - err <= exact.value <= upper + err):
+        raise AccuracyError(
+            f"energy {exact.value!r} (error estimate {err:.3e}) lies outside "
+            f"the bounds [{lower!r}, {upper!r}]",
+            exact.value,
+            err,
+            exact.evaluations,
+        )
     return EnergyReport(
         lower=lower,
         upper=upper,

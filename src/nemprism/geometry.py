@@ -10,6 +10,7 @@ solid angles at the eight vertices are parity * omega0 and sum to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -71,7 +72,12 @@ class Octant:
 
 @dataclass(frozen=True)
 class Prism:
-    """Axis-aligned box with side lengths sorted as Lx >= Ly >= Lz > 0."""
+    """Axis-aligned box with side lengths sorted as Lx >= Ly >= Lz > 0.
+
+    Sides whose squares would overflow (Lx^2 + Ly^2 + Lz^2 not finite) or
+    underflow (Lz^2 below the smallest normal float) are refused: the
+    diagonal, and with it the upper bound, would come out inf or 0.
+    """
 
     Lx: float
     Ly: float
@@ -89,6 +95,15 @@ class Prism:
             raise DimensionOrderError(
                 f"side lengths must satisfy Lx >= Ly >= Lz; got {sides}, "
                 f"did you mean {suggestion}?"
+            )
+        # The diagonal and the bounds need every square as a normal float.
+        if not math.isfinite(self.Lx * self.Lx + self.Ly * self.Ly + self.Lz * self.Lz):
+            raise InvalidDimensionError(
+                f"Lx^2 + Ly^2 + Lz^2 overflows a float for sides {sides}"
+            )
+        if self.Lz * self.Lz < sys.float_info.min:
+            raise InvalidDimensionError(
+                f"Lz^2 underflows below the smallest normal float for sides {sides}"
             )
 
     @property

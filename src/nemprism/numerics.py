@@ -1,7 +1,7 @@
 """Self-contained numerical kernels.
 
-Four small tools used throughout the package, written against plain numpy
-so there is no solver or quadrature dependency:
+Small tools used throughout the package, written against plain numpy so
+there is no solver or quadrature dependency:
 
 * quad2d              adaptive 2-D quadrature over one rectangle or several
                       disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
@@ -10,9 +10,14 @@ so there is no solver or quadrature dependency:
                       one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
                       as the error estimate reaches that floor,
+* quad2d_many         the same refinement loop over many independent
+                      problems at once (quad2d is its one-problem case):
+                      each problem keeps its own cells, budget and outcome,
+                      and the integrand calls are shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
-* minimize_1d         coarse scan plus golden-section refinement,
+* minimize_1d         coarse scan (optionally one batched call) plus
+                      golden-section refinement,
 * lp_solve            difference-constrained linear programs, solved exactly
                       as the dual min-cost flow (successive shortest paths).
 """
@@ -22,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +37,7 @@ __all__ = [
     "QuadratureResult",
     "MinimizeResult",
     "quad2d",
+    "quad2d_many",
     "appell_f2_restricted",
     "minimize_1d",
     "lp_solve",
@@ -139,13 +145,14 @@ _BATCH_CELLS = 32
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
-def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the nested tensor rule to a batch of cells.
 
-    ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1).  Returns the
-    Kronrod values, the |K15 - G7| error estimates, the preferred split axis
-    per cell (0 for x, 1 for y).  The integrand receives flat coordinate
-    arrays.
+    ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1), and ``k`` holds
+    the problem index of each of the 225 m points.  Returns the Kronrod
+    values, the |K15 - G7| error estimates, the preferred split axis per
+    cell (0 for x, 1 for y).  The integrand receives flat coordinate arrays
+    and ``k``.
 
     The split axis follows the larger total variation of the sampled values
     (ridge features aligned with one axis are then bisected across the
@@ -162,7 +169,7 @@ def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     ys = cy[:, None] + hy[:, None] * _XK[None, :]
     X = np.broadcast_to(xs[:, :, None], (m, 15, 15))
     Y = np.broadcast_to(ys[:, None, :], (m, 15, 15))
-    vals = np.asarray(f(X.reshape(-1), Y.reshape(-1)), dtype=float).reshape(m, 15, 15)
+    vals = np.asarray(f(X.reshape(-1), Y.reshape(-1), k), dtype=float).reshape(m, 15, 15)
 
     jac = hx * hy
     kron = jac * np.einsum("mij,ij->m", vals, _WKK)
@@ -174,6 +181,34 @@ def _rate_cells(f, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     longer = (hy > hx).astype(int)
     axis = np.where(tvx > 1.5 * tvy, 0, np.where(tvy > 1.5 * tvx, 1, longer))
     return kron, np.abs(kron - gauss), axis
+
+
+# The point tags of a lone problem (index 0), read-only so that no
+# integrand can change them.
+_LONE_TAGS = np.zeros(_BATCH_CELLS * _CELL_EVALS, dtype=np.intp)
+_LONE_TAGS.flags.writeable = False
+
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[np.ndarray]:
+    """Values, errors and split axes of cells of several problems, 32 cells
+    per integrand call; the cells come in blocks of ``sizes`` cells, one
+    block per problem in ``owners``.
+
+    Cells of problem 0 alone get a shared view as their tags, not a new
+    array, so ``quad2d`` costs no more per round than a one-problem loop.
+    """
+    tags = None if owners == [0] else np.repeat(owners, [_CELL_EVALS * size for size in sizes])
+    rated = []
+    for i in range(0, len(cells), _BATCH_CELLS):
+        chunk = cells[i:i + _BATCH_CELLS]
+        n = _CELL_EVALS * len(chunk)
+        k = _LONE_TAGS[:n] if tags is None else tags[_CELL_EVALS * i:_CELL_EVALS * i + n]
+        rated.append(_rate_cells(f, chunk, k))
+    return rated[0] if len(rated) == 1 else [np.concatenate(part) for part in zip(*rated)]
 
 
 def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
@@ -273,62 +308,131 @@ def quad2d(
     e.g. ``5e-14`` on an integral of about 44 (floor about ``5e-13``).  The
     floor is recomputed every round from the cells then held, so it follows
     the summed |cell values| as sign changes are resolved.
+
+    This is the one-problem case of ``quad2d_many``, which runs the loop.
+    """
+    (result,) = quad2d_many(
+        lambda x, y, k: f(x, y), [(domain, initial_splits)], tol=tol, max_evals=max_evals
+    )
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
+
+
+def quad2d_many(
+    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    problems: Sequence[Tuple[Sequence, Optional[Sequence]]],
+    tol: float = 1e-9,
+    max_evals: int = 1_000_000,
+) -> List[Union[QuadratureResult, AccuracyError]]:
+    """Integrate several independent problems in one refinement loop.
+
+    Each problem is a ``(domain, initial_splits)`` pair as ``quad2d`` takes
+    them, and ``tol`` and ``max_evals`` hold for each problem on its own.
+    ``f(x, y, k)`` receives flat coordinate arrays and, in ``k``, the index
+    of the problem each point belongs to.  Returns one entry per problem, in
+    input order: its QuadratureResult, or the AccuracyError that ``quad2d``
+    would raise for it (returned, not raised).
+
+    Every problem keeps its own cells as one block and runs the rounds of
+    ``quad2d`` on it: its own root-cell refusal, budget, round-off floor,
+    limit of 16 bisections per round and tie order, so its cells, value,
+    error estimate and evaluation count are those of a solo call.  Only
+    the integrand calls are shared: each still rates at most 32 cells,
+    drawn from any problems still refining, and a problem leaves the loop
+    when it converges or fails.  Many shallow problems (a family scan)
+    then take few, full integrand calls instead of many small ones
+    (Berntsen, Espelid & Genz, ACM TOMS 17, 1991, refine many integrals
+    this way).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    cells = _root_cells(domain, initial_splits)
-    if len(cells) * _CELL_EVALS > max_evals:
-        raise AccuracyError(
-            f"{len(cells)} root cells need {len(cells) * _CELL_EVALS} evaluations, "
-            f"above the quadrature budget of {max_evals}",
-            math.nan,
-            math.inf,
-            0,
-        )
-    rated = [_rate_cells(f, cells[i:i + _BATCH_CELLS]) for i in range(0, len(cells), _BATCH_CELLS)]
-    vals, errs, axes = (np.concatenate(part) for part in zip(*rated))
-    evals = len(cells) * _CELL_EVALS
+    roots = [_root_cells(domain, splits) for domain, splits in problems]
+    out: List[Union[QuadratureResult, AccuracyError, None]] = [None] * len(roots)
+    live = []
+    for p, cells in enumerate(roots):
+        if len(cells) * _CELL_EVALS > max_evals:
+            out[p] = AccuracyError(
+                f"{len(cells)} root cells need {len(cells) * _CELL_EVALS} evaluations, "
+                f"above the quadrature budget of {max_evals}",
+                math.nan,
+                math.inf,
+                0,
+            )
+        else:
+            live.append(p)
+    if not live:
+        return out
+    sizes = [len(roots[p]) for p in live]
+    vals, errs, axes = _rate_tagged(f, _joined([roots[p] for p in live]), live, sizes)
+    # per problem: [cells, values, errors, axes, evaluations], one block each
+    state = {}
+    start = 0
+    for p, size in zip(live, sizes):
+        end = start + size
+        state[p] = [roots[p], vals[start:end], errs[start:end], axes[start:end], size * _CELL_EVALS]
+        start = end
 
-    while True:
-        total_err = math.fsum(errs)
-        if total_err <= tol:
+    while live:
+        refining, splits, parents, parent_axes = [], [], [], []
+        for p in live:
+            cells, vals, errs, axes, evals = state[p]
+            total_err = math.fsum(errs)
+            if total_err <= tol:
+                out[p] = QuadratureResult(math.fsum(vals), total_err, evals)
+                continue
+            floor = _ROUNDOFF * math.fsum(np.abs(vals))
+            if total_err <= floor:
+                out[p] = AccuracyError(
+                    f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
+                    f"(error estimate {total_err:.3e} after {evals} evaluations)",
+                    math.fsum(vals),
+                    total_err,
+                    evals,
+                )
+                continue
+            # The arrays hold the cells in creation order, which breaks ties.
+            order = np.argsort(-errs, kind="stable")
+            # prefixes whose removal would still leave the sum above tol
+            still_over = np.cumsum(errs[order]) < total_err - tol
+            n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS // 2,
+                          (max_evals - evals) // (2 * _CELL_EVALS))
+            if n_split == 0:
+                out[p] = AccuracyError(
+                    f"quadrature budget of {max_evals} evaluations exhausted "
+                    f"(error estimate {total_err:.3e} > tol {tol:.3e})",
+                    math.fsum(vals),
+                    total_err,
+                    evals,
+                )
+                continue
+            split = order[:n_split]
+            refining.append(p)
+            splits.append(split)
+            parents.append(cells[split])
+            parent_axes.append(axes[split])
+        if not refining:
             break
-        floor = _ROUNDOFF * math.fsum(np.abs(vals))
-        if total_err <= floor:
-            raise AccuracyError(
-                f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
-                f"(error estimate {total_err:.3e} after {evals} evaluations)",
-                math.fsum(vals),
-                total_err,
-                evals,
-            )
-        # The arrays hold the cells in creation order, which breaks ties.
-        order = np.argsort(-errs, kind="stable")
-        # prefixes whose removal would still leave the sum above tol
-        still_over = np.cumsum(errs[order]) < total_err - tol
-        n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS // 2,
-                      (max_evals - evals) // (2 * _CELL_EVALS))
-        if n_split == 0:
-            raise AccuracyError(
-                f"quadrature budget of {max_evals} evaluations exhausted "
-                f"(error estimate {total_err:.3e} > tol {tol:.3e})",
-                math.fsum(vals),
-                total_err,
-                evals,
-            )
-        split = order[:n_split]
-        children = _bisect(cells[split], axes[split])
-        cvals, cerrs, caxes = _rate_cells(f, children)
-        evals += len(children) * _CELL_EVALS
 
-        keep = np.ones(len(cells), dtype=bool)
-        keep[split] = False
-        cells = np.concatenate([cells[keep], children])
-        vals = np.concatenate([vals[keep], cvals])
-        errs = np.concatenate([errs[keep], cerrs])
-        axes = np.concatenate([axes[keep], caxes])
-
-    return QuadratureResult(math.fsum(vals), total_err, evals)
+        children = _bisect(_joined(parents), _joined(parent_axes))
+        sizes = [2 * len(split) for split in splits]
+        cvals, cerrs, caxes = _rate_tagged(f, children, refining, sizes)
+        start = 0
+        for p, split, size in zip(refining, splits, sizes):
+            end = start + size
+            cells, vals, errs, axes, evals = state[p]
+            keep = np.ones(len(cells), dtype=bool)
+            keep[split] = False
+            state[p] = [
+                np.concatenate([cells[keep], children[start:end]]),
+                np.concatenate([vals[keep], cvals[start:end]]),
+                np.concatenate([errs[keep], cerrs[start:end]]),
+                np.concatenate([axes[keep], caxes[start:end]]),
+                evals + size * _CELL_EVALS,
+            ]
+            start = end
+        live = refining
+    return out
 
 
 # ======================================================================
@@ -366,6 +470,7 @@ def minimize_1d(
     interval: Tuple[float, float],
     tol: float = 1e-8,
     coarse: int = 101,
+    batch: Optional[Callable[[List[float]], Sequence[float]]] = None,
 ) -> MinimizeResult:
     """Minimize a scalar function on [a, b].
 
@@ -374,6 +479,10 @@ def minimize_1d(
     The returned value is never worse than the best coarse sample, and the
     endpoints always compete: ``at_boundary`` is set when the minimum sits
     within ``tol`` of an endpoint.
+
+    ``batch``, when given, evaluates the whole coarse scan in one call: it
+    receives the list of sample points and returns f at each, in order.
+    ``f`` still serves every golden-section step.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
@@ -384,7 +493,10 @@ def minimize_1d(
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
     grid = np.linspace(a, b, coarse)
-    samples = [float(f(float(x))) for x in grid]
+    if batch is None:
+        samples = [float(f(float(x))) for x in grid]
+    else:
+        samples = [float(v) for v in batch([float(x) for x in grid])]
     best = int(np.argmin(samples))
 
     lo = float(grid[max(best - 1, 0)])

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .conformal import RationalMapSpec
 from .energy import (
+    conformal_energies,
     conformal_energy,
     lower_bound_prism,
     scaled_energy,
@@ -162,32 +163,31 @@ def sweep_energy(
     """Exact energy across parameter values, with bounds attached.
 
     The invariants do not depend on the parameter (factor counts and signs
-    are fixed along a family), so they are computed once.  A parameter-free
-    family yields one row with ``s`` None.  A point whose quadrature fails
-    (budget exhausted, or ``tol`` below the round-off floor) yields a row
-    flagged ``accuracy_failed`` carrying the best estimate; the sweep
-    continues.
+    are fixed along a family), so they are computed once, and all the
+    energies are one batched quadrature (``conformal_energies``).  A
+    parameter-free family yields one row with ``s`` None.  A point whose
+    quadrature fails (budget exhausted, or ``tol`` below the round-off
+    floor) yields a row flagged ``accuracy_failed`` carrying the best
+    estimate; the other points are unaffected.
     """
     points = [float(s) for s in s_values] if family.has_parameter else [None]
-    inv = invariants_of(family.instantiate(points[0]))
+    specs = [family.instantiate(s) for s in points]
+    inv = invariants_of(specs[0])
     lower = lower_bound_prism(prism, inv.omega0, K)
     upper = upper_bound_prism(prism, inv.omega0, K)
-    rows: List[SweepRow] = []
-    for s in points:
-        spec = family.instantiate(s)
-        failed = False
-        try:
-            res = conformal_energy(prism, spec, K, tol)
-            value, err = res.value, res.error_estimate
-        except AccuracyError as exc:
-            value, err = exc.value, exc.error_estimate
-            failed = True
-        rows.append(
-            SweepRow(
-                s, value, err, scaled_energy(value, prism), lower, upper, inv, failed
-            )
+    return [
+        SweepRow(
+            s,
+            res.value,
+            res.error_estimate,
+            scaled_energy(res.value, prism),
+            lower,
+            upper,
+            inv,
+            isinstance(res, AccuracyError),
         )
-    return rows
+        for s, res in zip(points, conformal_energies(prism, specs, K, tol))
+    ]
 
 
 def minimize_family(
@@ -196,6 +196,7 @@ def minimize_family(
     K: float = 1.0,
     tol: float = 1e-3,
     quad_tol: float = 1e-5,
+    failures: Optional[List[Tuple[float, AccuracyError]]] = None,
 ) -> Tuple[MinimizeResult, str]:
     """Minimize the scaled energy over the family parameter and classify.
 
@@ -204,6 +205,13 @@ def minimize_family(
     factor-coalescence limit there, where the density concentrates along an
     edge: classification "edge-singular".  An interior minimum is "smooth".
     Parameter-free families yield a single evaluation, classified "smooth".
+
+    The coarse grid of ``minimize_1d`` is one batched quadrature
+    (``conformal_energies``); the golden-section steps are serial.  A point
+    whose quadrature fails counts as +inf, and its ``s`` and AccuracyError
+    are appended to ``failures`` when a list is given.  AccuracyError is
+    raised only when every grid point fails (or the one evaluation of a
+    parameter-free family does).
     """
     if not family.has_parameter:
         spec = family.instantiate()
@@ -213,11 +221,33 @@ def minimize_family(
 
     delta = 1e-3
     lo, hi = delta, 1.0 - delta
+    failed = [] if failures is None else failures
+
+    def scaled(s: float, res) -> float:
+        if isinstance(res, AccuracyError):
+            failed.append((s, res))
+            return math.inf
+        return scaled_energy(res.value, prism)
 
     def objective(s: float) -> float:
-        spec = family.instantiate(s)
-        return scaled_energy(conformal_energy(prism, spec, K, quad_tol).value, prism)
+        try:
+            res = conformal_energy(prism, family.instantiate(s), K, quad_tol)
+        except AccuracyError as exc:
+            res = exc
+        return scaled(s, res)
 
-    result = minimize_1d(objective, (lo, hi), tol=tol)
+    def grid_objective(grid: List[float]) -> List[float]:
+        results = conformal_energies(prism, [family.instantiate(s) for s in grid], K, quad_tol)
+        if all(isinstance(res, AccuracyError) for res in results):
+            first = results[0]
+            raise AccuracyError(
+                f"all {len(grid)} scan points failed; at s={grid[0]!r}: {first}",
+                first.value,
+                first.error_estimate,
+                first.evaluations,
+            )
+        return [scaled(s, res) for s, res in zip(grid, results)]
+
+    result = minimize_1d(objective, (lo, hi), tol=tol, batch=grid_objective)
     upper_end = result.at_boundary and result.argmin >= 0.5 * (lo + hi)
     return result, ("edge-singular" if upper_end else "smooth")

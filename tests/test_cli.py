@@ -427,3 +427,126 @@ def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("nemprism: error:")
     assert name in captured.err
+
+
+# stdout captured before the family scans were batched
+MINIMIZE_SLAB_BYTES = (
+    '{\n'
+    '  "argmin": 0.5465939960585007,\n'
+    '  "at_boundary": false,\n'
+    '  "bracket": [\n'
+    '    0.5461691227829066,\n'
+    '    0.5468565821837293\n'
+    '  ],\n'
+    '  "classification": "smooth",\n'
+    '  "min_value": 45.079431966332805\n'
+    '}\n'
+)
+README_SWEEP_BYTES = (
+    's,E,E_err,eps_scaled,lower,upper\n'
+    '0.05,44.0634788916,1.54467411972e-07,44.0634788916,37.6991118431,65.2967771124\n'
+    '0.1,44.0628131075,1.55328228613e-07,44.0628131075,37.6991118431,65.2967771124\n'
+    '0.15,44.0599289527,1.59031452562e-07,44.0599289527,37.6991118431,65.2967771124\n'
+    '0.2,44.0521712624,1.68842781645e-07,44.0521712624,37.6991118431,65.2967771124\n'
+    '0.25,44.0358486519,1.87933429152e-07,44.0358486519,37.6991118431,65.2967771124\n'
+    '0.3,44.0062885629,2.13783067471e-07,44.0062885629,37.6991118431,65.2967771124\n'
+    '0.35,43.9579486587,2.13821086725e-07,43.9579486587,37.6991118431,65.2967771124\n'
+    '0.4,43.8846121285,3.20192943271e-08,43.8846121285,37.6991118431,65.2967771124\n'
+    '0.45,43.779695623,9.46741330221e-07,43.779695623,37.6991118431,65.2967771124\n'
+    '0.5,43.6366950481,3.98326622575e-07,43.6366950481,37.6991118431,65.2967771124\n'
+    '0.55,43.449785407,5.63771247464e-08,43.449785407,37.6991118431,65.2967771124\n'
+    '0.6,43.2145773514,9.70721369953e-08,43.2145773514,37.6991118431,65.2967771124\n'
+    '0.65,42.9290196052,1.22624030929e-07,42.9290196052,37.6991118431,65.2967771124\n'
+    '0.7,42.5944323965,7.26470502865e-07,42.5944323965,37.6991118431,65.2967771124\n'
+    '0.75,42.216678481,3.3620549611e-07,42.216678481,37.6991118431,65.2967771124\n'
+    '0.8,41.8075533295,8.14062160681e-07,41.8075533295,37.6991118431,65.2967771124\n'
+    '0.85,41.3866699382,3.33477982117e-07,41.3866699382,37.6991118431,65.2967771124\n'
+    '0.9,40.9846481616,1.15024656133e-07,40.9846481616,37.6991118431,65.2967771124\n'
+    '0.95,40.6503944314,1.22195504937e-07,40.6503944314,37.6991118431,65.2967771124\n'
+)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["minimize", "--family", "imag1", "--prism", "20,10,1"], MINIMIZE_SLAB_BYTES),
+    (["sweep", "--family", "imag1", "--prism", "1,1,1", "--range", "0.05:0.95", "--steps", "19"],
+     README_SWEEP_BYTES),
+], ids=["minimize-slab", "readme-sweep"])
+def test_family_scan_artifact_bytes_are_pinned(capsys, argv, expected):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_minimize_counts_failed_points_as_inf_and_exits_2(capsys):
+    # at quad-tol 2e-13 most scan points reach the round-off floor first
+    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "2e-13"])
+    assert code == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert sorted(payload) == ["argmin", "at_boundary", "bracket", "classification", "min_value"]
+    assert math.isfinite(payload["min_value"])
+    failed = [ln for ln in captured.err.splitlines() if "minimize point s=" in ln]
+    assert len(failed) >= 90
+    assert all(ln.startswith("nemprism: accuracy failure:") for ln in failed)
+    assert "s=0.001:" in failed[0]
+
+
+def test_minimize_exits_2_with_no_artifact_when_every_grid_point_fails(capsys):
+    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "1e-15"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "all 101 scan points failed" in captured.err
+    assert "round-off floor" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--prism", "1e200,1,1", "--omega0", "1"],
+    ["bounds", "--prism", "1e-200,1e-200,1e-200", "--omega0", "1"],
+    ["energy", "--prism", "1e200,1,1", "--spec", "{spec}"],
+    ["sweep", "--family", "imag1", "--prism", "1,1,1e-160"],
+], ids=["bounds-huge", "bounds-tiny", "energy-huge", "sweep-tiny"])
+def test_extreme_boxes_exit_1_naming_prism(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path)
+    assert run([spec if arg == "{spec}" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nemprism: error: --prism:")
+
+
+def test_energy_outside_its_bounds_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"epsilon": 1, "n": 1, "imag": [[1.0 - 1e-8, 1]]})
+    assert run(["energy", "--prism", "1,1,1", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside the bounds" in captured.err
+
+
+# (job fields, the field the message must name)
+BAD_JOB_FIELDS = [
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": "1"}, "'omega0'"),
+    ({"command": "minimize", "family": "imag1", "prism": [1, 1, 1], "quad_tol": "1e-5"}, "'quad_tol'"),
+    ({"command": "energy", "prism": [1, 1, 1], "spec": SPEC, "tol": "1e-6"}, "'tol'"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "K": True}, "'K'"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "K": None}, "'K'"),
+    ({"command": "bounds", "prism": [1, "1", 1], "omega0": 1}, "'prism'"),
+    ({"command": "bounds", "prism": "1,1,1", "omega0": 1}, "'prism'"),
+    ({"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "range": [0.1, "0.9"]}, "'range'"),
+    ({"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "steps": 2.5}, "'steps'"),
+    ({"command": "field", "prism": [1, 1, 1], "spec": SPEC, "grid": "4"}, "'grid'"),
+    ({"command": "sweep", "family": 1, "prism": [1, 1, 1]}, "'family'"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "lp_constraints": 2}, "'lp_constraints'"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "out": 5}, "'out'"),
+    ({"command": ["bounds"]}, "'command'"),
+]
+
+
+@pytest.mark.parametrize("job,name", BAD_JOB_FIELDS, ids=[f"{i:02d}-{name.strip(chr(39))}" for i, (_, name) in enumerate(BAD_JOB_FIELDS)])
+def test_job_fields_of_the_wrong_type_exit_1_naming_the_field(tmp_path, capsys, job, name):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run(["--job", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nemprism: error:")
+    assert name in captured.err
+    assert "Traceback" not in captured.err

@@ -15,6 +15,7 @@ from nemprism import (
     UNWRAPPED_VARIANTS,
     bound_ratio,
     builtin_family,
+    conformal_energies,
     conformal_energy,
     energy_report,
     face_flux,
@@ -236,3 +237,89 @@ def test_face_flux_rejects_an_unknown_face_set():
     for which in ("Interior", "all", ""):
         with pytest.raises(DomainError, match="which"):
             face_flux(make_prism(1.0, 1.0, 1.0), spec, which)
+
+
+def _serial_energy(prism, spec, **kwargs):
+    try:
+        res = conformal_energy(prism, spec, **kwargs)
+    except AccuracyError as exc:
+        return ("refused", str(exc), exc.value, exc.error_estimate, exc.evaluations)
+    return (res.value, res.error_estimate, res.evaluations)
+
+
+def _batched_entry(res):
+    if isinstance(res, AccuracyError):
+        return ("refused", str(res), res.value, res.error_estimate, res.evaluations)
+    return (res.value, res.error_estimate, res.evaluations)
+
+
+def _mixed_family(rng, count):
+    """Anticonformal specs of one structure with real, imaginary and complex factors."""
+    specs = []
+    for a, b, c, d, e in rng.uniform(0.1, 0.7, (count, 5)):
+        specs.append(RationalMapSpec(
+            -1, -1,
+            real_factors=((float(a), 1), (float(b) + 0.2, -1)),
+            imag_factors=((float(c), -1),),
+            complex_factors=((complex(float(d), float(e)), 1),),
+            orientation="anticonformal",
+        ))
+    return specs
+
+
+IMAG1 = builtin_family("imag1")
+BATCHES = [
+    (make_prism(1.0, 1.0, 1.0), [IMAG1.instantiate(float(s)) for s in np.linspace(1e-3, 0.999, 21)], 1e-5),
+    (make_prism(20.0, 10.0, 1.0), [IMAG1.instantiate(float(s)) for s in np.linspace(1e-3, 0.999, 21)], 1e-5),
+    (make_prism(3.0, 2.0, 1.0), _mixed_family(np.random.default_rng(17), 6), 1e-6),
+]
+
+
+@pytest.mark.parametrize("prism,specs,tol", BATCHES, ids=["imag1-cube", "imag1-slab", "anticonformal-mixed"])
+def test_conformal_energies_equal_the_serial_energies_exactly(prism, specs, tol):
+    batched = conformal_energies(prism, specs, tol=tol)
+    assert [_batched_entry(res) for res in batched] == [
+        _serial_energy(prism, spec, tol=tol) for spec in specs
+    ]
+    assert not any(isinstance(res, AccuracyError) for res in batched)
+
+
+def test_conformal_energies_return_each_failure_in_place():
+    cube = make_prism(1.0, 1.0, 1.0)
+    specs = [IMAG1.instantiate(s) for s in (0.2, 0.5, 0.8)]
+    batched = conformal_energies(cube, specs, tol=1e-14, max_evals_per_face=20000)
+    serial = [_serial_energy(cube, spec, tol=1e-14, max_evals_per_face=20000) for spec in specs]
+    assert [_batched_entry(res) for res in batched] == serial
+    assert all(entry[0] == "refused" and entry[4] <= 3 * 20000 for entry in serial)
+
+
+@pytest.mark.parametrize("other", [
+    RationalMapSpec(1, 1, imag_factors=((0.5, -1),)),
+    RationalMapSpec(-1, 1, imag_factors=((0.5, 1),)),
+    RationalMapSpec(1, 3, imag_factors=((0.5, 1),)),
+    RationalMapSpec(1, 1, imag_factors=((0.5, 1),), orientation="anticonformal"),
+    RationalMapSpec(1, 1, real_factors=((0.5, 1),)),
+    RationalMapSpec(1, 1, imag_factors=((0.5, 1), (0.7, 1))),
+], ids=["sign", "epsilon", "n", "orientation", "kind", "count"])
+def test_conformal_energies_refuse_specs_of_mixed_structure(other):
+    specs = [RationalMapSpec(1, 1, imag_factors=((0.3, 1),)), other]
+    with pytest.raises(DomainError, match="one structure"):
+        conformal_energies(make_prism(1.0, 1.0, 1.0), specs)
+
+
+def test_conformal_energies_of_no_specs_is_empty():
+    assert conformal_energies(make_prism(1.0, 1.0, 1.0), []) == []
+
+
+@pytest.mark.parametrize("spec,lower", [
+    # a tight zero/pole pair whose bump sits on a face edge, missed by the
+    # cells: the quadrature gives the identity energy, far below the bound
+    (RationalMapSpec(1, 1, real_factors=((0.5, 1), (0.5 + 1e-8, -1), (0.3, 1), (0.3 + 1e-8, -1)),
+                     imag_factors=((0.4, 1), (0.4 + 1e-8, -1))), 163.36281798666926),
+    (RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), 37.69911184307752),
+], ids=["gap-1e-8", "imag1-coalescing"])
+def test_energy_report_refuses_an_energy_outside_its_bounds(spec, lower):
+    with pytest.raises(AccuracyError, match="outside the bounds") as exc:
+        energy_report(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6)
+    assert exc.value.value == pytest.approx(E0_CUBE, abs=1e-5)
+    assert exc.value.value + exc.value.error_estimate < lower

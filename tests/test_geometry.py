@@ -102,3 +102,17 @@ def test_random_prisms_octant_consistency():
         p = make_prism(*map(float, d))
         assert p.octant.half_lengths == tuple(s / 2.0 for s in p.sides)
         assert p.volume == pytest.approx(float(np.prod(d)), rel=1e-14)
+
+
+def test_prism_refuses_sides_whose_squares_overflow_or_underflow():
+    for sides in ((1e200, 1.0, 1.0), (1e154, 1e154, 1.0)):
+        with pytest.raises(InvalidDimensionError, match="overflows"):
+            make_prism(*sides)
+    for sides in ((1e-200, 1e-200, 1e-200), (1.0, 1.0, 1e-160)):
+        with pytest.raises(InvalidDimensionError, match="underflows"):
+            make_prism(*sides)
+    # the extremes that stay representable keep the diagonal formula
+    big = make_prism(1e153, 1e153, 1e153)
+    assert big.diagonal == math.sqrt(3e306)
+    small = make_prism(1.5e-154, 1.5e-154, 1.5e-154)
+    assert small.diagonal > 0.0

@@ -13,6 +13,7 @@ from nemprism import (
     lp_solve,
     minimize_1d,
     quad2d,
+    quad2d_many,
 )
 
 # frozen reference: 200-node tensor Gauss-Legendre of 1/(1 + a^2 + b^2)
@@ -374,3 +375,77 @@ def test_lp_solve_matches_the_frozen_simplex_results():
     )
     signs = {(sum(c) > 0) - (sum(c) < 0) for (c, _), e in zip(instances, LP_FROZEN) if e is UnboundedError}
     assert signs == {-1, 0, 1}
+
+
+def _outcome(run):
+    """(value, error estimate, evaluations, message) of a result or a refusal."""
+    try:
+        res = run()
+    except AccuracyError as exc:
+        return (exc.value, exc.error_estimate, exc.evaluations, str(exc))
+    if isinstance(res, AccuracyError):
+        return (res.value, res.error_estimate, res.evaluations, str(res))
+    return (res.value, res.error_estimate, res.evaluations, None)
+
+
+def test_quad2d_many_gives_each_problem_its_solo_outcome():
+    cuts = list(np.linspace(0.02, 0.98, 49))  # 50 x 50 root cells
+    peak = lambda x, y: 1.0 / (1e-3 + (x - 0.31) ** 2 + (y - 0.77) ** 2)
+    # (integrand, domain, splits): over its root budget,
+    # below its round-off floor at the shared tol, and one that converges
+    problems = [
+        (lambda x, y: x + y, (0.0, 1.0, 0.0, 1.0), (cuts, cuts)),
+        (lambda x, y: 1e3 * _GAUSS(x, y), (0.0, 3.0, 0.0, 3.0), None),
+        (peak, [(0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0)], None),
+    ]
+    tol, max_evals = 1e-12, 200_000
+    solo = [
+        _outcome(lambda: quad2d(f, dom, tol=tol, max_evals=max_evals, initial_splits=splits))
+        for f, dom, splits in problems
+    ]
+    assert "2500 root cells" in solo[0][3] and solo[0][2] == 0
+    assert "below the round-off floor" in solo[1][3]
+    assert solo[2][3] is None
+
+    evals = [0, 0, 0]
+    calls = []
+
+    def f(x, y, k):
+        calls.append(x.size)
+        out = np.empty_like(x)
+        for p, (g, _, _) in enumerate(problems):
+            on = k == p
+            evals[p] += int(np.count_nonzero(on))
+            out[on] = g(x[on], y[on])
+        return out
+
+    many = quad2d_many(f, [(dom, splits) for _, dom, splits in problems], tol=tol, max_evals=max_evals)
+    assert [_outcome(lambda: res) for res in many] == solo
+    assert evals == [o[2] for o in solo]
+    assert max(evals) <= max_evals
+    assert max(calls) <= 32 * 225
+    # both refining problems share integrand calls
+    assert len(calls) < (solo[1][2] + solo[2][2]) // (32 * 225) + 10
+
+
+def test_quad2d_many_of_no_problems_is_empty():
+    assert quad2d_many(lambda x, y, k: x, [], tol=1e-6) == []
+
+
+def test_minimize_1d_batch_serves_the_coarse_grid_only():
+    f = lambda x: (x - 0.3) ** 2
+    single = []
+    grids = []
+
+    def counted(x):
+        single.append(x)
+        return f(x)
+
+    def batch(xs):
+        grids.append(list(xs))
+        return [f(x) for x in xs]
+
+    res = minimize_1d(counted, (0.0, 1.0), tol=1e-10, batch=batch)
+    assert grids == [[float(x) for x in np.linspace(0.0, 1.0, 101)]]
+    assert res == minimize_1d(f, (0.0, 1.0), tol=1e-10)
+    assert 0 < len(single) < 60
