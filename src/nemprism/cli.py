@@ -64,7 +64,10 @@ def _field_value(name: str, value, kind):
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"job field {name!r} is too large for a float") from None
     what = {str: "a string", int: "an integer", float: "a number"}[kind]
     raise ValueError(f"job field {name!r} must be {what}, got {value!r}")
 
@@ -412,18 +415,17 @@ def _run_minimize(job: Job) -> str:
 
     prism = _prism(job)
     family = builtin_family(job.family)
-    failures = []
     result, classification = minimize_family(
-        family, prism, K=job.K, tol=job.tol, quad_tol=job.quad_tol, failures=failures
+        family, prism, K=job.K, tol=job.tol, quad_tol=job.quad_tol
     )
     payload = result.to_dict()
     payload["classification"] = classification
     payload = _emit_json(payload)
-    if failures:
+    if result.failures:
         raise _PartialArtifact(payload, [
             f"minimize point s={_fmt(s)}: error estimate {exc.error_estimate:.3e} "
             f"> quad-tol {job.quad_tol:.3e}, counted as +inf"
-            for s, exc in failures
+            for s, exc in result.failures
         ])
     return payload
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -55,12 +55,17 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Outcome of a 1-D minimization over a closed interval."""
+    """Outcome of a 1-D minimization over a closed interval.
+
+    ``failures`` lists the (x, AccuracyError) pairs of the points whose
+    evaluation failed and counted as +inf; ``to_dict`` leaves it out.
+    """
 
     argmin: float
     min_value: float
     at_boundary: bool
     bracket: Tuple[float, float]
+    failures: Tuple[Tuple[float, AccuracyError], ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -183,12 +188,6 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.nda
     return kron, np.abs(kron - gauss), axis
 
 
-# The point tags of a lone problem (index 0), read-only so that no
-# integrand can change them.
-_LONE_TAGS = np.zeros(_BATCH_CELLS * _CELL_EVALS, dtype=np.intp)
-_LONE_TAGS.flags.writeable = False
-
-
 def _joined(arrays: List[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
@@ -197,16 +196,12 @@ def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> L
     """Values, errors and split axes of cells of several problems, 32 cells
     per integrand call; the cells come in blocks of ``sizes`` cells, one
     block per problem in ``owners``.
-
-    Cells of problem 0 alone get a shared view as their tags, not a new
-    array, so ``quad2d`` costs no more per round than a one-problem loop.
     """
-    tags = None if owners == [0] else np.repeat(owners, [_CELL_EVALS * size for size in sizes])
+    tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
     rated = []
     for i in range(0, len(cells), _BATCH_CELLS):
         chunk = cells[i:i + _BATCH_CELLS]
-        n = _CELL_EVALS * len(chunk)
-        k = _LONE_TAGS[:n] if tags is None else tags[_CELL_EVALS * i:_CELL_EVALS * i + n]
+        k = tags[_CELL_EVALS * i:_CELL_EVALS * (i + len(chunk))]
         rated.append(_rate_cells(f, chunk, k))
     return rated[0] if len(rated) == 1 else [np.concatenate(part) for part in zip(*rated)]
 
@@ -478,7 +473,8 @@ def minimize_1d(
     best bracket, which golden-section search then shrinks below ``tol``.
     The returned value is never worse than the best coarse sample, and the
     endpoints always compete: ``at_boundary`` is set when the minimum sits
-    within ``tol`` of an endpoint.
+    within ``tol`` of an endpoint.  The returned bracket always holds the
+    argmin: when a coarse sample wins, it is the coarse bracket.
 
     ``batch``, when given, evaluates the whole coarse scan in one call: it
     receives the list of sample points and returns f at each, in order.
@@ -499,8 +495,8 @@ def minimize_1d(
         samples = [float(v) for v in batch([float(x) for x in grid])]
     best = int(np.argmin(samples))
 
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, coarse - 1)])
+    coarse_bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, coarse - 1)]))
+    lo, hi = coarse_bracket
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1 = float(f(x1))
@@ -523,6 +519,10 @@ def minimize_1d(
         (samples[-1], b),
     ]
     min_value, argmin = min(candidates, key=lambda t: (t[0], t[1]))
+    if not lo <= argmin <= hi:
+        # a coarse sample beat every golden-section point (e.g. those all
+        # failed as +inf): report the coarse bracket, which holds it
+        lo, hi = coarse_bracket
     at_boundary = (argmin - a) <= tol or (b - argmin) <= tol
     return MinimizeResult(argmin, min_value, at_boundary, (lo, hi))
 

@@ -10,7 +10,7 @@ all share one energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .conformal import RationalMapSpec
@@ -196,7 +196,6 @@ def minimize_family(
     K: float = 1.0,
     tol: float = 1e-3,
     quad_tol: float = 1e-5,
-    failures: Optional[List[Tuple[float, AccuracyError]]] = None,
 ) -> Tuple[MinimizeResult, str]:
     """Minimize the scaled energy over the family parameter and classify.
 
@@ -209,9 +208,9 @@ def minimize_family(
     The coarse grid of ``minimize_1d`` is one batched quadrature
     (``conformal_energies``); the golden-section steps are serial.  A point
     whose quadrature fails counts as +inf, and its ``s`` and AccuracyError
-    are appended to ``failures`` when a list is given.  AccuracyError is
-    raised only when every grid point fails (or the one evaluation of a
-    parameter-free family does).
+    are listed in the result's ``failures``.  AccuracyError is raised only
+    when every grid point fails (or the one evaluation of a parameter-free
+    family does).
     """
     if not family.has_parameter:
         spec = family.instantiate()
@@ -221,7 +220,7 @@ def minimize_family(
 
     delta = 1e-3
     lo, hi = delta, 1.0 - delta
-    failed = [] if failures is None else failures
+    failed = []
 
     def scaled(s: float, res) -> float:
         if isinstance(res, AccuracyError):
@@ -249,5 +248,6 @@ def minimize_family(
         return [scaled(s, res) for s, res in zip(grid, results)]
 
     result = minimize_1d(objective, (lo, hi), tol=tol, batch=grid_objective)
+    result = replace(result, failures=tuple(failed))
     upper_end = result.at_boundary and result.argmin >= 0.5 * (lo + hi)
     return result, ("edge-singular" if upper_end else "smooth")

@@ -484,6 +484,7 @@ def test_minimize_counts_failed_points_as_inf_and_exits_2(capsys):
     payload = json.loads(captured.out)
     assert sorted(payload) == ["argmin", "at_boundary", "bracket", "classification", "min_value"]
     assert math.isfinite(payload["min_value"])
+    assert payload["bracket"][0] <= payload["argmin"] <= payload["bracket"][1]
     failed = [ln for ln in captured.err.splitlines() if "minimize point s=" in ln]
     assert len(failed) >= 90
     assert all(ln.startswith("nemprism: accuracy failure:") for ln in failed)
@@ -537,6 +538,8 @@ BAD_JOB_FIELDS = [
     ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "lp_constraints": 2}, "'lp_constraints'"),
     ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1, "out": 5}, "'out'"),
     ({"command": ["bounds"]}, "'command'"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 10 ** 400}, "'omega0'"),
+    ({"command": "bounds", "prism": [1, 10 ** 400, 1], "omega0": 1}, "'prism'"),
 ]
 
 

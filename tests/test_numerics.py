@@ -449,3 +449,13 @@ def test_minimize_1d_batch_serves_the_coarse_grid_only():
     assert grids == [[float(x) for x in np.linspace(0.0, 1.0, 101)]]
     assert res == minimize_1d(f, (0.0, 1.0), tol=1e-10)
     assert 0 < len(single) < 60
+
+
+def test_minimize_1d_reports_the_coarse_bracket_when_a_coarse_sample_wins():
+    # every golden-section point fails (+inf), so the best grid point wins
+    grid = np.linspace(0.0, 1.0, 101)
+    res = minimize_1d(lambda x: math.inf, (0.0, 1.0), tol=1e-10,
+                      batch=lambda xs: [(x - 0.3) ** 2 for x in xs])
+    assert res.argmin == float(grid[30])
+    assert res.bracket == (float(grid[29]), float(grid[31]))
+    assert res.failures == ()

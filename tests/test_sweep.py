@@ -129,6 +129,20 @@ def test_classification_cube_vs_slab():
     assert 0.1 < res_slab.argmin < 0.9
 
 
+def test_minimize_family_lists_failed_points_on_its_result():
+    # at quad-tol 2e-13 most scan points reach the round-off floor first
+    res, _ = minimize_family(
+        builtin_family("imag1"), make_prism(1.0, 1.0, 1.0), quad_tol=2e-13
+    )
+    assert len(res.failures) >= 90
+    assert all(
+        1e-3 <= s <= 1 - 1e-3 and "round-off floor" in str(exc) for s, exc in res.failures
+    )
+    assert math.isfinite(res.min_value)
+    assert res.bracket[0] <= res.argmin <= res.bracket[1]
+    assert sorted(res.to_dict()) == ["argmin", "at_boundary", "bracket", "min_value"]
+
+
 def test_minimize_parameterless_family():
     res, label = minimize_family(
         builtin_family("unwrapped"), make_prism(1.0, 1.0, 1.0), quad_tol=1e-6
