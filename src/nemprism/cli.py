@@ -305,8 +305,20 @@ class _PartialArtifact(Exception):
         self.problems = problems
 
 
+# printf-style format of every float in a CSV artifact; "%.12g" % x and
+# f"{x:.12g}" give the same text for every float (-0, nan and inf included)
+_FLOAT_FORMAT = "%.12g"
+
+# one row of the field CSV: x, y, z and the director nx, ny, nz
+_FIELD_ROW = ",".join([_FLOAT_FORMAT] * 6) + "\n"
+
+# field rows formatted per tolist(): bounds the Python floats alive at once,
+# so the peak memory is the text's, not the table's as Python floats
+_FIELD_BLOCK = 4096
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return _FLOAT_FORMAT % x
 
 
 def _emit_json(payload: dict) -> str:
@@ -386,7 +398,10 @@ def _run_sweep(job: Job) -> str:
     if family.has_parameter:
         if job.steps < 1:
             raise ValueError(f"--steps must be at least 1, got {job.steps}")
-        values = np.linspace(job.range[0], job.range[1], job.steps)
+        try:
+            values = np.linspace(job.range[0], job.range[1], job.steps)
+        except MemoryError:
+            raise ValueError(f"--steps {job.steps} needs more memory than can be allocated") from None
     else:
         values = []
     rows = sweep_energy(family, prism, values, K=job.K, tol=job.tol)
@@ -439,17 +454,20 @@ def _run_field(job: Job) -> str:
         raise ValueError(f"--grid must be at least 1, got {job.grid}")
     prism = _prism(job)
     spec = RationalMapSpec.from_dict(job.spec)
-    hx, hy, hz = prism.octant.half_lengths
-    axes = [np.linspace(0.0, h, job.grid + 1) for h in (hx, hy, hz)]
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([X.reshape(-1), Y.reshape(-1), Z.reshape(-1)], axis=-1)
-    keep = np.sum(pts * pts, axis=-1) > 0.0  # drop the singular vertex
-    pts = pts[keep]
-    n = _director_many(spec, pts)
-    lines = ["x,y,z,nx,ny,nz"]
-    for p, v in zip(pts, n):
-        lines.append(",".join(_fmt(c) for c in (*p, *v)))
-    return "\n".join(lines) + "\n"
+    try:
+        hx, hy, hz = prism.octant.half_lengths
+        axes = [np.linspace(0.0, h, job.grid + 1) for h in (hx, hy, hz)]
+        X, Y, Z = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([X.reshape(-1), Y.reshape(-1), Z.reshape(-1)], axis=-1)
+        keep = np.sum(pts * pts, axis=-1) > 0.0  # drop the singular vertex
+        pts = pts[keep]
+        table = np.concatenate([pts, _director_many(spec, pts)], axis=1)
+        blocks = ["x,y,z,nx,ny,nz\n"]
+        for i in range(0, len(table), _FIELD_BLOCK):
+            blocks.append("".join([_FIELD_ROW % tuple(r) for r in table[i:i + _FIELD_BLOCK].tolist()]))
+        return "".join(blocks)
+    except MemoryError:
+        raise ValueError(f"--grid {job.grid} needs more memory than can be allocated") from None
 
 
 _HANDLERS = {

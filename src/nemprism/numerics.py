@@ -19,7 +19,8 @@ there is no solver or quadrature dependency:
 * minimize_1d         coarse scan (optionally one batched call) plus
                       golden-section refinement,
 * lp_solve            difference-constrained linear programs, solved exactly
-                      as the dual min-cost flow (successive shortest paths).
+                      in scaled integers as the dual min-cost flow
+                      (successive shortest paths).
 """
 from __future__ import annotations
 
@@ -538,13 +539,19 @@ def lp_solve(
     """Maximize costs . x subject to |x_a - x_b| <= d and x >= 0.
 
     ``constraints`` lists (a, b, d) triples.  The dual is a transshipment
-    problem, solved exactly over Fractions by successive shortest paths
+    problem, solved exactly in scaled integers by successive shortest paths
     (Bellman-Ford): with a ground node g at x_g = 0, each constraint
     x_i - x_j <= w is an uncapacitated arc i -> j of cost w (both ways per
     pair, the smaller d for a repeated pair, and g -> v of cost 0 for
     x_v >= 0); v supplies c_v and g supplies -sum(c).  No arc enters g, so
     if sum(c) > 0, or a supply reaches no demand, the dual is infeasible and
     the objective unbounded above (x = 0 is feasible): UnboundedError.
+
+    Arc costs and distances count units of 1/sw, sw the lcm of the bound
+    denominators; supplies, flows and capacities count units of 1/sc, sc
+    the lcm of the cost denominators.  Every float (and Fraction) is such a
+    multiple, and scaling by a positive constant keeps every comparison and
+    tie, so the path choices are those of the exact rational solve.
 
     By complementary slackness the optimal face is the feasible set with
     every flow-carrying arc tight, a system of difference constraints
@@ -568,16 +575,23 @@ def lp_solve(
             raise InfeasibleError(f"negative difference bound {d!r} for pair ({a}, {b})")
         bounds[a, b] = bounds[b, a] = min(dd, bounds.get((a, b), dd))
 
+    def scaled(values):  # (lcm of the denominators, each value times it)
+        unit = math.lcm(*(v.denominator for v in values))
+        return unit, [v.numerator * (unit // v.denominator) for v in values]
+
+    sw, weights = scaled(list(bounds.values()))
+    _, supply = scaled(c)
+    supply.append(-sum(supply))
+
     # arcs[k ^ 1] reverses arcs[k]; cap[k] is None if uncapacitated, else the flow it can cancel
     arcs, cap = [], []
-    for (u, v), w in [((n, v), Fraction(0)) for v in range(n)] + list(bounds.items()):
+    for (u, v), w in [((n, v), 0) for v in range(n)] + list(zip(bounds, weights)):
         arcs += [(u, v, w), (v, u, -w)]
-        cap += [None, Fraction(0)]
-    supply = c + [-sum(c)]
+        cap += [None, 0]
 
     def shortest(source):  # Bellman-Ford over the arcs with capacity left
         dist, last = [None] * (n + 1), [None] * (n + 1)
-        dist[source] = Fraction(0)
+        dist[source] = 0
         changed = True
         while changed:  # ends: the residual arcs carry no negative cycle
             changed = False
@@ -607,6 +621,6 @@ def lp_solve(
             supply[sink] += amount
 
     dist, _ = shortest(n)
-    x = [-dist[v] for v in range(n)]
+    x = [Fraction(-dist[v], sw) for v in range(n)]
     objective = sum(ci * xi for ci, xi in zip(c, x))
     return [float(v) for v in x], float(objective)

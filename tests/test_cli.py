@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -6,7 +7,7 @@ import pytest
 
 import nemprism.energy
 from nemprism import invariants_report, RationalMapSpec
-from nemprism.cli import Job, run
+from nemprism.cli import _FIELD_ROW, Job, _fmt, run
 
 SPEC = {"epsilon": 1, "n": 1, "imag": [[0.5, 1]]}
 
@@ -273,6 +274,57 @@ def test_field_rows_match_the_director(tmp_path, capsys):
         assert max(abs(n - director(spec, (x, y, z)))) <= 1e-11
 
 
+# sha256 of `field --prism 2,1,0.5 --grid 4` stdout, as the row-at-a-time
+# formatter printed it: negative, zero (-0 too) and small components appear
+FIELD_DIGESTS = [
+    (
+        {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
+        "0ff75cb0d404a1e8b0b7c72a3955ea6212fe7975e2cc428a5e9ca15defafe55f",
+    ),
+    (
+        {"epsilon": 1, "n": -3, "real": [[0.7, -1]], "complex": [[0.2, 0.6, -1]],
+         "orientation": "anticonformal"},
+        "b7d9abf5bcd3aed4ea1773c8842ea21b02d151087f1c6385c75938980304fc77",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload,digest", FIELD_DIGESTS, ids=["degree-9", "anticonformal"])
+def test_field_bytes_are_pinned(tmp_path, capsys, payload, digest):
+    path = write_spec(tmp_path, payload)
+    assert run(["field", "--prism", "2,1,0.5", "--spec", path, "--grid", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("x", [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3, math.nan, -math.inf])
+def test_field_row_template_formats_like_fmt(x):
+    assert _FIELD_ROW % ((x,) * 6) == ",".join([_fmt(x)] * 6) + "\n"
+    assert _fmt(x) == f"{x:.12g}"
+
+
+# sizes past the 128 TiB address space: the allocation fails before any
+# memory is touched
+OVERSIZED = [
+    (["field", "--prism", "1,1,1", "--spec", "{spec}", "--grid", "100000"],
+     {"command": "field", "prism": [1, 1, 1], "spec": SPEC, "grid": 100000}, "--grid"),
+    (["sweep", "--family", "imag1", "--prism", "1,1,1", "--steps", "1000000000000000"],
+     {"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "steps": 10 ** 15}, "--steps"),
+]
+
+
+@pytest.mark.parametrize("argv,job,flag", OVERSIZED, ids=["field-grid", "sweep-steps"])
+def test_unallocatable_sizes_exit_1_naming_the_flag(tmp_path, capsys, argv, job, flag):
+    spec = write_spec(tmp_path)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    for args in ([spec if arg == "{spec}" else arg for arg in argv], ["--job", str(path)]):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"nemprism: error: {flag} ")
+        assert "Traceback" not in captured.err
+
+
 BAD_MODULUS_OR_TOLERANCE = [
     ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "-1"],
     ["energy", "--prism", "1,1,1", "--spec", "{spec}", "--K", "0"],
@@ -307,9 +359,9 @@ def test_bad_modulus_or_tolerance_exits_1_at_once(tmp_path, capsys, argv):
     assert elapsed < 0.1
 
 
-def _bounds_bytes(sides, lower, objective, ratio, upper):
-    """A bounds artifact whose LP potentials are 1 on the even-parity
-    vertices 0, 3, 5, 6 and 0 on the others."""
+def _bounds_bytes(sides, lower, objective, ratio, upper, xi=(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0)):
+    """A bounds artifact whose LP potentials are ``xi``, by default 1 on
+    the even-parity vertices 0, 3, 5, 6 and 0 on the others."""
     points = [
         [float(bool(i & 1)) * sides[0], float(bool(i & 2)) * sides[1], float(bool(i & 4)) * sides[2]]
         for i in range(8)
@@ -322,7 +374,7 @@ def _bounds_bytes(sides, lower, objective, ratio, upper):
             "feasible": True,
             "objective": objective,
             "points": points,
-            "xi": [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0],
+            "xi": list(xi),
         },
         "ratio": ratio,
         "scaled": None,
@@ -343,10 +395,24 @@ BOUNDS_ARTIFACTS = [
         _bounds_bytes((20.0, 10.0, 1.0), 37.69911184307752, 37.69911184307752,
                       22.38302928559939, 843.820324424691),
     ),
+    # potentials of 1e-150 beside sides of 1e150: integer LP weights of ~1000 bits
+    (
+        ["--prism", "1e150,1,1e-150", "--omega0", "4.71238898038469"],
+        _bounds_bytes((1e150, 1.0, 1e-150), 3.7699111843077516e-149, 3.7699111843077516e-149,
+                      math.inf, 3.7699111843077516e151,
+                      xi=(1e-150, 0.0, 0.0, 1e-150, 0.0, 1e-150, 1e-150, 0.0)),
+    ),
+    (
+        ["--prism", "7.5e120,3,1e-150", "--omega0", "-14.137166941154069", "--lp-constraints", "edges"],
+        _bounds_bytes((7.5e120, 3.0, 1e-150), 1.1309733552923255e-148, 1.1309733552923255e-148,
+                      math.inf, 8.482300164692443e122,
+                      xi=(0.0, 1e-150, 1e-150, 0.0, 1e-150, 0.0, 0.0, 1e-150)),
+    ),
 ]
 
 
-@pytest.mark.parametrize("flags,expected", BOUNDS_ARTIFACTS, ids=["readme-cube", "slab-edges"])
+@pytest.mark.parametrize("flags,expected", BOUNDS_ARTIFACTS,
+                         ids=["readme-cube", "slab-edges", "huge-thin", "huge-thin-edges"])
 def test_bounds_artifact_bytes_are_pinned(capsys, flags, expected):
     assert run(["bounds"] + flags) == 0
     assert capsys.readouterr().out == expected
