@@ -400,7 +400,7 @@ def _run_sweep(job: Job) -> str:
             raise ValueError(f"--steps must be at least 1, got {job.steps}")
         try:
             values = np.linspace(job.range[0], job.range[1], job.steps)
-        except MemoryError:
+        except (MemoryError, ValueError):  # ValueError: past numpy's own size limits
             raise ValueError(f"--steps {job.steps} needs more memory than can be allocated") from None
     else:
         values = []
@@ -466,7 +466,7 @@ def _run_field(job: Job) -> str:
         for i in range(0, len(table), _FIELD_BLOCK):
             blocks.append("".join([_FIELD_ROW % tuple(r) for r in table[i:i + _FIELD_BLOCK].tolist()]))
         return "".join(blocks)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's own size limits
         raise ValueError(f"--grid {job.grid} needs more memory than can be allocated") from None
 
 

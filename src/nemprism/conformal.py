@@ -272,24 +272,26 @@ def _parts(spec: RationalMapSpec, w):
         Q = w**na
         dQ = na * w ** (na - 1)
 
-    w2 = w * w
+    w2, tw = w * w, 2.0 * w
 
     def push(num, dnum, den, dden, sign):
         nonlocal P, Q, dP, dQ
         if sign < 0:
             num, den = den, num
             dnum, dden = dden, dnum
-        dP = dP * num + P * dnum
-        P = P * num
-        dQ = dQ * den + Q * dden
-        Q = Q * den
+        dP *= num
+        dP += P * dnum
+        P *= num
+        dQ *= den
+        dQ += Q * dden
+        Q *= den
 
     for r, sign in spec.real_factors:
         r2 = r * r
-        push(w2 - r2, 2.0 * w, r2 * w2 - 1.0, 2.0 * r2 * w, sign)
+        push(w2 - r2, tw, r2 * w2 - 1.0, r2 * tw, sign)
     for s, sign in spec.imag_factors:
         s2 = s * s
-        push(w2 + s2, 2.0 * w, s2 * w2 + 1.0, 2.0 * s2 * w, sign)
+        push(w2 + s2, tw, s2 * w2 + 1.0, s2 * tw, sign)
     for u, v, sign in spec.quartics:
         num = w2 * w2 - u * w2 + v
         dnum = 4.0 * w2 * w - 2.0 * u * w
@@ -354,10 +356,12 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
 
 
 def _scaled(P, Q, *derivatives):
-    """P, Q (and any derivatives) divided by max(|P|, |Q|), so that the
-    pair stays of order one at zeros and poles alike."""
+    """P, Q (and any derivatives) over max(|P|, |Q|), so that the pair stays
+    of order one at zeros and poles alike.  P and Q are divided, which keeps
+    the sign of their zeros in ``field``; derivatives take the reciprocal."""
     scale = np.maximum(np.abs(P), np.abs(Q))
-    return [part / scale for part in (P, Q, *derivatives)]
+    inv = 1.0 / scale
+    return [P / scale, Q / scale, *(part * inv for part in derivatives)]
 
 
 def _lift(p, q):

@@ -5,9 +5,9 @@ there is no solver or quadrature dependency:
 
 * quad2d              adaptive 2-D quadrature over one rectangle or several
                       disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
-                      pair per cell; it refines in rounds, rates at most 32
-                      cells per integrand call, shares one tolerance and
-                      one evaluation budget across the rectangles, and
+                      pair per cell; it refines in rounds, rates cells in
+                      blocks of 16 per integrand call, shares one tolerance
+                      and one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
                       as the error estimate reaches that floor,
 * quad2d_many         the same refinement loop over many independent
@@ -126,7 +126,6 @@ _WK = np.array([
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
@@ -142,9 +141,9 @@ _WKK = np.outer(_WK, _WK)
 _WGG = np.outer(_WG, _WG)
 
 
-# Integrand evaluations per cell, and the most cells one integrand call rates.
+# Integrand evaluations per cell; the most cells per integrand call and bisections per round.
 _CELL_EVALS = 225
-_BATCH_CELLS = 32
+_BATCH_CELLS = 16
 
 # Below this multiple of the summed |cell values| an error estimate is
 # dominated by round-off (QUADPACK's 50 eps; Gander & Gautschi, BIT 40, 2000).
@@ -164,7 +163,6 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.nda
     (ridge features aligned with one axis are then bisected across the
     ridge, not along it); near-ties fall back to the longer side.
     """
-    m = cells.shape[0]
     cx = 0.5 * (cells[:, 0] + cells[:, 1])
     hx = 0.5 * (cells[:, 1] - cells[:, 0])
     cy = 0.5 * (cells[:, 2] + cells[:, 3])
@@ -173,17 +171,17 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.nda
     # Points: shape (m, 15, 15), x varying along axis 1, y along axis 2.
     xs = cx[:, None] + hx[:, None] * _XK[None, :]
     ys = cy[:, None] + hy[:, None] * _XK[None, :]
-    X = np.broadcast_to(xs[:, :, None], (m, 15, 15))
-    Y = np.broadcast_to(ys[:, None, :], (m, 15, 15))
-    vals = np.asarray(f(X.reshape(-1), Y.reshape(-1), k), dtype=float).reshape(m, 15, 15)
+    X, Y = np.repeat(xs, 15), np.tile(ys, 15).reshape(-1)
+    vals = np.asarray(f(X, Y, k), dtype=float).reshape(-1, 15, 15)
 
     jac = hx * hy
     kron = jac * np.einsum("mij,ij->m", vals, _WKK)
-    sub = vals[:, _GAUSS_IDX][:, :, _GAUSS_IDX]
-    gauss = jac * np.einsum("mij,ij->m", sub, _WGG)
+    # Gauss-7 on the odd Kronrod nodes, summed term by term in row-major order;
+    # einsum sums a lone cell's strided sub-grid in another order
+    gauss = jac * np.cumsum((vals[:, 1::2, 1::2] * _WGG).reshape(-1, 49), axis=1)[:, -1]
 
-    tvx = np.abs(np.diff(vals, axis=1)).sum(axis=(1, 2))
-    tvy = np.abs(np.diff(vals, axis=2)).sum(axis=(1, 2))
+    tvx = np.abs(vals[:, 1:] - vals[:, :-1]).sum(axis=(1, 2))
+    tvy = np.abs(vals[:, :, 1:] - vals[:, :, :-1]).sum(axis=(1, 2))
     longer = (hy > hx).astype(int)
     axis = np.where(tvx > 1.5 * tvy, 0, np.where(tvy > 1.5 * tvx, 1, longer))
     return kron, np.abs(kron - gauss), axis
@@ -194,16 +192,15 @@ def _joined(arrays: List[np.ndarray]) -> np.ndarray:
 
 
 def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[np.ndarray]:
-    """Values, errors and split axes of cells of several problems, 32 cells
-    per integrand call; the cells come in blocks of ``sizes`` cells, one
-    block per problem in ``owners``.
+    """Values, errors and split axes of cells of several problems, rated in
+    blocks of ``_BATCH_CELLS`` cells, one integrand call each; the cells
+    come in runs of ``sizes`` cells, one run per problem in ``owners``.
     """
     tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
-    rated = []
-    for i in range(0, len(cells), _BATCH_CELLS):
-        chunk = cells[i:i + _BATCH_CELLS]
-        k = tags[_CELL_EVALS * i:_CELL_EVALS * (i + len(chunk))]
-        rated.append(_rate_cells(f, chunk, k))
+    rated = [
+        _rate_cells(f, cells[i:i + _BATCH_CELLS], tags[_CELL_EVALS * i:_CELL_EVALS * (i + _BATCH_CELLS)])
+        for i in range(0, len(cells), _BATCH_CELLS)
+    ]
     return rated[0] if len(rated) == 1 else [np.concatenate(part) for part in zip(*rated)]
 
 
@@ -250,13 +247,12 @@ def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> np.ndar
 
 def _bisect(cells: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """The two halves of each cell, split at the midpoint of its axis."""
-    lo = cells.copy()
-    hi = cells.copy()
     rows = np.arange(len(cells))
     mid = 0.5 * (cells[rows, 2 * axes] + cells[rows, 2 * axes + 1])
-    lo[rows, 2 * axes + 1] = mid
-    hi[rows, 2 * axes] = mid
-    return np.stack([lo, hi], axis=1).reshape(-1, 4)
+    halves = np.repeat(cells, 2, axis=0)
+    halves[2 * rows, 2 * axes + 1] = mid
+    halves[2 * rows + 1, 2 * axes] = mid
+    return halves
 
 
 def quad2d(
@@ -278,10 +274,10 @@ def quad2d(
     round orders the cells by error estimate (ties by creation order) and
     bisects the shortest prefix whose removal would bring the summed error
     to ``tol`` or below, each cell across the dominant variation of its
-    sampled values.  One integrand call rates at most 32 cells (7200
-    points), which caps a round at 16 bisections; root cells are rated in
-    chunks of the same size.  Refinement order and the final summation
-    order are deterministic for fixed inputs.
+    sampled values.  A round makes at most 16 bisections and one integrand
+    call rates a block of at most 16 cells (3600 points), root cells too;
+    larger calls page-fault their freed temporaries back in on every call.
+    Refinement order and summation order are deterministic for fixed inputs.
 
     ``initial_splits`` places cell boundaries at known feature locations:
     one (x cuts, y cuts) pair for a single rectangle, or a sequence of such
@@ -334,7 +330,7 @@ def quad2d_many(
     ``quad2d`` on it: its own root-cell refusal, budget, round-off floor,
     limit of 16 bisections per round and tie order, so its cells, value,
     error estimate and evaluation count are those of a solo call.  Only
-    the integrand calls are shared: each still rates at most 32 cells,
+    the integrand calls are shared: each still rates at most 16 cells,
     drawn from any problems still refining, and a problem leaves the loop
     when it converges or fails.  Many shallow problems (a family scan)
     then take few, full integrand calls instead of many small ones
@@ -391,7 +387,7 @@ def quad2d_many(
             order = np.argsort(-errs, kind="stable")
             # prefixes whose removal would still leave the sum above tol
             still_over = np.cumsum(errs[order]) < total_err - tol
-            n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS // 2,
+            n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS,
                           (max_evals - evals) // (2 * _CELL_EVALS))
             if n_split == 0:
                 out[p] = AccuracyError(

@@ -303,16 +303,22 @@ def test_field_row_template_formats_like_fmt(x):
 
 
 # sizes past the 128 TiB address space: the allocation fails before any
-# memory is touched
+# memory is touched; the last two pass numpy's own size limits, which it
+# refuses with ValueError before allocating
 OVERSIZED = [
     (["field", "--prism", "1,1,1", "--spec", "{spec}", "--grid", "100000"],
      {"command": "field", "prism": [1, 1, 1], "spec": SPEC, "grid": 100000}, "--grid"),
     (["sweep", "--family", "imag1", "--prism", "1,1,1", "--steps", "1000000000000000"],
      {"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "steps": 10 ** 15}, "--steps"),
+    (["field", "--prism", "1,1,1", "--spec", "{spec}", "--grid", "3000000"],
+     {"command": "field", "prism": [1, 1, 1], "spec": SPEC, "grid": 3000000}, "--grid"),
+    (["sweep", "--family", "imag1", "--prism", "1,1,1", "--steps", "10000000000000000000"],
+     {"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "steps": 10 ** 19}, "--steps"),
 ]
 
 
-@pytest.mark.parametrize("argv,job,flag", OVERSIZED, ids=["field-grid", "sweep-steps"])
+@pytest.mark.parametrize("argv,job,flag", OVERSIZED,
+                         ids=["field-grid", "sweep-steps", "field-grid-past-numpy", "sweep-steps-past-numpy"])
 def test_unallocatable_sizes_exit_1_naming_the_flag(tmp_path, capsys, argv, job, flag):
     spec = write_spec(tmp_path)
     path = tmp_path / "job.json"
@@ -539,6 +545,45 @@ README_SWEEP_BYTES = (
 ], ids=["minimize-slab", "readme-sweep"])
 def test_family_scan_artifact_bytes_are_pinned(capsys, argv, expected):
     assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _energy_bytes(exact, exact_err, lower, upper):
+    return (
+        f'{{\n  "exact": {exact},\n  "exact_err": {exact_err},\n  "lower": {lower},\n'
+        f'  "ratio": 1.7320508075688772,\n  "scaled": {exact},\n  "upper": {upper}\n}}\n'
+    )
+
+
+# `energy --prism 1,1,1 --tol 1e-7` stdout as 32-cell integrand calls gave
+# it.  The last bits of exact_err follow every rounding of the Gauss
+# estimates: with those summed by einsum, rating in blocks of 1, 5, 7, 9,
+# 11 or 15 cells changed at least one of these.  The third spec has 19 root
+# cells, so its roots take two integrand calls.
+ENERGY_BYTES = [
+    (
+        {"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
+        _energy_bytes("110.27903886664656", "7.966979011925224e-08",
+                      "87.96459430051421", "152.35914659567428"),
+    ),
+    (
+        {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
+        _energy_bytes("131.42749567860426", "9.520587546801851e-08",
+                      "113.09733552923255", "195.89033133729552"),
+    ),
+    (
+        {"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
+        _energy_bytes("172.2622998569723", "8.531633358122015e-08",
+                      "113.09733552923255", "195.89033133729552"),
+    ),
+]
+
+
+@pytest.mark.parametrize("payload,expected", ENERGY_BYTES,
+                         ids=["anticonformal-n-3", "degree-9", "19-root-cells"])
+def test_energy_artifact_bytes_are_pinned(tmp_path, capsys, payload, expected):
+    path = write_spec(tmp_path, payload)
+    assert run(["energy", "--prism", "1,1,1", "--spec", path, "--tol", "1e-7"]) == 0
     assert capsys.readouterr().out == expected
 
 

@@ -15,6 +15,7 @@ from nemprism import (
     quad2d,
     quad2d_many,
 )
+from nemprism.numerics import _rate_cells
 
 # frozen reference: 200-node tensor Gauss-Legendre of 1/(1 + a^2 + b^2)
 F2_1_1 = 0.6395103518703111
@@ -118,12 +119,36 @@ def test_quad2d_root_cells_over_budget_refuse_before_evaluating():
     assert calls == []
     assert exc.value.evaluations == 0
     assert math.isnan(exc.value.value)
-    # at exactly the budget the roots are rated, 32 cells per call
+    # at exactly the budget the roots are rated, 16 cells per call
     res = quad2d(counted, (0.0, 1.0, 0.0, 1.0), max_evals=400 * 225,
                  initial_splits=(cuts, cuts))
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.evaluations == sum(calls) == 400 * 225
-    assert len(calls) == 13 and max(calls) == 32 * 225
+    assert len(calls) == 25 and max(calls) == 16 * 225
+
+
+def test_quad2d_round_of_16_bisections_rates_its_children_in_two_calls():
+    cuts = [0.25, 0.5, 0.75]  # 4 x 4 root cells, all far above tol
+    counted, calls = _counting(lambda x, y: np.sin(40.0 * x) * np.sin(40.0 * y))
+    with pytest.raises(AccuracyError, match="budget") as exc:
+        quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-12, max_evals=(16 + 32) * 225,
+               initial_splits=(cuts, cuts))
+    # the 16 roots, then one round: 16 bisections, 32 children in two calls
+    assert calls == [16 * 225] * 3
+    assert exc.value.evaluations == (16 + 32) * 225
+
+
+def test_cell_ratings_do_not_depend_on_the_cells_sharing_a_call():
+    rng = np.random.default_rng(3)
+    x0, y0 = rng.uniform(0.0, 1.0, (2, 17))
+    cells = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1)
+    f = lambda x, y, k: np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) / (0.1 + x * y)
+    k = np.zeros(225 * len(cells), dtype=int)
+    together = _rate_cells(f, cells, k)
+    for i in range(len(cells)):
+        alone = _rate_cells(f, cells[i:i + 1], k[:225])
+        for part, single in zip(together, alone):
+            assert part[i] == single[0]
 
 
 def test_quad2d_repeat_calls_are_bit_identical():
@@ -423,9 +448,9 @@ def test_quad2d_many_gives_each_problem_its_solo_outcome():
     assert [_outcome(lambda: res) for res in many] == solo
     assert evals == [o[2] for o in solo]
     assert max(evals) <= max_evals
-    assert max(calls) <= 32 * 225
+    assert max(calls) <= 16 * 225
     # both refining problems share integrand calls
-    assert len(calls) < (solo[1][2] + solo[2][2]) // (32 * 225) + 10
+    assert len(calls) < (solo[1][2] + solo[2][2]) // (16 * 225) + 10
 
 
 def test_quad2d_many_of_no_problems_is_empty():
