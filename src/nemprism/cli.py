@@ -15,61 +15,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
+from . import _json
+
 __all__ = ["Job", "run", "main"]
-
-_COMMANDS = ("invariants", "bounds", "energy", "sweep", "minimize", "field")
-
-# Which of spec / family each command requires; the other must be absent.
-_NEEDS = {
-    "invariants": "spec",
-    "bounds": None,
-    "energy": "spec",
-    "sweep": "family",
-    "minimize": "family",
-    "field": "spec",
-}
-
-# 'tol' is a parameter resolution for minimize and an absolute quadrature
-# tolerance for the other commands, so its default depends on the command.
-# Every other default is the Job field's; the flags have none of their own,
-# so a job file and the equivalent flags give the same artifact.
-_DEFAULT_TOL = {"minimize": 1e-3}
-
-
-# JSON type of each job field (and the length of a list field); 'spec' is
-# checked by RationalMapSpec.from_dict.  A field may be null only where its
-# default is.
-_FIELD_TYPES = {
-    "command": (str, None),
-    "family": (str, None),
-    "lp_constraints": (str, None),
-    "out": (str, None),
-    "steps": (int, None),
-    "grid": (int, None),
-    "prism": (float, 3),
-    "range": (float, 2),
-    **{name: (float, None) for name in ("K", "K1", "K2", "K3", "tol", "quad_tol", "omega0")},
-}
-
-
-def _field_value(name: str, value, kind):
-    """``value`` as ``kind``, or ValueError naming the job field."""
-    if kind is str and isinstance(value, str):
-        return value
-    # bool is an int in Python, but true/false are not numbers in JSON
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ValueError(f"job field {name!r} is too large for a float") from None
-    what = {str: "a string", int: "an integer", float: "a number"}[kind]
-    raise ValueError(f"job field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +36,7 @@ class Job:
     K1: Optional[float] = None
     K2: Optional[float] = None
     K3: Optional[float] = None
-    tol: Optional[float] = None  # None: _DEFAULT_TOL, else 1e-6
+    tol: Optional[float] = None  # None: the command's default in _COMMANDS
     quad_tol: float = 1e-5
     omega0: Optional[float] = None
     range: Tuple[float, float] = (0.05, 0.95)
@@ -98,64 +50,27 @@ class Job:
             raise ValueError(
                 f"command must be one of {', '.join(_COMMANDS)}, got {self.command!r}"
             )
+        _, needs, tol = _COMMANDS[self.command]
         if self.tol is None:
-            object.__setattr__(self, "tol", _DEFAULT_TOL.get(self.command, 1e-6))
-        needs = _NEEDS[self.command]
-        if needs == "spec":
-            if self.spec is None:
-                raise ValueError(f"command {self.command!r} requires 'spec'")
-            if self.family is not None:
-                raise ValueError(f"command {self.command!r} takes 'spec', not 'family'")
-        elif needs == "family":
-            if self.family is None:
-                raise ValueError(f"command {self.command!r} requires 'family'")
-            if self.spec is not None:
-                raise ValueError(f"command {self.command!r} takes 'family', not 'spec'")
-        else:
-            if self.spec is not None or self.family is not None:
-                raise ValueError(f"command {self.command!r} takes neither 'spec' nor 'family'")
-        if self.command == "bounds" and self.omega0 is None:
-            raise ValueError("command 'bounds' requires 'omega0'")
-        if self.command != "invariants" and self.prism is None:
-            raise ValueError(f"command {self.command!r} requires 'prism'")
+            object.__setattr__(self, "tol", tol)
+        for name in needs:
+            if getattr(self, name) is None:
+                raise ValueError(f"command {self.command!r} requires {name!r}")
+        for name in ("spec", "family"):
+            if name not in needs and getattr(self, name) is not None:
+                takes = " and ".join(map(repr, needs))
+                raise ValueError(f"command {self.command!r} takes {takes}, not {name!r}")
         if self.lp_constraints not in ("all-pairs", "edges"):
             raise ValueError(
                 f"lp_constraints must be 'all-pairs' or 'edges', got {self.lp_constraints!r}"
             )
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["prism"] = None if self.prism is None else list(self.prism)
-        data["range"] = list(self.range)
-        return data
+        return _json.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Job":
-        if not isinstance(data, dict):
-            raise ValueError(f"job must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown job field(s): {', '.join(sorted(unknown))}")
-        if "command" not in data:
-            raise ValueError("job field 'command' is required")
-        defaults = {f.name: f.default for f in fields(cls)}
-        kwargs = {}
-        for name, value in data.items():
-            kind, length = _FIELD_TYPES.get(name, (None, None))
-            if value is None and defaults[name] is not None:
-                raise ValueError(f"job field {name!r} must not be null")
-            if value is None or kind is None:
-                kwargs[name] = value
-            elif length is None:
-                kwargs[name] = _field_value(name, value, kind)
-            elif isinstance(value, list) and len(value) == length:
-                kwargs[name] = tuple(_field_value(name, v, kind) for v in value)
-            else:
-                raise ValueError(
-                    f"job field {name!r} must be a list of {length} numbers, got {value!r}"
-                )
-        return cls(**kwargs)
+        return _json.from_dict(cls, data, "job")
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +180,12 @@ def _build_parser() -> _Parser:
 
 
 def _job_from_args(args: argparse.Namespace) -> Job:
-    kwargs = {"command": args.command}
-    for name in (
-        "prism", "family", "K", "K1", "K2", "K3", "tol", "quad_tol",
-        "omega0", "range", "steps", "grid", "lp_constraints",
-        "out",
-    ):
-        attr = name
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            kwargs[name] = getattr(args, attr)
+    # each Job field but 'spec' (a file name here) is the flag of that name
+    kwargs = {
+        f.name: getattr(args, f.name)
+        for f in fields(Job)
+        if f.name != "spec" and getattr(args, f.name, None) is not None
+    }
     if getattr(args, "spec", None) is not None:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
@@ -470,13 +382,19 @@ def _run_field(job: Job) -> str:
         raise ValueError(f"--grid {job.grid} needs more memory than can be allocated") from None
 
 
-_HANDLERS = {
-    "invariants": _run_invariants,
-    "bounds": _run_bounds,
-    "energy": _run_energy,
-    "sweep": _run_sweep,
-    "minimize": _run_minimize,
-    "field": _run_field,
+# Per command: its handler, the job fields it requires (of 'spec' and
+# 'family', the one it does not require must be absent) and its default
+# 'tol'.  'tol' is a parameter resolution for minimize and an absolute
+# quadrature tolerance for the other commands.  Every other default is the
+# Job field's; the flags have none of their own, so a job file and the
+# equivalent flags give the same artifact.
+_COMMANDS = {
+    "invariants": (_run_invariants, ("spec",), 1e-6),
+    "bounds": (_run_bounds, ("prism", "omega0"), 1e-6),
+    "energy": (_run_energy, ("spec", "prism"), 1e-6),
+    "sweep": (_run_sweep, ("family", "prism"), 1e-6),
+    "minimize": (_run_minimize, ("family", "prism"), 1e-3),
+    "field": (_run_field, ("spec", "prism"), 1e-6),
 }
 
 
@@ -504,7 +422,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         else:
             job = _job_from_args(args)
 
-        payload = _HANDLERS[job.command](job)
+        payload = _COMMANDS[job.command][0](job)
     except _PartialArtifact as exc:
         for problem in exc.problems:
             print(f"nemprism: accuracy failure: {problem}", file=sys.stderr)

@@ -44,6 +44,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._json import check
 from .errors import DomainError, InvalidSpecError, NormalizationError, UndefinedAtVertexError
 
 __all__ = [
@@ -63,6 +64,18 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 
 ComplexLike = Union[complex, float]
+
+
+# JSON type of each spec key and its value when left out (None: required);
+# a complex factor is [re, im, sign]
+_SPEC_KEYS = {
+    "epsilon": (int, None),
+    "n": (int, None),
+    "real": (Tuple[Tuple[float, int], ...], []),
+    "imag": (Tuple[Tuple[float, int], ...], []),
+    "complex": (Tuple[Tuple[float, float, int], ...], []),
+    "orientation": (str, "conformal"),
+}
 
 
 def _is_inf(w: ComplexLike) -> bool:
@@ -141,31 +154,23 @@ class RationalMapSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RationalMapSpec":
+        """The spec of a JSON object; each value must have its key's JSON type."""
         if not isinstance(data, dict):
             raise InvalidSpecError(f"spec must be a JSON object, got {type(data).__name__}")
-        known = {"epsilon", "n", "real", "imag", "complex", "orientation"}
-        unknown = set(data) - known
+        unknown = set(data) - set(_SPEC_KEYS)
         if unknown:
             raise InvalidSpecError(f"unknown spec fields: {sorted(unknown)}")
-        try:
-            reals = tuple((float(p), int(s)) for p, s in data.get("real", []))
-            imags = tuple((float(p), int(s)) for p, s in data.get("imag", []))
-            cplx = tuple(
-                (complex(float(re), float(im)), int(s))
-                for re, im, s in data.get("complex", [])
-            )
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"malformed factor list: {exc}") from exc
         if "epsilon" not in data or "n" not in data:
             raise InvalidSpecError("spec requires 'epsilon' and 'n' fields")
-        return cls(
-            epsilon=int(data["epsilon"]),
-            n=int(data["n"]),
-            real_factors=reals,
-            imag_factors=imags,
-            complex_factors=cplx,
-            orientation=data.get("orientation", "conformal"),
-        )
+        try:
+            epsilon, n, reals, imags, cplx, orientation = [
+                check(data.get(key, default), hint, f"spec field {key!r}")
+                for key, (hint, default) in _SPEC_KEYS.items()
+            ]
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from None
+        cplx = tuple((complex(re, im), sign) for re, im, sign in cplx)
+        return cls(epsilon, n, reals, imags, cplx, orientation)
 
 
 def _norm_axis(factors, label) -> Tuple[Tuple[float, int], ...]:

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _json
 from .conformal import (
     RationalMapSpec,
     _project,
@@ -99,25 +100,11 @@ class EnergyReport:
     scaled: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "exact_err": self.exact_err,
-            "scaled": self.scaled,
-            "ratio": self.ratio,
-        }
+        return _json.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyReport":
-        return cls(
-            lower=float(data["lower"]),
-            upper=float(data["upper"]),
-            ratio=float(data["ratio"]),
-            exact=None if data.get("exact") is None else float(data["exact"]),
-            exact_err=None if data.get("exact_err") is None else float(data["exact_err"]),
-            scaled=None if data.get("scaled") is None else float(data["scaled"]),
-        )
+        return _json.from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -130,21 +117,11 @@ class LowerBoundCertificate:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "xi": list(self.xi),
-            "points": [list(p) for p in self.points],
-            "feasible": self.feasible,
-        }
+        return _json.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LowerBoundCertificate":
-        return cls(
-            objective=float(data["objective"]),
-            xi=tuple(float(v) for v in data["xi"]),
-            points=tuple(tuple(float(c) for c in p) for p in data["points"]),
-            feasible=bool(data["feasible"]),
-        )
+        return _json.from_dict(cls, data)
 
 
 def lower_bound_prism(prism: Prism, omega0: float, K: float = 1.0) -> float:

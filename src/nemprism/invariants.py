@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
 
+from . import _json
 from .conformal import (
     RationalMapSpec,
     _lift,
@@ -58,34 +59,21 @@ __all__ = [
 class TopologicalInvariants:
     """Edge orientations, kink numbers, and trapped solid angle data."""
 
-    e_x: int
-    e_y: int
-    e_z: int
-    k_x: int
-    k_y: int
-    k_z: int
+    e_x: int = field(metadata={"json": "ex"})
+    e_y: int = field(metadata={"json": "ey"})
+    e_z: int = field(metadata={"json": "ez"})
+    k_x: int = field(metadata={"json": "kx"})
+    k_y: int = field(metadata={"json": "ky"})
+    k_z: int = field(metadata={"json": "kz"})
     omega0: float
     omega_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "ex": self.e_x,
-            "ey": self.e_y,
-            "ez": self.e_z,
-            "kx": self.k_x,
-            "ky": self.k_y,
-            "kz": self.k_z,
-            "omega0": self.omega0,
-            "omega_min": self.omega_min,
-        }
+        return _json.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologicalInvariants":
-        return cls(
-            int(data["ex"]), int(data["ey"]), int(data["ez"]),
-            int(data["kx"]), int(data["ky"]), int(data["kz"]),
-            float(data["omega0"]), float(data["omega_min"]),
-        )
+        return _json.from_dict(cls, data)
 
 
 def _parity(m: int) -> int:

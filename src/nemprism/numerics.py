@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _json
 from .errors import AccuracyError, DomainError, InfeasibleError, UnboundedError
 
 __all__ = [
@@ -59,31 +60,23 @@ class MinimizeResult:
     """Outcome of a 1-D minimization over a closed interval.
 
     ``failures`` lists the (x, AccuracyError) pairs of the points whose
-    evaluation failed and counted as +inf; ``to_dict`` leaves it out.
+    evaluation failed and counted as +inf; JSON leaves it out.
     """
 
     argmin: float
     min_value: float
     at_boundary: bool
     bracket: Tuple[float, float]
-    failures: Tuple[Tuple[float, AccuracyError], ...] = field(default=(), compare=False)
+    failures: Tuple[Tuple[float, AccuracyError], ...] = field(
+        default=(), compare=False, metadata={"json": None}
+    )
 
     def to_dict(self) -> dict:
-        return {
-            "argmin": self.argmin,
-            "min_value": self.min_value,
-            "at_boundary": self.at_boundary,
-            "bracket": list(self.bracket),
-        }
+        return _json.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MinimizeResult":
-        return cls(
-            argmin=float(data["argmin"]),
-            min_value=float(data["min_value"]),
-            at_boundary=bool(data["at_boundary"]),
-            bracket=(float(data["bracket"][0]), float(data["bracket"][1])),
-        )
+        return _json.from_dict(cls, data)
 
 
 # ======================================================================
@@ -355,17 +348,29 @@ def quad2d_many(
             live.append(p)
     if not live:
         return out
+    # per problem: [cells, values, errors, axes, evaluations], one block each;
+    # the root cells are the first round's new cells, replacing none
+    state = {p: [roots[p][:0], np.empty(0), np.empty(0), np.empty(0, dtype=int), 0] for p in live}
+    splits = [[]] * len(live)
     sizes = [len(roots[p]) for p in live]
-    vals, errs, axes = _rate_tagged(f, _joined([roots[p] for p in live]), live, sizes)
-    # per problem: [cells, values, errors, axes, evaluations], one block each
-    state = {}
-    start = 0
-    for p, size in zip(live, sizes):
-        end = start + size
-        state[p] = [roots[p], vals[start:end], errs[start:end], axes[start:end], size * _CELL_EVALS]
-        start = end
+    children = _joined([roots[p] for p in live])
+    while True:
+        cvals, cerrs, caxes = _rate_tagged(f, children, live, sizes)
+        start = 0
+        for p, split, size in zip(live, splits, sizes):
+            end = start + size
+            cells, vals, errs, axes, evals = state[p]
+            keep = np.ones(len(cells), dtype=bool)
+            keep[split] = False
+            state[p] = [
+                np.concatenate([cells[keep], children[start:end]]),
+                np.concatenate([vals[keep], cvals[start:end]]),
+                np.concatenate([errs[keep], cerrs[start:end]]),
+                np.concatenate([axes[keep], caxes[start:end]]),
+                evals + size * _CELL_EVALS,
+            ]
+            start = end
 
-    while live:
         refining, splits, parents, parent_axes = [], [], [], []
         for p in live:
             cells, vals, errs, axes, evals = state[p]
@@ -405,25 +410,9 @@ def quad2d_many(
             parent_axes.append(axes[split])
         if not refining:
             break
-
+        live = refining
         children = _bisect(_joined(parents), _joined(parent_axes))
         sizes = [2 * len(split) for split in splits]
-        cvals, cerrs, caxes = _rate_tagged(f, children, refining, sizes)
-        start = 0
-        for p, split, size in zip(refining, splits, sizes):
-            end = start + size
-            cells, vals, errs, axes, evals = state[p]
-            keep = np.ones(len(cells), dtype=bool)
-            keep[split] = False
-            state[p] = [
-                np.concatenate([cells[keep], children[start:end]]),
-                np.concatenate([vals[keep], cvals[start:end]]),
-                np.concatenate([errs[keep], cerrs[start:end]]),
-                np.concatenate([axes[keep], caxes[start:end]]),
-                evals + size * _CELL_EVALS,
-            ]
-            start = end
-        live = refining
     return out
 
 

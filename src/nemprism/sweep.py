@@ -75,17 +75,6 @@ class ConfigFamily:
         return RationalMapSpec.from_dict(data)
 
 
-def _unwrapped_template(epsilon: int, n: int, orientation: str) -> dict:
-    return {
-        "epsilon": epsilon,
-        "n": n,
-        "real": [],
-        "imag": [],
-        "complex": [],
-        "orientation": orientation,
-    }
-
-
 _FAMILIES = {
     "imag1": ConfigFamily(
         "imag1",
@@ -98,30 +87,23 @@ _FAMILIES = {
             "orientation": "conformal",
         },
     ),
-    "unwrapped": ConfigFamily(
-        "unwrapped", _unwrapped_template(1, 1, "conformal")
-    ),
-    "unwrapped-neg": ConfigFamily(
-        "unwrapped-neg", _unwrapped_template(-1, 1, "conformal")
-    ),
-    "unwrapped-inv": ConfigFamily(
-        "unwrapped-inv", _unwrapped_template(1, -1, "conformal")
-    ),
-    "unwrapped-neg-inv": ConfigFamily(
-        "unwrapped-neg-inv", _unwrapped_template(-1, -1, "conformal")
-    ),
-    "unwrapped-anti": ConfigFamily(
-        "unwrapped-anti", _unwrapped_template(1, 1, "anticonformal")
-    ),
-    "unwrapped-neg-anti": ConfigFamily(
-        "unwrapped-neg-anti", _unwrapped_template(-1, 1, "anticonformal")
-    ),
-    "unwrapped-inv-anti": ConfigFamily(
-        "unwrapped-inv-anti", _unwrapped_template(1, -1, "anticonformal")
-    ),
-    "unwrapped-neg-inv-anti": ConfigFamily(
-        "unwrapped-neg-inv-anti", _unwrapped_template(-1, -1, "anticonformal")
-    ),
+    # the identity map under w -> -w ("neg"), 1/w ("inv") and conj(w) ("anti")
+    **{
+        "unwrapped" + neg + inv + anti: ConfigFamily(
+            "unwrapped" + neg + inv + anti,
+            {
+                "epsilon": -1 if neg else 1,
+                "n": -1 if inv else 1,
+                "real": [],
+                "imag": [],
+                "complex": [],
+                "orientation": "anticonformal" if anti else "conformal",
+            },
+        )
+        for anti in ("", "-anti")
+        for inv in ("", "-inv")
+        for neg in ("", "-neg")
+    },
 }
 
 UNWRAPPED_VARIANTS: Tuple[str, ...] = tuple(

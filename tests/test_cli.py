@@ -664,3 +664,19 @@ def test_job_fields_of_the_wrong_type_exit_1_naming_the_field(tmp_path, capsys, 
     assert captured.err.startswith("nemprism: error:")
     assert name in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload,name", [
+    ({"epsilon": 1, "n": 3.7, "imag": [[0.5, 1]]}, "n"),
+    ({"epsilon": True, "n": 1}, "epsilon"),
+    ({"epsilon": 1, "n": 1, "imag": [[0.5, -1.5]]}, "imag"),
+    ({"epsilon": 1, "n": 1, "imag": [["0.5", 1]]}, "imag"),
+], ids=["n-float", "epsilon-bool", "sign-float", "position-string"])
+def test_spec_values_of_the_wrong_json_type_exit_1_naming_the_field(tmp_path, capsys, payload, name):
+    # a coercing reader ran the first as n = 3 and the third with sign -1, exit 0
+    spec = write_spec(tmp_path, payload)
+    assert run(["energy", "--prism", "1,1,1", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"nemprism: error: spec field {name!r}")
+    assert "Traceback" not in captured.err

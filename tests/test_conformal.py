@@ -86,6 +86,23 @@ def test_spec_from_dict_rejects_unknown_field():
     assert "wibble" in str(exc.value)
 
 
+# (spec JSON that a coercing reader would run as another map, the field it must name)
+MISTYPED_SPECS = [
+    ({"epsilon": 1, "n": 3.7}, "'n'"),
+    ({"epsilon": True, "n": 1}, "'epsilon'"),
+    ({"epsilon": 1, "n": 1, "imag": [[0.5, -1.5]]}, "'imag'"),
+    ({"epsilon": 1, "n": 1, "real": [["0.5", 1]]}, "'real'"),
+    ({"epsilon": 1, "n": 1, "complex": [[0.3, 0.4, True]]}, "'complex'"),
+    ({"epsilon": 1, "n": 1, "orientation": None}, "'orientation'"),
+]
+
+
+@pytest.mark.parametrize("payload,name", MISTYPED_SPECS)
+def test_spec_from_dict_refuses_values_of_the_wrong_json_type(payload, name):
+    with pytest.raises(InvalidSpecError, match=f"spec field {name}"):
+        RationalMapSpec.from_dict(payload)
+
+
 # ---------------------------------------------------------------- evaluation
 
 

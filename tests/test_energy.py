@@ -10,6 +10,7 @@ from nemprism import (
     DomainError,
     ElasticConstants,
     EnergyReport,
+    LowerBoundCertificate,
     RationalMapSpec,
     SumRuleError,
     UNWRAPPED_VARIANTS,
@@ -165,6 +166,15 @@ def test_energy_report_round_trip():
     assert rep.scaled == pytest.approx(rep.exact, rel=1e-12)
     assert rep.lower <= rep.exact <= rep.upper
     assert EnergyReport.from_dict(rep.to_dict()) == rep
+
+
+def test_lower_bound_certificate_round_trip():
+    cert = prism_lp_certificate(make_prism(2.0, 1.0, 0.5), 1.5, K=2.0)
+    data = cert.to_dict()
+    assert data["feasible"] is True and len(data["points"]) == 8
+    assert LowerBoundCertificate.from_dict(data) == cert
+    with pytest.raises(ValueError, match="'feasible'"):
+        LowerBoundCertificate.from_dict(dict(data, feasible=1))
 
 
 def test_elastic_constants():

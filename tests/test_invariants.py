@@ -163,6 +163,12 @@ def test_invariants_dict_round_trip():
     assert TopologicalInvariants.from_dict(d) == inv
 
 
+def test_invariants_from_dict_refuses_a_non_integer_orientation():
+    d = invariants_of(RationalMapSpec(1, 1)).to_dict()
+    with pytest.raises(ValueError, match="'ex'"):
+        TopologicalInvariants.from_dict(dict(d, ex=1.9))
+
+
 def test_invariants_report_numeric_fields():
     spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
     rep = invariants_report(spec)

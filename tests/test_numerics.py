@@ -8,6 +8,7 @@ from nemprism import (
     AccuracyError,
     DomainError,
     InfeasibleError,
+    MinimizeResult,
     UnboundedError,
     appell_f2_restricted,
     lp_solve,
@@ -234,6 +235,16 @@ def test_minimize_1d_quadratic():
     assert res.min_value == pytest.approx(0.0, abs=1e-15)
     assert not res.at_boundary
     assert res.bracket[0] <= res.argmin <= res.bracket[1]
+
+
+def test_minimize_result_dict_round_trip():
+    res = minimize_1d(lambda x: -x, (0.0, 1.0), tol=1e-10)
+    data = res.to_dict()
+    assert data == {"argmin": 1.0, "min_value": -1.0, "at_boundary": True,
+                    "bracket": list(res.bracket)}
+    assert MinimizeResult.from_dict(data) == res
+    with pytest.raises(ValueError, match="'at_boundary'"):
+        MinimizeResult.from_dict(dict(data, at_boundary="false"))
 
 
 def test_minimize_1d_monotone_hits_boundary():
