@@ -5,160 +5,27 @@ from validated rational-map data, computes their topological invariants in
 closed form and by independent numeric oracles, evaluates topological lower
 bounds, closed-form upper bounds and exact quadrature energies, and sweeps
 one-parameter families to locate energy minima.
+
+Each module's ``__all__`` is its public list; the package re-exports them.
 """
-from .conformal import (
-    DirectorSample,
-    HomogeneousValue,
-    RationalMapSpec,
-    area_density,
-    director,
-    director_sample,
-    eval_f,
-    flux_field,
-    sphere_density,
-    stereo_lift,
-    stereo_project,
-)
-from .energy import (
-    ElasticConstants,
-    EnergyReport,
-    LowerBoundCertificate,
-    bound_ratio,
-    conformal_energies,
-    conformal_energy,
-    energy_report,
-    face_flux,
-    lower_bound_lp,
-    lower_bound_prism,
-    prism_lp_certificate,
-    scaled_energy,
-    unwrapped_energy,
-    upper_bound_prism,
-)
-from .errors import (
-    AccuracyError,
-    DimensionOrderError,
-    DomainError,
-    InfeasibleError,
-    InvalidDimensionError,
-    InvalidSpecError,
-    NormalizationError,
-    PathResolutionError,
-    SumRuleError,
-    UnboundedError,
-    UndefinedAtVertexError,
-    UnknownFamilyError,
-)
-from .geometry import (
-    Face,
-    Octant,
-    Prism,
-    PrismVertex,
-    edge_length,
-    make_prism,
-    vertex_trapped_areas,
-)
-from .invariants import (
-    TopologicalInvariants,
-    edge_orientations,
-    invariants_of,
-    invariants_report,
-    kink_numbers,
-    numeric_kink_x,
-    numeric_kink_y,
-    numeric_kink_z,
-    numeric_trapped_area,
-    omega_min,
-    trapped_area,
-)
-from .numerics import (
-    MinimizeResult,
-    QuadratureResult,
-    appell_f2_restricted,
-    lp_solve,
-    minimize_1d,
-    quad2d,
-    quad2d_many,
-)
-from .sweep import (
-    UNWRAPPED_VARIANTS,
-    ConfigFamily,
-    SweepRow,
-    builtin_family,
-    minimize_family,
-    sweep_energy,
-)
+from . import conformal, energy, errors, geometry, invariants, numerics, sweep
+from .conformal import *
+from .energy import *
+from .errors import *
+from .geometry import *
+from .invariants import *
+from .numerics import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError",
-    "ConfigFamily",
-    "DimensionOrderError",
-    "DirectorSample",
-    "DomainError",
-    "ElasticConstants",
-    "EnergyReport",
-    "Face",
-    "HomogeneousValue",
-    "InfeasibleError",
-    "InvalidDimensionError",
-    "InvalidSpecError",
-    "LowerBoundCertificate",
-    "MinimizeResult",
-    "NormalizationError",
-    "Octant",
-    "PathResolutionError",
-    "Prism",
-    "PrismVertex",
-    "QuadratureResult",
-    "RationalMapSpec",
-    "SumRuleError",
-    "SweepRow",
-    "TopologicalInvariants",
-    "UNWRAPPED_VARIANTS",
-    "UnboundedError",
-    "UndefinedAtVertexError",
-    "UnknownFamilyError",
-    "area_density",
-    "appell_f2_restricted",
-    "bound_ratio",
-    "builtin_family",
-    "conformal_energies",
-    "conformal_energy",
-    "director",
-    "director_sample",
-    "edge_length",
-    "edge_orientations",
-    "energy_report",
-    "eval_f",
-    "face_flux",
-    "flux_field",
-    "invariants_of",
-    "invariants_report",
-    "kink_numbers",
-    "lower_bound_lp",
-    "lower_bound_prism",
-    "lp_solve",
-    "make_prism",
-    "minimize_1d",
-    "minimize_family",
-    "numeric_kink_x",
-    "numeric_kink_y",
-    "numeric_kink_z",
-    "numeric_trapped_area",
-    "omega_min",
-    "prism_lp_certificate",
-    "quad2d",
-    "quad2d_many",
-    "scaled_energy",
-    "sphere_density",
-    "stereo_lift",
-    "stereo_project",
-    "sweep_energy",
-    "trapped_area",
-    "unwrapped_energy",
-    "upper_bound_prism",
-    "vertex_trapped_areas",
+    *conformal.__all__,
+    *energy.__all__,
+    *errors.__all__,
+    *geometry.__all__,
+    *invariants.__all__,
+    *numerics.__all__,
+    *sweep.__all__,
     "__version__",
 ]

@@ -19,14 +19,32 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
-from . import _json
+import numpy as np
+
+from ._json import Record
+from .conformal import RationalMapSpec, _director_many
+from .energy import (
+    ElasticConstants,
+    EnergyReport,
+    bound_ratio,
+    energy_report,
+    lower_bound_prism,
+    prism_lp_certificate,
+    upper_bound_prism,
+)
+from .errors import AccuracyError
+from .geometry import make_prism
+from .invariants import invariants_report
+from .sweep import builtin_family, minimize_family, sweep_energy
 
 __all__ = ["Job", "run", "main"]
 
 
 @dataclass(frozen=True)
-class Job:
+class Job(Record):
     """One fully described unit of work, JSON round-trippable."""
+
+    _json_name = "job"
 
     command: str
     prism: Optional[Tuple[float, float, float]] = None
@@ -64,13 +82,6 @@ class Job:
             raise ValueError(
                 f"lp_constraints must be 'all-pairs' or 'edges', got {self.lp_constraints!r}"
             )
-
-    def to_dict(self) -> dict:
-        return _json.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Job":
-        return _json.from_dict(cls, data, "job")
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +190,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_json(flag: str, path: str):
+    """The JSON value in the file ``path`` named by ``flag``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag}: {path!r} is not valid JSON: {exc}") from exc
+
+
 def _job_from_args(args: argparse.Namespace) -> Job:
     # each Job field but 'spec' (a file name here) is the flag of that name
     kwargs = {
@@ -187,13 +209,7 @@ def _job_from_args(args: argparse.Namespace) -> Job:
         if f.name != "spec" and getattr(args, f.name, None) is not None
     }
     if getattr(args, "spec", None) is not None:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                kwargs["spec"] = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"--spec: cannot read {args.spec!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"--spec: {args.spec!r} is not valid JSON: {exc}") from exc
+        kwargs["spec"] = _read_json("--spec", args.spec)
     try:
         return Job(**kwargs)
     except ValueError as exc:
@@ -238,8 +254,6 @@ def _emit_json(payload: dict) -> str:
 
 
 def _prism(job: Job):
-    from .geometry import make_prism
-
     try:
         return make_prism(*job.prism)
     except ValueError as exc:
@@ -247,23 +261,11 @@ def _prism(job: Job):
 
 
 def _run_invariants(job: Job) -> str:
-    from .conformal import RationalMapSpec
-    from .invariants import invariants_report
-
     spec = RationalMapSpec.from_dict(job.spec)
     return _emit_json(invariants_report(spec, tol=job.tol))
 
 
 def _run_bounds(job: Job) -> str:
-    from .energy import (
-        ElasticConstants,
-        EnergyReport,
-        bound_ratio,
-        lower_bound_prism,
-        prism_lp_certificate,
-        upper_bound_prism,
-    )
-
     prism = _prism(job)
     constants = ElasticConstants(job.K, job.K1, job.K2, job.K3)
     # Every bound printed is at most 8 k |diagonal| |omega0| for k = 1 (the LP
@@ -291,9 +293,6 @@ def _run_bounds(job: Job) -> str:
 
 
 def _run_energy(job: Job) -> str:
-    from .conformal import RationalMapSpec
-    from .energy import energy_report
-
     prism = _prism(job)
     spec = RationalMapSpec.from_dict(job.spec)
     report = energy_report(prism, spec, K=job.K, tol=job.tol)
@@ -301,10 +300,6 @@ def _run_energy(job: Job) -> str:
 
 
 def _run_sweep(job: Job) -> str:
-    import numpy as np
-
-    from .sweep import builtin_family, sweep_energy
-
     prism = _prism(job)
     family = builtin_family(job.family)
     if family.has_parameter:
@@ -338,8 +333,6 @@ def _run_sweep(job: Job) -> str:
 
 
 def _run_minimize(job: Job) -> str:
-    from .sweep import builtin_family, minimize_family
-
     prism = _prism(job)
     family = builtin_family(job.family)
     result, classification = minimize_family(
@@ -358,10 +351,6 @@ def _run_minimize(job: Job) -> str:
 
 
 def _run_field(job: Job) -> str:
-    import numpy as np
-
-    from .conformal import RationalMapSpec, _director_many
-
     if job.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {job.grid}")
     prism = _prism(job)
@@ -410,13 +399,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.job is not None:
             if args.command is not None:
                 raise ValueError("--job: give either a job file or a command, not both")
-            try:
-                with open(args.job, "r", encoding="utf-8") as fh:
-                    job = Job.from_dict(json.load(fh))
-            except OSError as exc:
-                raise ValueError(f"--job: cannot read {args.job!r}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"--job: {args.job!r} is not valid JSON: {exc}") from exc
+            job = Job.from_dict(_read_json("--job", args.job))
         elif args.command is None:
             parser.error("a command or --job is required")
         else:
@@ -434,8 +417,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"nemprism: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
-        from .errors import AccuracyError
-
         detail = ""
         if isinstance(exc, AccuracyError) and exc.evaluations > 0:
             detail = f"; best estimate {exc.value!r}"

@@ -38,13 +38,13 @@ own spec (a batched family scan).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._json import check
+from ._json import check, layout
 from .errors import DomainError, InvalidSpecError, NormalizationError, UndefinedAtVertexError
 
 __all__ = [
@@ -66,18 +66,6 @@ _BOUNDARY_TOL = 1e-12
 ComplexLike = Union[complex, float]
 
 
-# JSON type of each spec key and its value when left out (None: required);
-# a complex factor is [re, im, sign]
-_SPEC_KEYS = {
-    "epsilon": (int, None),
-    "n": (int, None),
-    "real": (Tuple[Tuple[float, int], ...], []),
-    "imag": (Tuple[Tuple[float, int], ...], []),
-    "complex": (Tuple[Tuple[float, float, int], ...], []),
-    "orientation": (str, "conformal"),
-}
-
-
 def _is_inf(w: ComplexLike) -> bool:
     w = complex(w)
     return math.isinf(w.real) or math.isinf(w.imag)
@@ -92,28 +80,39 @@ class RationalMapSpec:
     pairs with a truly complex position strictly inside the unit disc.
     Signs are +1 for a zero factor and -1 for its reciprocal (pole) factor.
     orientation is "conformal" or "anticonformal".
+
+    Python arguments follow the JSON type rules of ``from_dict``: epsilon,
+    n and every sign must be ints (not bools), every position a real or,
+    for a complex factor, complex number, and a factor list may be a tuple
+    or a list; nothing is converted, so ``n=True``, a sign -1.5 or a
+    position "0.5" raises InvalidSpecError naming the field by its JSON key.
     """
 
     epsilon: int
     n: int
-    real_factors: Tuple[Tuple[float, int], ...] = ()
-    imag_factors: Tuple[Tuple[float, int], ...] = ()
-    complex_factors: Tuple[Tuple[complex, int], ...] = ()
+    real_factors: Tuple[Tuple[float, int], ...] = field(default=(), metadata={"json": "real"})
+    imag_factors: Tuple[Tuple[float, int], ...] = field(default=(), metadata={"json": "imag"})
+    complex_factors: Tuple[Tuple[complex, int], ...] = field(default=(), metadata={"json": "complex"})
     orientation: str = "conformal"
 
     def __post_init__(self):
+        try:
+            for name, key, hint, _ in layout(RationalMapSpec):
+                object.__setattr__(self, name, check(getattr(self, name), hint, f"spec field {key!r}"))
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if self.epsilon not in (1, -1):
             raise InvalidSpecError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
-        if not isinstance(self.n, int) or self.n % 2 == 0:
+        if self.n % 2 == 0:
             raise InvalidSpecError(f"n must be an odd integer, got {self.n!r}")
         if self.orientation not in ("conformal", "anticonformal"):
             raise InvalidSpecError(
                 f"orientation must be 'conformal' or 'anticonformal', "
                 f"got {self.orientation!r}"
             )
-        object.__setattr__(self, "real_factors", _norm_axis(self.real_factors, "real"))
-        object.__setattr__(self, "imag_factors", _norm_axis(self.imag_factors, "imag"))
-        object.__setattr__(self, "complex_factors", _norm_complex(self.complex_factors))
+        _check_axis(self.real_factors, "real")
+        _check_axis(self.imag_factors, "imag")
+        _check_complex(self.complex_factors)
 
     @property
     def a(self) -> int:
@@ -154,31 +153,28 @@ class RationalMapSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RationalMapSpec":
-        """The spec of a JSON object; each value must have its key's JSON type."""
+        """The spec of a JSON object; each value must have its key's JSON type
+        (the constructor checks them), and a complex factor is [re, im, sign]."""
         if not isinstance(data, dict):
             raise InvalidSpecError(f"spec must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - set(_SPEC_KEYS)
+        unknown = set(data) - {key for _, key, _, _ in layout(cls)}
         if unknown:
             raise InvalidSpecError(f"unknown spec fields: {sorted(unknown)}")
         if "epsilon" not in data or "n" not in data:
             raise InvalidSpecError("spec requires 'epsilon' and 'n' fields")
         try:
-            epsilon, n, reals, imags, cplx, orientation = [
-                check(data.get(key, default), hint, f"spec field {key!r}")
-                for key, (hint, default) in _SPEC_KEYS.items()
-            ]
+            cplx = check(
+                data.get("complex", ()), Tuple[Tuple[float, float, int], ...], "spec field 'complex'"
+            )
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
-        cplx = tuple((complex(re, im), sign) for re, im, sign in cplx)
-        return cls(epsilon, n, reals, imags, cplx, orientation)
+        kwargs = {name: data[key] for name, key, _, _ in layout(cls) if key in data}
+        kwargs["complex_factors"] = tuple((complex(re, im), sign) for re, im, sign in cplx)
+        return cls(**kwargs)
 
 
-def _norm_axis(factors, label) -> Tuple[Tuple[float, int], ...]:
-    out = []
-    for item in factors:
-        pos, sign = item
-        pos = float(pos)
-        sign = int(sign)
+def _check_axis(factors, label) -> None:
+    for pos, sign in factors:
         if not (_BOUNDARY_TOL < pos < 1.0 - _BOUNDARY_TOL):
             raise InvalidSpecError(
                 f"{label} factor position must lie strictly inside (0, 1) "
@@ -186,23 +182,17 @@ def _norm_axis(factors, label) -> Tuple[Tuple[float, int], ...]:
             )
         if sign not in (1, -1):
             raise InvalidSpecError(f"{label} factor sign must be +1 or -1, got {sign!r}")
-        out.append((pos, sign))
-    for i, (pos, sign) in enumerate(out):
-        for pos2, sign2 in out[i + 1:]:
+    for i, (pos, sign) in enumerate(factors):
+        for pos2, sign2 in factors[i + 1:]:
             if pos == pos2 and sign == -sign2:
                 raise InvalidSpecError(
                     f"{label} factors at {pos!r} with opposite signs cancel and "
                     f"would silently lower the degree"
                 )
-    return tuple(out)
 
 
-def _norm_complex(factors) -> Tuple[Tuple[complex, int], ...]:
-    out = []
-    for item in factors:
-        t, sign = item
-        t = complex(t)
-        sign = int(sign)
+def _check_complex(factors) -> None:
+    for t, sign in factors:
         if abs(t.real) <= _BOUNDARY_TOL or abs(t.imag) <= _BOUNDARY_TOL:
             raise InvalidSpecError(
                 f"complex factor position must sit off both axes, got {t!r}"
@@ -213,16 +203,14 @@ def _norm_complex(factors) -> Tuple[Tuple[complex, int], ...]:
             )
         if sign not in (1, -1):
             raise InvalidSpecError(f"complex factor sign must be +1 or -1, got {sign!r}")
-        out.append((t, sign))
-    canon = [(abs(t.real), abs(t.imag)) for t, _ in out]
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if canon[i] == canon[j] and out[i][1] == -out[j][1]:
+    canon = [(abs(t.real), abs(t.imag)) for t, _ in factors]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            if canon[i] == canon[j] and factors[i][1] == -factors[j][1]:
                 raise InvalidSpecError(
-                    f"complex factors at {out[i][0]!r} with opposite signs cancel "
+                    f"complex factors at {factors[i][0]!r} with opposite signs cancel "
                     f"and would silently lower the degree"
                 )
-    return tuple(out)
 
 
 @dataclass(frozen=True)

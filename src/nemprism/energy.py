@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _json
+from ._json import Record
 from .conformal import (
     RationalMapSpec,
     _project,
@@ -89,7 +89,7 @@ class ElasticConstants:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     """Bounds and, when computed, the exact energy of one configuration."""
 
     lower: float
@@ -99,29 +99,15 @@ class EnergyReport:
     exact_err: Optional[float] = None
     scaled: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return _json.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyReport":
-        return _json.from_dict(cls, data)
-
 
 @dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(Record):
     """Feasible potentials certifying the LP lower bound 2K sum xi_a Omega_a."""
 
     objective: float
     xi: Tuple[float, ...]
     points: Tuple[Tuple[float, float, float], ...]
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return _json.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LowerBoundCertificate":
-        return _json.from_dict(cls, data)
 
 
 def lower_bound_prism(prism: Prism, omega0: float, K: float = 1.0) -> float:

@@ -6,6 +6,21 @@ estimate obtained so far (if any).
 """
 from __future__ import annotations
 
+__all__ = [
+    "InvalidDimensionError",
+    "DimensionOrderError",
+    "InvalidSpecError",
+    "DomainError",
+    "UndefinedAtVertexError",
+    "NormalizationError",
+    "UnknownFamilyError",
+    "SumRuleError",
+    "InfeasibleError",
+    "UnboundedError",
+    "AccuracyError",
+    "PathResolutionError",
+]
+
 
 class InvalidDimensionError(ValueError):
     """A box side length is zero, negative, or not finite."""

@@ -16,6 +16,16 @@ from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, DimensionOrderError, InvalidDimensionError
 
+__all__ = [
+    "PrismVertex",
+    "Face",
+    "Octant",
+    "Prism",
+    "make_prism",
+    "edge_length",
+    "vertex_trapped_areas",
+]
+
 Vec3 = Tuple[float, float, float]
 
 

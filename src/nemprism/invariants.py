@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from . import _json
+from ._json import Record
 from .conformal import (
     RationalMapSpec,
     _lift,
@@ -56,7 +56,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TopologicalInvariants:
+class TopologicalInvariants(Record):
     """Edge orientations, kink numbers, and trapped solid angle data."""
 
     e_x: int = field(metadata={"json": "ex"})
@@ -67,13 +67,6 @@ class TopologicalInvariants:
     k_z: int = field(metadata={"json": "kz"})
     omega0: float
     omega_min: float
-
-    def to_dict(self) -> dict:
-        return _json.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TopologicalInvariants":
-        return _json.from_dict(cls, data)
 
 
 def _parity(m: int) -> int:
@@ -178,24 +171,23 @@ def numeric_trapped_area(
     Integrates the pulled-back density over the quarter disc in polar
     coordinates (Jacobian rho); the orientation sign is structural (the
     anticonformal map reverses the sphere orientation).  Cell boundaries are
-    seeded at the factor radii and angles: a close zero/pole pair carries
-    its covering mass in a bump narrow enough to slip between the nodes of
-    an unseeded cell.
+    seeded at the radius and angle of each factor's first-quadrant point
+    (``factor_scales``), so mirrored positions give the same cells: a close
+    zero/pole pair carries its covering mass in a bump narrow enough to
+    slip between the nodes of an unseeded cell.
     """
 
     def integrand(rho, theta):
         w = rho * np.exp(1j * theta)
         return area_density(spec, w) * rho
 
-    rho_cuts = (
-        [r for r, _ in spec.real_factors]
-        + [s for s, _ in spec.imag_factors]
-        + [abs(t) for t, _ in spec.complex_factors]
-    )
-    theta_cuts = [abs(cmath.phase(t)) for t, _ in spec.complex_factors]
-    # bracket each bump with a geometric ladder so the tail is resolved
+    # cut through each bump and bracket it with a geometric ladder so the
+    # tail is resolved; cuts on or past the domain edges are dropped
+    rho_cuts, theta_cuts = [], []
     for w0, delta in factor_scales(spec):
-        m, th = abs(w0), abs(cmath.phase(w0))
+        m, th = abs(w0), cmath.phase(w0)
+        rho_cuts.append(m)
+        theta_cuts.append(th)
         for off in bracket_offsets(delta, 0.5 * math.pi):
             rho_cuts.extend((m * (1.0 - off), m * (1.0 + off)))
             theta_cuts.extend((th - off, th + off))

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import _json
+from ._json import Record
 from .errors import AccuracyError, DomainError, InfeasibleError, UnboundedError
 
 __all__ = [
@@ -56,7 +56,7 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(Record):
     """Outcome of a 1-D minimization over a closed interval.
 
     ``failures`` lists the (x, AccuracyError) pairs of the points whose
@@ -70,13 +70,6 @@ class MinimizeResult:
     failures: Tuple[Tuple[float, AccuracyError], ...] = field(
         default=(), compare=False, metadata={"json": None}
     )
-
-    def to_dict(self) -> dict:
-        return _json.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MinimizeResult":
-        return _json.from_dict(cls, data)
 
 
 # ======================================================================

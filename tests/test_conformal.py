@@ -103,6 +103,23 @@ def test_spec_from_dict_refuses_values_of_the_wrong_json_type(payload, name):
         RationalMapSpec.from_dict(payload)
 
 
+# (constructor arguments that a coercing constructor stored or converted,
+# the JSON key the refusal must name): the constructor keeps from_dict's rules
+MISTYPED_ARGS = [
+    ({"epsilon": True, "n": 1}, "'epsilon'"),
+    ({"epsilon": 1, "n": True}, "'n'"),
+    ({"epsilon": 1, "n": 1, "real_factors": ((0.5, -1.5),)}, "'real'"),
+    ({"epsilon": 1, "n": 1, "imag_factors": (("0.5", 1),)}, "'imag'"),
+    ({"epsilon": 1, "n": 1, "complex_factors": (("0.3+0.4j", 1),)}, "'complex'"),
+]
+
+
+@pytest.mark.parametrize("kwargs,name", MISTYPED_ARGS)
+def test_spec_constructor_refuses_values_of_the_wrong_json_type(kwargs, name):
+    with pytest.raises(InvalidSpecError, match=f"spec field {name}"):
+        RationalMapSpec(**kwargs)
+
+
 # ---------------------------------------------------------------- evaluation
 
 

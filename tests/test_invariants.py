@@ -156,6 +156,16 @@ def test_close_factor_pairs_resolved():
         assert res.value == pytest.approx(trapped_area(spec), abs=1e-5)
 
 
+def test_trapped_area_oracle_same_for_mirrored_complex_factor():
+    # a complex factor enters with its mirror, so all four positions give the
+    # same map, and the oracle must seed the same cells for each of them
+    results = [
+        numeric_trapped_area(RationalMapSpec(1, 1, complex_factors=((t, 1),)))
+        for t in (0.3 + 0.4j, -0.3 + 0.4j, 0.3 - 0.4j, -0.3 - 0.4j)
+    ]
+    assert all(res == results[0] for res in results)
+
+
 def test_invariants_dict_round_trip():
     inv = invariants_of(RationalMapSpec(1, 1, imag_factors=((0.5, 1),)))
     d = inv.to_dict()
