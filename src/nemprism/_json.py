@@ -45,10 +45,11 @@ def check(value, hint, what: str):
         # bool is an int in Python, but true/false are not numbers in JSON
         if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
             return value
-    elif typing.get_origin(hint) is typing.Union:  # Optional[X]
-        return None if value is None else check(value, typing.get_args(hint)[0], what)
+    # a generic annotation holds its get_origin and get_args as attributes
+    elif hint.__origin__ is typing.Union:  # Optional[X]
+        return None if value is None else check(value, hint.__args__[0], what)
     else:  # Tuple[X, ...] or Tuple[X, Y, ...]
-        args = typing.get_args(hint)
+        args = hint.__args__
         if isinstance(value, (list, tuple)):
             if args[-1] is Ellipsis:
                 return tuple([check(v, args[0], what) for v in value])

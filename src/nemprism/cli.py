@@ -1,13 +1,14 @@
 """Command-line front end: flag parsing, JSON/CSV emission, exit codes.
 
-Every command reads its inputs from flags (or from a JSON job file via
-``--job``), runs one computation, and writes a single JSON or CSV artifact
-to stdout or to ``--out``.  Output bytes are deterministic for fixed inputs
-and tolerances.  Exit codes: 0 success, 1 invalid input (the message names
-the offending flag or field), 2 numerical-accuracy failure.  A ``sweep`` with
-failed rows still writes every row, names each failed ``s`` on stderr and
-exits 2; so does a ``minimize`` with failed points, unless every point of
-its scan failed (then it writes nothing).
+Every command reads its inputs, the job fields ``_COMMANDS`` gives it, from
+flags (or from a JSON job file via ``--job``), runs one computation, and
+writes a single JSON or CSV artifact to stdout or to ``--out``.  Output
+bytes are deterministic for fixed inputs and tolerances.  Exit codes: 0
+success, 1 invalid input (the message names the offending flag or field), 2
+numerical-accuracy failure.  A ``sweep`` with failed rows still writes
+every row, names each failed ``s`` on stderr and exits 2; so does a
+``minimize`` with failed points, unless every point of its scan failed
+(then it writes nothing).
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ class Job(Record):
     K1: Optional[float] = None
     K2: Optional[float] = None
     K3: Optional[float] = None
-    tol: Optional[float] = None  # None: the command's default in _COMMANDS
+    tol: Optional[float] = None  # None: the command's default in _COMMANDS, if any
     quad_tol: float = 1e-5
     omega0: Optional[float] = None
     range: Tuple[float, float] = (0.05, 0.95)
@@ -68,16 +69,16 @@ class Job(Record):
             raise ValueError(
                 f"command must be one of {', '.join(_COMMANDS)}, got {self.command!r}"
             )
-        _, needs, tol = _COMMANDS[self.command]
-        if self.tol is None:
-            object.__setattr__(self, "tol", tol)
-        for name in needs:
+        _, _, required, optional, tol, _ = _COMMANDS[self.command]
+        for name in required:
             if getattr(self, name) is None:
                 raise ValueError(f"command {self.command!r} requires {name!r}")
-        for name in ("spec", "family"):
-            if name not in needs and getattr(self, name) is not None:
-                takes = " and ".join(map(repr, needs))
-                raise ValueError(f"command {self.command!r} takes {takes}, not {name!r}")
+        for f in fields(self)[1:]:  # every field after 'command'
+            if f.name not in required + optional + ("out",) and getattr(self, f.name) != f.default:
+                takes = ", ".join(map(repr, required + optional))
+                raise ValueError(f"command {self.command!r} takes {takes}, not {f.name!r}")
+        if self.tol is None:
+            object.__setattr__(self, "tol", tol)
         if self.lp_constraints not in ("all-pairs", "edges"):
             raise ValueError(
                 f"lp_constraints must be 'all-pairs' or 'edges', got {self.lp_constraints!r}"
@@ -121,6 +122,29 @@ def _range_arg(text: str) -> Tuple[float, float]:
     return lo, hi
 
 
+# argparse keywords of each job field's flag ('spec' names a file); --tol
+# takes its help from _COMMANDS
+_FLAGS = {
+    "out": dict(metavar="FILE", help="write the artifact here instead of stdout"),
+    "prism": dict(type=_prism_arg, metavar="LX,LY,LZ"),
+    "spec": dict(metavar="FILE", help="rational-map JSON file"),
+    "family": dict(help="built-in family name (for example imag1)"),
+    "omega0": dict(type=float, help="trapped solid angle in radians"),
+    "K": dict(type=float, help="one-constant elastic modulus"),
+    "K1": dict(type=float, help="splay constant (give all three for a min-constant bound)"),
+    "K2": dict(type=float, help="twist constant"),
+    "K3": dict(type=float, help="bend constant"),
+    "tol": dict(type=float),
+    "quad_tol": dict(type=float, help="energy tolerance inside the search"),
+    "range": dict(type=_range_arg, metavar="LO:HI"),
+    "steps": dict(type=int, help="number of parameter values"),
+    "grid": dict(type=int, help="subdivisions per axis; samples sit at the grid nodes, "
+                 "the singular vertex excluded"),
+    "lp_constraints": dict(choices=("all-pairs", "edges"),
+                           help="vertex pairs constrained in the LP certificate"),
+}
+
+
 @cache
 def _build_parser() -> _Parser:
     """The flag parser, built once per process and reused by every run()."""
@@ -134,59 +158,14 @@ def _build_parser() -> _Parser:
         metavar="FILE",
         help="run a JSON job file instead of passing flags",
     )
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="FILE", help="write the artifact here instead of stdout")
-
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("invariants", parents=[common], help="closed-form invariants with numeric cross-checks")
-    p.add_argument("--spec", required=True, metavar="FILE", help="rational-map JSON file")
-    p.add_argument("--tol", type=float, help="quadrature tolerance for the numeric solid angle")
-
-    p = sub.add_parser("bounds", parents=[common], help="topological bounds from a trapped solid angle")
-    p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--omega0", required=True, type=float, help="trapped solid angle in radians")
-    p.add_argument("--K", type=float, help="one-constant elastic modulus")
-    p.add_argument("--K1", type=float, help="splay constant (give all three for a min-constant bound)")
-    p.add_argument("--K2", type=float, help="twist constant")
-    p.add_argument("--K3", type=float, help="bend constant")
-    p.add_argument(
-        "--lp-constraints",
-        choices=("all-pairs", "edges"),
-        help="vertex pairs constrained in the LP certificate",
-    )
-
-    p = sub.add_parser("energy", parents=[common], help="exact energy with bounds")
-    p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--K", type=float)
-    p.add_argument("--tol", type=float, help="absolute energy tolerance")
-
-    p = sub.add_parser("sweep", parents=[common], help="energy across a family parameter, as CSV")
-    p.add_argument("--family", required=True, help="built-in family name (for example imag1)")
-    p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--range", type=_range_arg, metavar="LO:HI")
-    p.add_argument("--steps", type=int, help="number of parameter values")
-    p.add_argument("--K", type=float)
-    p.add_argument("--tol", type=float, help="absolute energy tolerance per value")
-
-    p = sub.add_parser("minimize", parents=[common], help="minimize scaled energy over a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument("--K", type=float)
-    p.add_argument("--tol", type=float, help="parameter resolution")
-    p.add_argument("--quad-tol", type=float, help="energy tolerance inside the search")
-
-    p = sub.add_parser("field", parents=[common], help="director samples on an octant grid, as CSV")
-    p.add_argument("--spec", required=True, metavar="FILE")
-    p.add_argument("--prism", required=True, type=_prism_arg, metavar="LX,LY,LZ")
-    p.add_argument(
-        "--grid",
-        type=int,
-        help="subdivisions per axis; samples sit at the grid nodes, the singular vertex excluded",
-    )
-
+    for name, (_, about, required, optional, _, tol_help) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for field in ("out",) + required + optional:
+            flag = dict(_FLAGS[field], required=field in required)
+            if field == "tol":
+                flag["help"] = tol_help
+            p.add_argument("--" + field.replace("_", "-"), **flag)
     return parser
 
 
@@ -371,19 +350,25 @@ def _run_field(job: Job) -> str:
         raise ValueError(f"--grid {job.grid} needs more memory than can be allocated") from None
 
 
-# Per command: its handler, the job fields it requires (of 'spec' and
-# 'family', the one it does not require must be absent) and its default
-# 'tol'.  'tol' is a parameter resolution for minimize and an absolute
-# quadrature tolerance for the other commands.  Every other default is the
-# Job field's; the flags have none of their own, so a job file and the
-# equivalent flags give the same artifact.
+# Per command: handler, help line, the job fields it requires, the others
+# it takes (its flags follow this order), and its default 'tol' and --tol
+# help, both None if it takes no 'tol' (minimize's is a parameter
+# resolution, the others' an absolute quadrature tolerance).  A field a
+# command does not take must keep its Job default, the only default there
+# is: the flags have none, so a job file and its flags give one artifact.
 _COMMANDS = {
-    "invariants": (_run_invariants, ("spec",), 1e-6),
-    "bounds": (_run_bounds, ("prism", "omega0"), 1e-6),
-    "energy": (_run_energy, ("spec", "prism"), 1e-6),
-    "sweep": (_run_sweep, ("family", "prism"), 1e-6),
-    "minimize": (_run_minimize, ("family", "prism"), 1e-3),
-    "field": (_run_field, ("spec", "prism"), 1e-6),
+    "invariants": (_run_invariants, "closed-form invariants with numeric cross-checks",
+                   ("spec",), ("tol",), 1e-6, "quadrature tolerance for the numeric solid angle"),
+    "bounds": (_run_bounds, "topological bounds from a trapped solid angle",
+               ("prism", "omega0"), ("K", "K1", "K2", "K3", "lp_constraints"), None, None),
+    "energy": (_run_energy, "exact energy with bounds",
+               ("prism", "spec"), ("K", "tol"), 1e-6, "absolute energy tolerance"),
+    "sweep": (_run_sweep, "energy across a family parameter, as CSV", ("family", "prism"),
+              ("range", "steps", "K", "tol"), 1e-6, "absolute energy tolerance per value"),
+    "minimize": (_run_minimize, "minimize scaled energy over a family",
+                 ("family", "prism"), ("K", "tol", "quad_tol"), 1e-3, "parameter resolution"),
+    "field": (_run_field, "director samples on an octant grid, as CSV",
+              ("spec", "prism"), ("grid",), None, None),
 }
 
 

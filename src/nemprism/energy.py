@@ -264,7 +264,7 @@ def _faces_domain(
     Face k lies in the plane where coordinate k equals ``values[k]``; its
     free coordinates range over the other two half-sides.
     """
-    half = (prism.Lx / 2.0, prism.Ly / 2.0, prism.Lz / 2.0)
+    half = prism.octant.half_lengths
     rects = []
     splits = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
@@ -345,8 +345,7 @@ def conformal_energy(
     lies below the round-off floor (see ``quad2d``).
     """
     _check_modulus(K)
-    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
-    return _faces_integral(prism, spec, half, 16.0 * K, tol, 3 * max_evals_per_face)
+    return _faces_integral(prism, spec, prism.octant.half_lengths, 16.0 * K, tol, 3 * max_evals_per_face)
 
 
 def conformal_energies(
@@ -371,7 +370,7 @@ def conformal_energies(
     if not specs:
         return []
     at = _spec_points(specs)
-    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
+    half = prism.octant.half_lengths
     weight = 16.0 * K
     return quad2d_many(
         lambda u, v, k: _faces_density(at(k), half, weight, u, v),
@@ -397,8 +396,7 @@ def face_flux(
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
-    half = (prism.Lx / 2, prism.Ly / 2, prism.Lz / 2)
-    values = half if which == "interior" else (0.0, 0.0, 0.0)
+    values = prism.octant.half_lengths if which == "interior" else (0.0, 0.0, 0.0)
     return _faces_integral(prism, spec, values, None, tol, 3 * max_evals_per_face)
 
 

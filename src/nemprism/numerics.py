@@ -341,29 +341,15 @@ def quad2d_many(
             live.append(p)
     if not live:
         return out
-    # per problem: [cells, values, errors, axes, evaluations], one block each;
-    # the root cells are the first round's new cells, replacing none
-    state = {p: [roots[p][:0], np.empty(0), np.empty(0), np.empty(0, dtype=int), 0] for p in live}
-    splits = [[]] * len(live)
     sizes = [len(roots[p]) for p in live]
-    children = _joined([roots[p] for p in live])
+    cells = _joined([roots[p] for p in live])
+    rated = (cells, *_rate_tagged(f, cells, live, sizes))
+    # per problem: [cells, values, errors, axes, evaluations], one block each
+    state, start = {}, 0
+    for p, size in zip(live, sizes):
+        state[p] = [part[start:start + size] for part in rated] + [size * _CELL_EVALS]
+        start += size
     while True:
-        cvals, cerrs, caxes = _rate_tagged(f, children, live, sizes)
-        start = 0
-        for p, split, size in zip(live, splits, sizes):
-            end = start + size
-            cells, vals, errs, axes, evals = state[p]
-            keep = np.ones(len(cells), dtype=bool)
-            keep[split] = False
-            state[p] = [
-                np.concatenate([cells[keep], children[start:end]]),
-                np.concatenate([vals[keep], cvals[start:end]]),
-                np.concatenate([errs[keep], cerrs[start:end]]),
-                np.concatenate([axes[keep], caxes[start:end]]),
-                evals + size * _CELL_EVALS,
-            ]
-            start = end
-
         refining, splits, parents, parent_axes = [], [], [], []
         for p in live:
             cells, vals, errs, axes, evals = state[p]
@@ -402,11 +388,20 @@ def quad2d_many(
             parents.append(cells[split])
             parent_axes.append(axes[split])
         if not refining:
-            break
+            return out
         live = refining
-        children = _bisect(_joined(parents), _joined(parent_axes))
         sizes = [2 * len(split) for split in splits]
-    return out
+        children = _bisect(_joined(parents), _joined(parent_axes))
+        rated = (children, *_rate_tagged(f, children, live, sizes))
+        start = 0
+        for p, split, size in zip(live, splits, sizes):
+            *block, evals = state[p]
+            keep = np.ones(len(block[0]), dtype=bool)
+            keep[split] = False
+            state[p] = [
+                np.concatenate([old[keep], new[start:start + size]]) for old, new in zip(block, rated)
+            ] + [evals + size * _CELL_EVALS]
+            start += size
 
 
 # ======================================================================

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 
 import nemprism.energy
 from nemprism import invariants_report, RationalMapSpec
-from nemprism.cli import _FIELD_ROW, Job, _fmt, run
+from nemprism.cli import _COMMANDS, _FIELD_ROW, Job, _build_parser, _fmt, run
 
 SPEC = {"epsilon": 1, "n": 1, "imag": [[0.5, 1]]}
 
@@ -680,3 +681,52 @@ def test_spec_values_of_the_wrong_json_type_exit_1_naming_the_field(tmp_path, ca
     assert captured.out == ""
     assert captured.err.startswith(f"nemprism: error: spec field {name!r}")
     assert "Traceback" not in captured.err
+
+
+# (job, the field its command does not take, set to a value other than its default)
+UNTAKEN_JOB_FIELDS = [
+    ({"command": "invariants", "spec": SPEC, "K": -1}, "K"),
+    ({"command": "energy", "prism": [1, 1, 1], "spec": SPEC, "quad_tol": 1e-12}, "quad_tol"),
+    ({"command": "bounds", "prism": [1, 1, 1], "omega0": 1.0, "tol": 1e-6}, "tol"),
+    ({"command": "field", "prism": [1, 1, 1], "spec": SPEC, "K": 2.0}, "K"),
+    ({"command": "sweep", "family": "imag1", "prism": [1, 1, 1], "grid": 3}, "grid"),
+    ({"command": "minimize", "family": "imag1", "prism": [1, 1, 1], "omega0": 1.0}, "omega0"),
+]
+
+
+@pytest.mark.parametrize("job,name", UNTAKEN_JOB_FIELDS, ids=[job["command"] for job, _ in UNTAKEN_JOB_FIELDS])
+def test_job_field_the_command_does_not_take_exits_1_naming_it(tmp_path, capsys, job, name):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert run(["--job", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nemprism: error:")
+    assert f"not {name!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_each_subcommand_has_the_flags_of_its_table_entry():
+    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subcommands.choices) == list(_COMMANDS)
+    for name, (_, _, required, optional, tol, tol_help) in _COMMANDS.items():
+        actions = [a for a in subcommands.choices[name]._actions if a.dest != "help"]
+        assert sorted(a.dest for a in actions) == sorted(("out",) + required + optional)
+        assert sorted(a.dest for a in actions if a.required) == sorted(required)
+        assert ("tol" in optional) == (tol is not None) == (tol_help is not None)
+
+
+MINIMAL_JOBS = [
+    Job(command="invariants", spec=SPEC),
+    Job(command="bounds", prism=(1.0, 1.0, 1.0), omega0=1.0),
+    Job(command="energy", prism=(1.0, 1.0, 1.0), spec=SPEC),
+    Job(command="sweep", prism=(1.0, 1.0, 1.0), family="imag1"),
+    Job(command="minimize", prism=(1.0, 1.0, 1.0), family="imag1"),
+    Job(command="field", prism=(1.0, 1.0, 1.0), spec=SPEC),
+]
+
+
+@pytest.mark.parametrize("job", MINIMAL_JOBS, ids=[job.command for job in MINIMAL_JOBS])
+def test_minimal_job_round_trips_and_keeps_tol_only_where_read(job):
+    assert Job.from_dict(job.to_dict()) == job
+    assert (job.tol is None) == (job.command in ("bounds", "field"))
