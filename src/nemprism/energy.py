@@ -409,7 +409,9 @@ def unwrapped_energy(prism: Prism, K: float = 1.0, tol: float = 1e-10) -> float:
 
     Cyclic sum of 8 a_ji a_ki K L_i F2(1,1/2,1/2;3/2,3/2; -a_ji^2, -a_ki^2)
     over i in (x, y, z); about 15.35 K on the unit cube, a fifth above the
-    4 pi K lower bound.
+    4 pi K lower bound.  ``tol`` bounds the relative error of the energy:
+    each F2 is computed to relative tolerance ``tol``, and the terms are
+    positive.
     """
     L = {"x": prism.Lx, "y": prism.Ly, "z": prism.Lz}
     total = 0.0

@@ -16,8 +16,9 @@ there is no solver or quadrature dependency:
                       and the integrand calls are shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
-* minimize_1d         coarse scan (optionally one batched call) plus
-                      golden-section refinement,
+* minimize_1d         a 101-point scan in one call of a vectorized
+                      objective, then golden-section refinement to a
+                      tolerance no finer than the interval's float spacing,
 * lp_solve            difference-constrained linear programs, solved exactly
                       in scaled integers as the dual min-cost flow
                       (successive shortest paths).
@@ -415,16 +416,25 @@ def appell_f2_restricted(p: float, q: float, tol: float = 1e-10) -> float:
     The substitution u = a^2, v = b^2 removes the endpoint singularities
     exactly, leaving int_0^1 int_0^1 da db / (1 + p a^2 + q b^2), which is
     evaluated with quad2d.  F2(0, 0) = 1.
+
+    ``tol`` is relative: quad2d runs at the absolute tolerance tol * LB,
+    where LB <= F2 is the larger of the two 1-D integrals with b = 1 or
+    a = 1, int_0^1 da / (1 + q + p a^2) = atan(sqrt(p/(1+q))) / sqrt(p(1+q)).
+    Since F2 <= 1, the error is also below ``tol`` in absolute terms.
     """
     p = float(p)
     q = float(q)
     if p < 0 or q < 0:
         raise DomainError(f"arguments must be nonnegative, got p={p!r}, q={q!r}")
 
+    def edge(p, q):  # int_0^1 da / (1 + q + p a^2) <= F2, as b^2 <= 1
+        c = 1.0 + q
+        return math.atan(math.sqrt(p / c)) / math.sqrt(p * c) if p > 0 else 1.0 / c
+
     def integrand(a, b):
         return 1.0 / (1.0 + p * a * a + q * b * b)
 
-    return quad2d(integrand, (0.0, 1.0, 0.0, 1.0), tol=tol).value
+    return quad2d(integrand, (0.0, 1.0, 0.0, 1.0), tol=tol * max(edge(p, q), edge(q, p))).value
 
 
 # ======================================================================
@@ -432,73 +442,72 @@ def appell_f2_restricted(p: float, q: float, tol: float = 1e-10) -> float:
 # ======================================================================
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+_SCAN_POINTS = 101
 
 
 def minimize_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], Sequence[float]],
     interval: Tuple[float, float],
     tol: float = 1e-8,
-    coarse: int = 101,
-    batch: Optional[Callable[[List[float]], Sequence[float]]] = None,
 ) -> MinimizeResult:
     """Minimize a scalar function on [a, b].
 
-    A uniform scan of ``coarse`` samples (endpoints included) locates the
-    best bracket, which golden-section search then shrinks below ``tol``.
-    The returned value is never worse than the best coarse sample, and the
-    endpoints always compete: ``at_boundary`` is set when the minimum sits
-    within ``tol`` of an endpoint.  The returned bracket always holds the
-    argmin: when a coarse sample wins, it is the coarse bracket.
+    ``f`` receives a 1-D array of points and returns their values in order.
+    Its first call is a uniform scan of 101 samples (endpoints included),
+    which locates the best bracket; golden-section search then shrinks it
+    below ``tol``, one point per call.  When no sample is finite, the
+    search stops after the scan and returns its +inf minimum.  The returned
+    value is never worse than the best sample, and the endpoints always
+    compete: ``at_boundary`` is set when the argmin is an endpoint.  The
+    returned bracket always holds the argmin: when a scan sample wins, it
+    is the scan bracket.
 
-    ``batch``, when given, evaluates the whole coarse scan in one call: it
-    receives the list of sample points and returns f at each, in order.
-    ``f`` still serves every golden-section step.
+    ``tol`` must be at least four float spacings at max(|a|, |b|); below
+    that the bracket cannot shrink to ``tol``, and DomainError is raised
+    before ``f`` is called.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise DomainError(f"interval must satisfy a < b, got {interval!r}")
-    if coarse < 3:
-        raise DomainError(f"coarse sample count must be >= 3, got {coarse}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    floor = 4.0 * math.ulp(max(abs(a), abs(b)))
+    if not (math.isfinite(tol) and tol >= floor):
+        raise DomainError(
+            f"tolerance must be positive and finite and at least {floor:.3e} "
+            f"(four float spacings on [{a!r}, {b!r}]), got {tol!r}"
+        )
 
-    grid = np.linspace(a, b, coarse)
-    if batch is None:
-        samples = [float(f(float(x))) for x in grid]
-    else:
-        samples = [float(v) for v in batch([float(x) for x in grid])]
+    def at(x: float) -> float:
+        return float(f(np.array([x]))[0])
+
+    grid = np.linspace(a, b, _SCAN_POINTS)
+    samples = [float(v) for v in f(grid)]
     best = int(np.argmin(samples))
 
-    coarse_bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, coarse - 1)]))
-    lo, hi = coarse_bracket
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = float(f(x1))
-    f2 = float(f(x2))
-    while (hi - lo) > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = float(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = float(f(x2))
+    scan_bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, _SCAN_POINTS - 1)]))
+    lo, hi = scan_bracket
+    candidates = [(samples[best], float(grid[best])), (samples[0], a), (samples[-1], b)]
+    if math.isfinite(samples[best]):
+        x1 = hi - _INV_PHI * (hi - lo)
+        x2 = lo + _INV_PHI * (hi - lo)
+        f1 = at(x1)
+        f2 = at(x2)
+        while (hi - lo) > tol:
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _INV_PHI * (hi - lo)
+                f1 = at(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _INV_PHI * (hi - lo)
+                f2 = at(x2)
+        candidates += [(f1, x1), (f2, x2)]
 
-    candidates = [
-        (samples[best], float(grid[best])),
-        (f1, float(x1)),
-        (f2, float(x2)),
-        (samples[0], a),
-        (samples[-1], b),
-    ]
-    min_value, argmin = min(candidates, key=lambda t: (t[0], t[1]))
+    min_value, argmin = min(candidates)
     if not lo <= argmin <= hi:
-        # a coarse sample beat every golden-section point (e.g. those all
-        # failed as +inf): report the coarse bracket, which holds it
-        lo, hi = coarse_bracket
-    at_boundary = (argmin - a) <= tol or (b - argmin) <= tol
-    return MinimizeResult(argmin, min_value, at_boundary, (lo, hi))
+        # a scan sample beat every golden-section point (e.g. those all
+        # failed as +inf): report the scan bracket, which holds it
+        lo, hi = scan_bracket
+    return MinimizeResult(argmin, min_value, argmin in (a, b), (lo, hi))
 
 
 # ======================================================================

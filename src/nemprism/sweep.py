@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .conformal import RationalMapSpec
-from .energy import (
-    conformal_energies,
-    conformal_energy,
-    lower_bound_prism,
-    scaled_energy,
-    upper_bound_prism,
-)
+from .energy import conformal_energies, lower_bound_prism, scaled_energy, upper_bound_prism
 from .errors import AccuracyError, DomainError, UnknownFamilyError
 from .geometry import Prism
 from .invariants import TopologicalInvariants, invariants_of
@@ -181,55 +175,46 @@ def minimize_family(
 ) -> Tuple[MinimizeResult, str]:
     """Minimize the scaled energy over the family parameter and classify.
 
-    The search runs on [delta, 1 - delta] with delta = 1e-3.  A minimum
-    pinned to the upper endpoint means the family is running into the
+    The search runs ``minimize_1d`` on [delta, 1 - delta] with delta = 1e-3,
+    so ``tol`` may not lie below its floor of about 4.4e-16.  A minimum at
+    the upper endpoint means the family is running into the
     factor-coalescence limit there, where the density concentrates along an
-    edge: classification "edge-singular".  An interior minimum is "smooth".
+    edge: classification "edge-singular"; ``at_boundary`` is set only when
+    the argmin is an endpoint.  Any other minimum is "smooth".
     Parameter-free families yield a single evaluation, classified "smooth".
 
-    The coarse grid of ``minimize_1d`` is one batched quadrature
-    (``conformal_energies``); the golden-section steps are serial.  A point
+    Every call of the objective is one batched quadrature
+    (``conformal_energies``): the 101-point scan, each golden-section
+    point, and the one evaluation of a parameter-free family.  A point
     whose quadrature fails counts as +inf, and its ``s`` and AccuracyError
     are listed in the result's ``failures``.  AccuracyError is raised only
-    when every grid point fails (or the one evaluation of a parameter-free
+    when every scan point fails (or the one evaluation of a parameter-free
     family does).
     """
+    failed = []
+
+    def energies(points: List[Optional[float]]) -> List[float]:
+        results = conformal_energies(prism, [family.instantiate(s) for s in points], K, quad_tol)
+        failed.extend((s, res) for s, res in zip(points, results) if isinstance(res, AccuracyError))
+        return [math.inf if isinstance(res, AccuracyError) else scaled_energy(res.value, prism)
+                for res in results]
+
     if not family.has_parameter:
-        spec = family.instantiate()
-        res = conformal_energy(prism, spec, K, quad_tol)
-        value = scaled_energy(res.value, prism)
+        (value,) = energies([None])
+        if failed:
+            raise failed[0][1]
         return MinimizeResult(math.nan, value, False, (math.nan, math.nan)), "smooth"
 
     delta = 1e-3
     lo, hi = delta, 1.0 - delta
-    failed = []
-
-    def scaled(s: float, res) -> float:
-        if isinstance(res, AccuracyError):
-            failed.append((s, res))
-            return math.inf
-        return scaled_energy(res.value, prism)
-
-    def objective(s: float) -> float:
-        try:
-            res = conformal_energy(prism, family.instantiate(s), K, quad_tol)
-        except AccuracyError as exc:
-            res = exc
-        return scaled(s, res)
-
-    def grid_objective(grid: List[float]) -> List[float]:
-        results = conformal_energies(prism, [family.instantiate(s) for s in grid], K, quad_tol)
-        if all(isinstance(res, AccuracyError) for res in results):
-            first = results[0]
-            raise AccuracyError(
-                f"all {len(grid)} scan points failed; at s={grid[0]!r}: {first}",
-                first.value,
-                first.error_estimate,
-                first.evaluations,
-            )
-        return [scaled(s, res) for s, res in zip(grid, results)]
-
-    result = minimize_1d(objective, (lo, hi), tol=tol, batch=grid_objective)
+    result = minimize_1d(lambda grid: energies(grid.tolist()), (lo, hi), tol=tol)
+    if result.min_value == math.inf:
+        s, first = failed[0]
+        raise AccuracyError(
+            f"all {len(failed)} scan points failed; at s={s!r}: {first}",
+            first.value,
+            first.error_estimate,
+            first.evaluations,
+        )
     result = replace(result, failures=tuple(failed))
-    upper_end = result.at_boundary and result.argmin >= 0.5 * (lo + hi)
-    return result, ("edge-singular" if upper_end else "smooth")
+    return result, ("edge-singular" if result.argmin == hi else "smooth")

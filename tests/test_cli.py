@@ -348,6 +348,7 @@ BAD_MODULUS_OR_TOLERANCE = [
     ["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "nan"],
     ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "nan"],
     ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "-1"],
+    ["minimize", "--family", "imag1", "--prism", "20,10,1", "--tol", "1e-300"],
 ]
 
 

@@ -112,6 +112,13 @@ def test_unwrapped_energy_frozen_and_scaling():
     assert 1.21 <= ratio <= 1.23
 
 
+def test_unwrapped_energy_tol_bounds_the_relative_error_on_a_wide_box():
+    # reference: the 1-D reduction of each F2 term at 30 digits (mpmath);
+    # the prefactor 8 a_ji a_ki K L_i reaches 8e8 here
+    wide = make_prism(10000.0, 10000.0, 1.0)
+    assert unwrapped_energy(wide) == pytest.approx(129.68954083794191, rel=1e-9)
+
+
 def test_conformal_energy_matches_unwrapped():
     for prism in (make_prism(1.0, 1.0, 1.0), make_prism(20.0, 10.0, 1.0)):
         e0 = unwrapped_energy(prism, tol=1e-12)

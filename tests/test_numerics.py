@@ -259,11 +259,11 @@ def test_minimize_1d_monotone_hits_boundary():
 def test_minimize_1d_never_worse_than_coarse_grid():
     # narrow deep dip on a grid point plus a broad shallow one elsewhere
     def f(x):
-        return -2.0 * math.exp(-(((x - 0.37) / 0.002) ** 2)) - math.exp(
+        return -2.0 * np.exp(-(((x - 0.37) / 0.002) ** 2)) - np.exp(
             -(((x - 0.8) / 0.2) ** 2)
         )
 
-    res = minimize_1d(f, (0.0, 1.0), tol=1e-8, coarse=101)
+    res = minimize_1d(f, (0.0, 1.0), tol=1e-8)
     grid_best = min(f(x) for x in np.linspace(0.0, 1.0, 101))
     assert res.min_value <= grid_best + 1e-12
     assert res.argmin == pytest.approx(0.37, abs=1e-6)
@@ -469,29 +469,61 @@ def test_quad2d_many_of_no_problems_is_empty():
 
 
 def test_minimize_1d_batch_serves_the_coarse_grid_only():
-    f = lambda x: (x - 0.3) ** 2
-    single = []
-    grids = []
+    # the first call gets the 101 scan points, each later one a single point
+    calls = []
 
-    def counted(x):
-        single.append(x)
-        return f(x)
+    def f(xs):
+        calls.append(xs.tolist())
+        return (xs - 0.3) ** 2
 
-    def batch(xs):
-        grids.append(list(xs))
-        return [f(x) for x in xs]
+    res = minimize_1d(f, (0.0, 1.0), tol=1e-10)
+    assert calls[0] == np.linspace(0.0, 1.0, 101).tolist()
+    assert all(len(xs) == 1 for xs in calls[1:])
+    assert 0 < len(calls) - 1 < 60
+    assert res.argmin == pytest.approx(0.3, abs=1e-10)
 
-    res = minimize_1d(counted, (0.0, 1.0), tol=1e-10, batch=batch)
-    assert grids == [[float(x) for x in np.linspace(0.0, 1.0, 101)]]
-    assert res == minimize_1d(f, (0.0, 1.0), tol=1e-10)
-    assert 0 < len(single) < 60
+
+def test_minimize_1d_stops_after_the_scan_when_no_sample_is_finite():
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return np.full(len(xs), math.inf)
+
+    res = minimize_1d(f, (0.0, 1.0), tol=1e-10)
+    assert calls == [101]
+    assert res.min_value == math.inf
+    assert res.bracket[0] <= res.argmin <= res.bracket[1]
 
 
 def test_minimize_1d_reports_the_coarse_bracket_when_a_coarse_sample_wins():
     # every golden-section point fails (+inf), so the best grid point wins
     grid = np.linspace(0.0, 1.0, 101)
-    res = minimize_1d(lambda x: math.inf, (0.0, 1.0), tol=1e-10,
-                      batch=lambda xs: [(x - 0.3) ** 2 for x in xs])
+    res = minimize_1d(lambda xs: (xs - 0.3) ** 2 if len(xs) == 101 else np.full(len(xs), math.inf),
+                      (0.0, 1.0), tol=1e-10)
     assert res.argmin == float(grid[30])
     assert res.bracket == (float(grid[29]), float(grid[31]))
     assert res.failures == ()
+
+
+@pytest.mark.parametrize("interval, tol", [
+    ((0.0, 1.0), 1e-17),
+    ((1e-3, 1.0 - 1e-3), 1e-300),
+    ((-1e6, 1e6), 1e-10),
+])
+def test_minimize_1d_refuses_a_tolerance_below_the_float_spacing(interval, tol):
+    def f(xs):
+        raise AssertionError("the objective ran")
+
+    with pytest.raises(DomainError, match="four float spacings"):
+        minimize_1d(f, interval, tol=tol)
+    # four spacings at max(|a|, |b|) is accepted, and the search ends
+    floor = 4.0 * math.ulp(max(abs(v) for v in interval))
+    assert minimize_1d(lambda xs: (xs - 0.123) ** 2, interval, tol=floor).argmin == pytest.approx(0.123, abs=floor)
+
+
+def test_minimize_1d_sets_at_boundary_only_on_an_endpoint():
+    # argmin 0.5475 lies within tol 0.5 of both ends but is neither
+    res = minimize_1d(lambda xs: (xs - 0.5475) ** 2, (1e-3, 1.0 - 1e-3), tol=0.5)
+    assert abs(res.argmin - 0.5475) < 0.02
+    assert not res.at_boundary

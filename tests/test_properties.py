@@ -3,10 +3,11 @@ import cmath
 import json
 import math
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nemprism import RationalMapSpec
+from nemprism import RationalMapSpec, minimize_1d
 
 MARGIN = 1e-12  # the spec validator's distance from 0 and 1
 
@@ -56,3 +57,27 @@ def test_spec_survives_a_json_round_trip(spec):
     again = RationalMapSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
     assert again.to_dict() == spec.to_dict()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 10.0),
+    st.sampled_from((1e-12, 1e-8, 1e-4, 1e-2)),
+    st.floats(-1.0, 2.0),
+)
+def test_minimize_1d_finds_the_clipped_minimum_of_a_parabola(a, width, tol, t):
+    b = a + width
+    c = a + t * width  # inside [a, b] for t in [0, 1], outside otherwise
+    assume(min(abs(c - a), abs(c - b)) >= 2 * tol)
+    calls = []
+
+    def f(xs):
+        calls.append(xs.tolist())
+        return (xs - c) ** 2
+
+    res = minimize_1d(f, (a, b), tol=tol)
+    assert abs(res.argmin - min(max(c, a), b)) <= tol
+    assert res.bracket[0] <= res.argmin <= res.bracket[1]
+    assert res.at_boundary == (not a < c < b)
+    assert calls[0] == np.linspace(a, b, 101).tolist()

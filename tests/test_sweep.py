@@ -129,6 +129,14 @@ def test_classification_cube_vs_slab():
     assert 0.1 < res_slab.argmin < 0.9
 
 
+def test_coarse_tol_keeps_an_interior_minimum_smooth():
+    # argmin 0.5475 lies within tol 0.5 of both ends, yet is no endpoint
+    res, label = minimize_family(builtin_family("imag1"), make_prism(20.0, 10.0, 1.0), tol=0.5)
+    assert 0.54 < res.argmin < 0.56
+    assert not res.at_boundary
+    assert label == "smooth"
+
+
 def test_minimize_family_lists_failed_points_on_its_result():
     # at quad-tol 2e-13 most scan points reach the round-off floor first
     res, _ = minimize_family(
