@@ -22,13 +22,12 @@ box faces.  Anticonformal variants evaluate f at conj(w) instead, which
 reflects n_y pointwise and reverses the orientation of the induced sphere
 map.
 
-Evaluation is projective: numerator, denominator, and their derivatives are
-accumulated factor by factor, so poles need no special casing and the area
-density stays finite everywhere.  This arithmetic is written once, in a
-shared kernel: ``_parts`` (the projective parts, w conjugated first for
-anticonformal maps), ``_scaled`` (division by max(|P|, |Q|)), ``_lift`` (the
-unit director of a scaled pair), ``_wronskian_density`` (the area density),
-``sphere_density`` (times the sphere factor (1 + |w|^2)^2 / 4) and
+Evaluation is projective, so poles need no special casing and the area
+density stays finite everywhere.  It is written once, in a shared kernel:
+``_accumulate`` (f = eps w^n Pt/Qt with Pt, Qt and their derivatives
+accumulated as polynomials in w^2, w conjugated first for anticonformal
+maps), ``_parts`` (the projective parts), ``_density`` (the area or sphere
+density in one fused pass), ``_lift`` (the unit vector of a pair) and
 ``_project`` (a point to w, the -z axis to infinity).  The director, flux
 and density functions below, the energy face integrand, the trapped-area
 integrand and the winding sampler all call it.  ``_spec_points`` lets one
@@ -241,57 +240,101 @@ class HomogeneousValue:
 # The projective kernel
 # ----------------------------------------------------------------------
 
-def _parts(spec: RationalMapSpec, w):
-    """Projective parts (P, Q, dP, dQ) of the configuration map at finite w.
+def _power(x, k: int):
+    """x**k for an integer k >= 0 by repeated squaring (1.0 for k = 0):
+    numpy's integer power of a complex array costs many products."""
+    out = 1.0 if k == 0 else x
+    for bit in bin(k)[3:]:
+        out = out * out * x if bit == "1" else out * out
+    return out
 
-    Takes a scalar or an ndarray; anticonformal orientation conjugates w
-    first.  f = P/Q and f' = (dP Q - P dQ)/Q^2.  ``spec`` may also be a
-    per-point view from ``_spec_points``, whose factor data are arrays
-    shaped like w.
-    """
+
+def _accumulate(spec: RationalMapSpec, w) -> tuple:
+    """(w, zeta, Pt, dPt, Qt, dQt) at finite w (scalar or ndarray): f(w) =
+    eps w^n Pt(zeta)/Qt(zeta), zeta = w^2, with Pt, Qt the products of the
+    factor numerators and denominators and dPt, dQt their zeta-derivatives.
+    ``spec`` may also be a per-point view from ``_spec_points``."""
     w = np.asarray(w, dtype=complex)
     if spec.is_anticonformal:
         # asarray keeps a 0-d input an array: numpy scalars round differently
         w = np.asarray(np.conj(w))
+    zeta = w * w
+
+    def factors():  # (num, num', den, den', sign) of each zero factor; None is a derivative 1
+        for r, sign in spec.real_factors:
+            r2 = r * r
+            yield zeta - r2, None, r2 * zeta - 1.0, r2, sign
+        for s, sign in spec.imag_factors:
+            s2 = s * s
+            yield zeta + s2, None, s2 * zeta + 1.0, s2, sign
+        for u, v, sign in spec.quartics:
+            z2, uz = zeta * zeta, u * zeta
+            yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
+
+    parts = None
+    for num, dnum, den, dden, sign in factors():
+        if sign < 0:
+            num, dnum, den, dden = den, dden, num, dnum
+        if parts is None:
+            parts = [num, 1.0 if dnum is None else dnum, den, 1.0 if dden is None else dden]
+            continue
+        # (T t)' = T' t + T t', in place on the arrays made here
+        Pt, dPt, Qt, dQt = parts
+        dPt = dPt * num
+        dPt += Pt if dnum is None else Pt * dnum
+        Pt *= num
+        dQt = dQt * den
+        dQt += Qt if dden is None else Qt * dden
+        Qt *= den
+        parts = [Pt, dPt, Qt, dQt]
+    return (w, zeta, *(parts or (1.0, 0.0, 1.0, 0.0)))
+
+
+def _parts(spec: RationalMapSpec, acc: tuple):
+    """Projective parts (P, Q, dP, dQ) of ``_accumulate``'s result, with
+    f = P/Q and f' = (dP Q - P dQ)/Q^2: w^|n| joins Pt for n > 0 and Qt
+    for n < 0."""
+    w, zeta, Pt, dPt, Qt, dQt = acc
+    na = abs(spec.n)
+    wk = _power(zeta, na // 2)  # w^(|n| - 1)
+
+    def mono(T, dT):  # w^|n| T(zeta) and its w-derivative
+        return wk * w * T, wk * (na * T + 2.0 * zeta * dT)
+
+    def plain(T, dT):  # T(zeta) and its w-derivative
+        return T, 2.0 * w * dT
+
+    (P, dP), (Q, dQ) = (mono(Pt, dPt), plain(Qt, dQt)) if spec.n > 0 else (plain(Pt, dPt), mono(Qt, dQt))
+    return spec.epsilon * P, Q, spec.epsilon * dP, dQ
+
+
+def _density(spec: RationalMapSpec, acc: tuple, sphere: bool):
+    """Area density 4 |f'|^2 / (1 + |f|^2)^2 from ``_accumulate``'s result,
+    or with ``sphere`` the sphere density, that times (1 + |w|^2)^2 / 4.
+
+    It is 4 |W|^2 / (|P|^2 + |Q|^2)^2 with W = dP Q - P dQ = eps w^(|n|-1)
+    [n Pt Qt + 2 zeta (dPt Qt - Pt dQt)] and |P|^2 + |Q|^2 = rho^|n| |Pt|^2
+    + |Qt|^2 (rho = |w|^2, on Qt for n < 0), all over max(|Pt|, |Qt|) so
+    that no square over- or underflows at zeros and poles."""
+    _, zeta, Pt, dPt, Qt, dQt = acc
+    modP, modQ = np.abs(Pt), np.abs(Qt)
+    inv = 1.0 / np.maximum(modP, modQ)
+    scale = inv.astype(complex)  # complex-by-complex products are the cheaper
+    p, q = Pt * scale, Qt * scale
+    scale *= 2.0 * zeta
+    bracket = spec.n * p * q + scale * (dPt * q - p * dQt)
+    rho = np.abs(zeta)  # |w|^2
+    modP, modQ = (modP * inv) ** 2, (modQ * inv) ** 2
     na = abs(spec.n)
     if spec.n > 0:
-        P = spec.epsilon * w**na
-        dP = spec.epsilon * na * w ** (na - 1)
-        Q = np.ones_like(w)
-        dQ = np.zeros_like(w)
+        modP *= _power(rho, na)
     else:
-        P = spec.epsilon * np.ones_like(w)
-        dP = np.zeros_like(w)
-        Q = w**na
-        dQ = na * w ** (na - 1)
-
-    w2, tw = w * w, 2.0 * w
-
-    def push(num, dnum, den, dden, sign):
-        nonlocal P, Q, dP, dQ
-        if sign < 0:
-            num, den = den, num
-            dnum, dden = dden, dnum
-        dP *= num
-        dP += P * dnum
-        P *= num
-        dQ *= den
-        dQ += Q * dden
-        Q *= den
-
-    for r, sign in spec.real_factors:
-        r2 = r * r
-        push(w2 - r2, tw, r2 * w2 - 1.0, r2 * tw, sign)
-    for s, sign in spec.imag_factors:
-        s2 = s * s
-        push(w2 + s2, tw, s2 * w2 + 1.0, s2 * tw, sign)
-    for u, v, sign in spec.quartics:
-        num = w2 * w2 - u * w2 + v
-        dnum = 4.0 * w2 * w - 2.0 * u * w
-        den = v * w2 * w2 - u * w2 + 1.0
-        dden = 4.0 * v * w2 * w - 2.0 * u * w
-        push(num, dnum, den, dden, sign)
-    return P, Q, dP, dQ
+        modQ *= _power(rho, na)
+    # |W| / (|P|^2 + |Q|^2), times (1 + rho) / 2 for the sphere density
+    root = np.abs(bracket)
+    root *= _power(rho, na // 2) * ((1.0 + rho) if sphere else 2.0)
+    root /= modP + modQ
+    return root * root
 
 
 def _structure(spec: RationalMapSpec) -> tuple:
@@ -310,8 +353,8 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
 
     The specs must agree in epsilon, n, orientation and the sign of every
     factor; only factor positions may differ (DomainError otherwise).
-    Returns ``at(k)``: a stand-in for a spec in the kernel (``_parts`` and
-    the density functions above) with the attributes the kernel reads
+    Returns ``at(k)``: a stand-in for a spec in the kernel (``_accumulate``
+    and the functions that read its result) with the attributes it reads
     (epsilon, n, is_anticonformal, real_factors, imag_factors, quartics),
     where the factor data of point i are those of ``specs[k[i]]``.  The
     data are computed per spec as the spec itself computes them and only
@@ -348,26 +391,16 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
     return at
 
 
-def _scaled(P, Q, *derivatives):
-    """P, Q (and any derivatives) over max(|P|, |Q|), so that the pair stays
-    of order one at zeros and poles alike.  P and Q are divided, which keeps
-    the sign of their zeros in ``field``; derivatives take the reciprocal."""
-    scale = np.maximum(np.abs(P), np.abs(Q))
-    inv = 1.0 / scale
-    return [P / scale, Q / scale, *(part * inv for part in derivatives)]
-
-
-def _lift(p, q):
+def _lift(P, Q):
     """Components (e_x, e_y, e_z) of the unit vector with
-    (e_x + i e_y)/(1 + e_z) = p/q, for a scaled pair."""
+    (e_x + i e_y)/(1 + e_z) = P/Q.  The pair is first divided by
+    max(|P|, |Q|), so that it stays of order one at zeros and poles alike;
+    dividing keeps the sign of their zeros in ``field``."""
+    scale = np.maximum(np.abs(P), np.abs(Q))
+    p, q = P / scale, Q / scale
     denom = np.abs(p) ** 2 + np.abs(q) ** 2
     cross = 2.0 * p * np.conj(q)
     return cross.real / denom, cross.imag / denom, (np.abs(q) ** 2 - np.abs(p) ** 2) / denom
-
-
-def _wronskian_density(p, q, dp, dq):
-    """Area density 4 |dp q - p dq|^2 / (|p|^2 + |q|^2)^2 of a scaled pair."""
-    return 4.0 * np.abs(dp * q - p * dq) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2
 
 
 def _project(x, y, z):
@@ -375,13 +408,18 @@ def _project(x, y, z):
     r^2 and |r|.
 
     Takes coordinate scalars or arrays.  A single point on the -z axis,
-    where |r| + z = 0, projects to infinity.
+    where |r| + z = 0, projects to infinity.  w is built from one
+    reciprocal, as numpy's complex division by a real number builds it.
     """
     r2 = x * x + y * y + z * z
     r = np.sqrt(r2)
     if np.ndim(r) == 0 and r + z == 0.0:
         return complex(math.inf, 0.0), r2, r
-    return (x + 1j * y) / (r + z), r2, r
+    inv = 1.0 / (r + z)
+    w = np.empty(np.shape(inv), dtype=complex)
+    np.multiply(x, inv, out=w.real)
+    np.multiply(y, inv, out=w.imag)
+    return w, r2, r
 
 
 def eval_f(spec: RationalMapSpec, w: ComplexLike) -> HomogeneousValue:
@@ -393,9 +431,9 @@ def eval_f(spec: RationalMapSpec, w: ComplexLike) -> HomogeneousValue:
     derivative slots are zero (consistent with the vanishing area density).
     """
     if _is_inf(w):
-        P0, Q0, _, _ = _parts(spec, 0.0)
+        P0, Q0, _, _ = _parts(spec, _accumulate(spec, 0.0))
         return HomogeneousValue(complex(Q0), complex(P0), 0.0, 0.0)
-    return HomogeneousValue(*(complex(part) for part in _parts(spec, complex(w))))
+    return HomogeneousValue(*(complex(part) for part in _parts(spec, _accumulate(spec, complex(w)))))
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +447,7 @@ def stereo_lift(w: ComplexLike) -> np.ndarray:
     """
     if _is_inf(w):
         return np.array([0.0, 0.0, -1.0])
-    return np.array(_lift(*_scaled(complex(w), 1.0 + 0.0j)))
+    return np.array(_lift(complex(w), 1.0 + 0.0j))
 
 
 def stereo_project(e: Sequence[float]) -> complex:
@@ -447,14 +485,13 @@ def _box_point(r: Sequence[float], what: str) -> np.ndarray:
 def _director_many(spec: RationalMapSpec, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     w = _project(pts[..., 0], pts[..., 1], pts[..., 2])[0]
-    P, Q, _, _ = _parts(spec, w)
-    return np.stack(_lift(*_scaled(P, Q)), axis=-1)
+    return np.stack(_lift(*_parts(spec, _accumulate(spec, w))[:2]), axis=-1)
 
 
 def director(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:
     """Unit director at a point (radially constant; undefined at the origin)."""
     hv = eval_f(spec, _project(*_box_point(r, "the director"))[0])
-    return np.array(_lift(*_scaled(hv.P, hv.Q)))
+    return np.array(_lift(hv.P, hv.Q))
 
 
 def area_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
@@ -467,7 +504,7 @@ def area_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
     scalar = np.ndim(w) == 0
     if scalar and _is_inf(w):
         return 0.0
-    density = _wronskian_density(*_scaled(*_parts(spec, w)))
+    density = _density(spec, _accumulate(spec, w), sphere=False)
     return float(density) if scalar else density
 
 
@@ -482,7 +519,7 @@ def sphere_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
     scalar = np.ndim(w) == 0
     if scalar and _is_inf(w):
         w = 0.0
-    density = area_density(spec, w) * (1.0 + np.abs(w) ** 2) ** 2 / 4.0
+    density = _density(spec, _accumulate(spec, w), sphere=True)
     return float(density) if scalar else density
 
 

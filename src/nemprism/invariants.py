@@ -29,10 +29,10 @@ import numpy as np
 from ._json import Record
 from .conformal import (
     RationalMapSpec,
+    _accumulate,
+    _density,
     _lift,
     _parts,
-    _scaled,
-    _wronskian_density,
     area_density,
     bracket_offsets,
     factor_scales,
@@ -251,9 +251,9 @@ def _track_winding(
 
     def sample(ts):
         w = path(ts)
-        p, q, dp, dq = _scaled(*_parts(spec, w))
-        e = _lift(p, q)
-        return np.arctan2(e[i], e[j]), np.sqrt(_wronskian_density(p, q, dp, dq)), w
+        acc = _accumulate(spec, w)
+        e = _lift(*_parts(spec, acc)[:2])
+        return np.arctan2(e[i], e[j]), np.sqrt(_density(spec, acc, sphere=False)), w
 
     alpha, speed, w = sample(params)
     while True:

@@ -9,7 +9,8 @@ there is no solver or quadrature dependency:
                       blocks of 16 per integrand call, shares one tolerance
                       and one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
-                      as the error estimate reaches that floor,
+                      as the error estimate reaches that floor, and
+                      non-finite integrand values as soon as they are rated,
 * quad2d_many         the same refinement loop over many independent
                       problems at once (quad2d is its one-problem case):
                       each problem keeps its own cells, budget and outcome,
@@ -276,7 +277,9 @@ def quad2d(
     never exceeds ``max_evals``.  Raises AccuracyError when the root cells
     alone would exceed it (before any evaluation, with value nan), or when
     the budget runs out before the tolerance is met (carrying the best
-    estimate).
+    estimate), or at once, with value nan, when an integrand value or a
+    cell's sum is not finite (its nan or infinite error is never bisected
+    away).
 
     A summed error estimate at or below the round-off floor
     ``50 * eps * sum(|cell values|)`` cannot be trusted to fall further, so
@@ -355,6 +358,10 @@ def quad2d_many(
         for p in live:
             cells, vals, errs, axes, evals = state[p]
             total_err = math.fsum(errs)
+            if not math.isfinite(total_err):  # a non-finite value gives a non-finite error
+                out[p] = AccuracyError(f"non-finite integrand values or cell sums (error estimate "
+                                       f"{total_err} after {evals} evaluations)", math.nan, total_err, evals)
+                continue
             if total_err <= tol:
                 out[p] = QuadratureResult(math.fsum(vals), total_err, evals)
                 continue
@@ -445,6 +452,20 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _SCAN_POINTS = 101
 
 
+def _search_interval(interval: Tuple[float, float], tol: float) -> Tuple[float, float]:
+    """(a, b) of ``interval`` after the checks of ``minimize_1d`` (DomainError)."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (b > a):
+        raise DomainError(f"interval must satisfy a < b, got {interval!r}")
+    floor = 4.0 * math.ulp(max(abs(a), abs(b)))
+    if not (math.isfinite(tol) and tol >= floor):
+        raise DomainError(
+            f"tolerance must be positive and finite and at least {floor:.3e} "
+            f"(four float spacings on [{a!r}, {b!r}]), got {tol!r}"
+        )
+    return a, b
+
+
 def minimize_1d(
     f: Callable[[np.ndarray], Sequence[float]],
     interval: Tuple[float, float],
@@ -464,17 +485,9 @@ def minimize_1d(
 
     ``tol`` must be at least four float spacings at max(|a|, |b|); below
     that the bracket cannot shrink to ``tol``, and DomainError is raised
-    before ``f`` is called.
+    before ``f`` is called (``_search_interval``).
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (b > a):
-        raise DomainError(f"interval must satisfy a < b, got {interval!r}")
-    floor = 4.0 * math.ulp(max(abs(a), abs(b)))
-    if not (math.isfinite(tol) and tol >= floor):
-        raise DomainError(
-            f"tolerance must be positive and finite and at least {floor:.3e} "
-            f"(four float spacings on [{a!r}, {b!r}]), got {tol!r}"
-        )
+    a, b = _search_interval(interval, tol)
 
     def at(x: float) -> float:
         return float(f(np.array([x]))[0])

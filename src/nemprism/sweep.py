@@ -18,7 +18,7 @@ from .energy import conformal_energies, lower_bound_prism, scaled_energy, upper_
 from .errors import AccuracyError, DomainError, UnknownFamilyError
 from .geometry import Prism
 from .invariants import TopologicalInvariants, invariants_of
-from .numerics import MinimizeResult, minimize_1d
+from .numerics import MinimizeResult, _search_interval, minimize_1d
 
 __all__ = [
     "ConfigFamily",
@@ -176,10 +176,11 @@ def minimize_family(
     """Minimize the scaled energy over the family parameter and classify.
 
     The search runs ``minimize_1d`` on [delta, 1 - delta] with delta = 1e-3,
-    so ``tol`` may not lie below its floor of about 4.4e-16.  A minimum at
-    the upper endpoint means the family is running into the
-    factor-coalescence limit there, where the density concentrates along an
-    edge: classification "edge-singular"; ``at_boundary`` is set only when
+    so ``tol`` may not lie below its floor of about 4.4e-16 (checked first,
+    for a parameter-free family too).  A minimum at the upper endpoint
+    means the family is running into the factor-coalescence limit there,
+    where the density concentrates along an edge: classification
+    "edge-singular"; ``at_boundary`` is set only when
     the argmin is an endpoint.  Any other minimum is "smooth".
     Parameter-free families yield a single evaluation, classified "smooth".
 
@@ -191,6 +192,8 @@ def minimize_family(
     when every scan point fails (or the one evaluation of a parameter-free
     family does).
     """
+    interval = (1e-3, 1.0 - 1e-3)
+    _search_interval(interval, tol)
     failed = []
 
     def energies(points: List[Optional[float]]) -> List[float]:
@@ -205,9 +208,7 @@ def minimize_family(
             raise failed[0][1]
         return MinimizeResult(math.nan, value, False, (math.nan, math.nan)), "smooth"
 
-    delta = 1e-3
-    lo, hi = delta, 1.0 - delta
-    result = minimize_1d(lambda grid: energies(grid.tolist()), (lo, hi), tol=tol)
+    result = minimize_1d(lambda grid: energies(grid.tolist()), interval, tol=tol)
     if result.min_value == math.inf:
         s, first = failed[0]
         raise AccuracyError(
@@ -217,4 +218,4 @@ def minimize_family(
             first.evaluations,
         )
     result = replace(result, failures=tuple(failed))
-    return result, ("edge-singular" if result.argmin == hi else "smooth")
+    return result, ("edge-singular" if result.argmin == interval[1] else "smooth")

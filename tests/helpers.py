@@ -51,3 +51,61 @@ def random_spec(rng, max_degree=9):
 def random_prism(rng, lo=0.5, hi=4.0):
     d = np.sort(rng.uniform(lo, hi, size=3))[::-1]
     return make_prism(float(d[0]), float(d[1]), float(d[2]))
+
+
+def reference_parts(spec, w):
+    """Projective parts (P, Q, dP, dQ) by the w-form push loop the kernel
+    used before it accumulated in zeta = w^2: each factor pushes its
+    numerator, denominator and their w-derivatives onto P, Q, dP, dQ."""
+    w = np.asarray(w, dtype=complex)
+    if spec.is_anticonformal:
+        # asarray keeps a 0-d input an array: numpy scalars round differently
+        w = np.asarray(np.conj(w))
+    na = abs(spec.n)
+    if spec.n > 0:
+        P = spec.epsilon * w**na
+        dP = spec.epsilon * na * w ** (na - 1)
+        Q = np.ones_like(w)
+        dQ = np.zeros_like(w)
+    else:
+        P = spec.epsilon * np.ones_like(w)
+        dP = np.zeros_like(w)
+        Q = w**na
+        dQ = na * w ** (na - 1)
+    w2, tw = w * w, 2.0 * w
+
+    def push(num, dnum, den, dden, sign):
+        nonlocal P, Q, dP, dQ
+        if sign < 0:
+            num, den = den, num
+            dnum, dden = dden, dnum
+        dP *= num
+        dP += P * dnum
+        P *= num
+        dQ *= den
+        dQ += Q * dden
+        Q *= den
+
+    for r, sign in spec.real_factors:
+        r2 = r * r
+        push(w2 - r2, tw, r2 * w2 - 1.0, r2 * tw, sign)
+    for s, sign in spec.imag_factors:
+        s2 = s * s
+        push(w2 + s2, tw, s2 * w2 + 1.0, s2 * tw, sign)
+    for u, v, sign in spec.quartics:
+        num = w2 * w2 - u * w2 + v
+        dnum = 4.0 * w2 * w - 2.0 * u * w
+        den = v * w2 * w2 - u * w2 + 1.0
+        dden = 4.0 * v * w2 * w - 2.0 * u * w
+        push(num, dnum, den, dden, sign)
+    return P, Q, dP, dQ
+
+
+def reference_area_density(spec, w):
+    """Area density 4 |dp q - p dq|^2 / (|p|^2 + |q|^2)^2 of the reference
+    parts over max(|P|, |Q|)."""
+    P, Q, dP, dQ = reference_parts(spec, w)
+    scale = np.maximum(np.abs(P), np.abs(Q))
+    inv = 1.0 / scale
+    p, q, dp, dq = P / scale, Q / scale, dP * inv, dQ * inv
+    return 4.0 * np.abs(dp * q - p * dq) ** 2 / (np.abs(p) ** 2 + np.abs(q) ** 2) ** 2

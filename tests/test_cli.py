@@ -276,16 +276,18 @@ def test_field_rows_match_the_director(tmp_path, capsys):
 
 
 # sha256 of `field --prism 2,1,0.5 --grid 4` stdout, as the row-at-a-time
-# formatter printed it: negative, zero (-0 too) and small components appear
+# formatter printed it: negative, zero (-0 too) and small components appear.
+# Directors from the zeta = w^2 kernel: against the w-form kernel, 5 and 11
+# rows changed, each only in an n_z below 1e-12 (a zero component at z = 0)
 FIELD_DIGESTS = [
     (
         {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-        "0ff75cb0d404a1e8b0b7c72a3955ea6212fe7975e2cc428a5e9ca15defafe55f",
+        "c911fb0aecb0695238702a450d0cc9dd1a399399437187da5b1bdc2f26ea7227",
     ),
     (
         {"epsilon": 1, "n": -3, "real": [[0.7, -1]], "complex": [[0.2, 0.6, -1]],
          "orientation": "anticonformal"},
-        "b7d9abf5bcd3aed4ea1773c8842ea21b02d151087f1c6385c75938980304fc77",
+        "cb3a0e450e1754d40e44ac6b7942d6f28b8560385be429d950352ed5a5120d0c",
     ),
 ]
 
@@ -349,6 +351,7 @@ BAD_MODULUS_OR_TOLERANCE = [
     ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "nan"],
     ["minimize", "--family", "imag1", "--prism", "1,1,1", "--tol", "-1"],
     ["minimize", "--family", "imag1", "--prism", "20,10,1", "--tol", "1e-300"],
+    ["minimize", "--family", "unwrapped", "--prism", "1,1,1", "--tol", "1e-300"],
 ]
 
 
@@ -503,7 +506,8 @@ def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, 
     assert name in captured.err
 
 
-# stdout captured before the family scans were batched
+# stdout captured before the family scans were batched; the sweep's E_err
+# re-captured from the zeta = w^2 kernel, which moved them in the 8th digit
 MINIMIZE_SLAB_BYTES = (
     '{\n'
     '  "argmin": 0.5465939960585007,\n'
@@ -518,25 +522,25 @@ MINIMIZE_SLAB_BYTES = (
 )
 README_SWEEP_BYTES = (
     's,E,E_err,eps_scaled,lower,upper\n'
-    '0.05,44.0634788916,1.54467411972e-07,44.0634788916,37.6991118431,65.2967771124\n'
-    '0.1,44.0628131075,1.55328228613e-07,44.0628131075,37.6991118431,65.2967771124\n'
-    '0.15,44.0599289527,1.59031452562e-07,44.0599289527,37.6991118431,65.2967771124\n'
-    '0.2,44.0521712624,1.68842781645e-07,44.0521712624,37.6991118431,65.2967771124\n'
-    '0.25,44.0358486519,1.87933429152e-07,44.0358486519,37.6991118431,65.2967771124\n'
-    '0.3,44.0062885629,2.13783067471e-07,44.0062885629,37.6991118431,65.2967771124\n'
-    '0.35,43.9579486587,2.13821086725e-07,43.9579486587,37.6991118431,65.2967771124\n'
-    '0.4,43.8846121285,3.20192943271e-08,43.8846121285,37.6991118431,65.2967771124\n'
-    '0.45,43.779695623,9.46741330221e-07,43.779695623,37.6991118431,65.2967771124\n'
-    '0.5,43.6366950481,3.98326622575e-07,43.6366950481,37.6991118431,65.2967771124\n'
-    '0.55,43.449785407,5.63771247464e-08,43.449785407,37.6991118431,65.2967771124\n'
-    '0.6,43.2145773514,9.70721369953e-08,43.2145773514,37.6991118431,65.2967771124\n'
-    '0.65,42.9290196052,1.22624030929e-07,42.9290196052,37.6991118431,65.2967771124\n'
-    '0.7,42.5944323965,7.26470502865e-07,42.5944323965,37.6991118431,65.2967771124\n'
-    '0.75,42.216678481,3.3620549611e-07,42.216678481,37.6991118431,65.2967771124\n'
-    '0.8,41.8075533295,8.14062160681e-07,41.8075533295,37.6991118431,65.2967771124\n'
-    '0.85,41.3866699382,3.33477982117e-07,41.3866699382,37.6991118431,65.2967771124\n'
-    '0.9,40.9846481616,1.15024656133e-07,40.9846481616,37.6991118431,65.2967771124\n'
-    '0.95,40.6503944314,1.22195504937e-07,40.6503944314,37.6991118431,65.2967771124\n'
+    '0.05,44.0634788916,1.54467412306e-07,44.0634788916,37.6991118431,65.2967771124\n'
+    '0.1,44.0628131075,1.55328229945e-07,44.0628131075,37.6991118431,65.2967771124\n'
+    '0.15,44.0599289527,1.59031461555e-07,44.0599289527,37.6991118431,65.2967771124\n'
+    '0.2,44.0521712624,1.68842785753e-07,44.0521712624,37.6991118431,65.2967771124\n'
+    '0.25,44.0358486519,1.87933425377e-07,44.0358486519,37.6991118431,65.2967771124\n'
+    '0.3,44.0062885629,2.13783063918e-07,44.0062885629,37.6991118431,65.2967771124\n'
+    '0.35,43.9579486587,2.138210905e-07,43.9579486587,37.6991118431,65.2967771124\n'
+    '0.4,43.8846121285,3.20192864445e-08,43.8846121285,37.6991118431,65.2967771124\n'
+    '0.45,43.779695623,9.46741335772e-07,43.779695623,37.6991118431,65.2967771124\n'
+    '0.5,43.6366950481,3.983266188e-07,43.6366950481,37.6991118431,65.2967771124\n'
+    '0.55,43.449785407,5.63771198614e-08,43.449785407,37.6991118431,65.2967771124\n'
+    '0.6,43.2145773514,9.70721376614e-08,43.2145773514,37.6991118431,65.2967771124\n'
+    '0.65,42.9290196052,1.22624024934e-07,42.9290196052,37.6991118431,65.2967771124\n'
+    '0.7,42.5944323965,7.26470501089e-07,42.5944323965,37.6991118431,65.2967771124\n'
+    '0.75,42.216678481,3.36205499885e-07,42.216678481,37.6991118431,65.2967771124\n'
+    '0.8,41.8075533295,8.14062155852e-07,41.8075533295,37.6991118431,65.2967771124\n'
+    '0.85,41.3866699382,3.3347797429e-07,41.3866699382,37.6991118431,65.2967771124\n'
+    '0.9,40.9846481616,1.15024651137e-07,40.9846481616,37.6991118431,65.2967771124\n'
+    '0.95,40.6503944314,1.22195509988e-07,40.6503944314,37.6991118431,65.2967771124\n'
 )
 
 
@@ -557,25 +561,27 @@ def _energy_bytes(exact, exact_err, lower, upper):
     )
 
 
-# `energy --prism 1,1,1 --tol 1e-7` stdout as 32-cell integrand calls gave
-# it.  The last bits of exact_err follow every rounding of the Gauss
-# estimates: with those summed by einsum, rating in blocks of 1, 5, 7, 9,
-# 11 or 15 cells changed at least one of these.  The third spec has 19 root
-# cells, so its roots take two integrand calls.
+# `energy --prism 1,1,1 --tol 1e-7` stdout of the zeta = w^2 kernel (the
+# w-form kernel gave the same exact values but the last one ulp lower,
+# 172.2622998569723, and each exact_err within 7e-8 relative).  The last bits of
+# exact_err follow every rounding of the Gauss estimates: with those summed
+# by einsum, rating in blocks of 1, 5, 7, 9, 11 or 15 cells changed at least
+# one of these.  The third spec has 19 root cells, so its roots take two
+# integrand calls.
 ENERGY_BYTES = [
     (
         {"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
-        _energy_bytes("110.27903886664656", "7.966979011925224e-08",
+        _energy_bytes("110.27903886664656", "7.96697889049458e-08",
                       "87.96459430051421", "152.35914659567428"),
     ),
     (
         {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-        _energy_bytes("131.42749567860426", "9.520587546801851e-08",
+        _energy_bytes("131.42749567860426", "9.520587999217733e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
     (
         {"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
-        _energy_bytes("172.2622998569723", "8.531633358122015e-08",
+        _energy_bytes("172.26229985697233", "8.53163279468383e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
 ]

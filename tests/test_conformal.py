@@ -1,10 +1,11 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import random_spec
+from helpers import random_spec, reference_area_density, reference_parts
 
 from nemprism import (
     InvalidSpecError,
@@ -192,6 +193,47 @@ def test_area_density_vectorized_matches_scalar():
     vec = area_density(spec, ws)
     for wi, vi in zip(ws, vec):
         assert vi == pytest.approx(area_density(spec, complex(wi)), rel=1e-12)
+
+
+def _close_to_reference(got, ref):
+    """got within 1e-12 relative of ref wherever |ref| > 1e-290."""
+    got, ref = np.broadcast_arrays(np.asarray(got), ref)
+    shown = np.abs(ref) > 1e-290
+    assert np.all(np.abs(got[shown] - ref[shown]) <= 1e-12 * np.abs(ref[shown]))
+
+
+def _check_against_reference(spec, ws):
+    area = reference_area_density(spec, ws)
+    sphere = area * (1.0 + np.abs(ws) ** 2) ** 2 / 4.0
+    _close_to_reference(area_density(spec, ws), area)
+    _close_to_reference(sphere_density(spec, ws), sphere)
+    _close_to_reference([area_density(spec, complex(w)) for w in ws], area)
+    _close_to_reference([sphere_density(spec, complex(w)) for w in ws], sphere)
+    values = [eval_f(spec, complex(w)) for w in ws]
+    for name, ref in zip(("P", "Q", "dP", "dQ"), reference_parts(spec, ws)):
+        _close_to_reference([getattr(hv, name) for hv in values], ref)
+
+
+def test_kernel_matches_the_w_form_reference_on_random_specs():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        spec = random_spec(rng)
+        ws = rng.uniform(0.0, 2.0, 200) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+        for orientation in ("conformal", "anticonformal"):
+            _check_against_reference(replace(spec, orientation=orientation), ws)
+
+
+def test_kernel_matches_the_w_form_reference_at_extremes():
+    rng = np.random.default_rng(43)
+    ring = np.linspace(0.05, 0.99, 60) * np.exp(1j * np.linspace(0.1, 1.4, 60))
+    _check_against_reference(RationalMapSpec(1, 301), ring)
+    ws = rng.uniform(0.0, 2.0, 200) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    _check_against_reference(RationalMapSpec(1, 1, real_factors=((0.5, 1),) * 200), ws)
+    # three zero/pole pairs, each pole one float above its zero
+    a = 1e-11
+    stacked = RationalMapSpec(-1, 3, real_factors=((a, 1), (math.nextafter(a, 1.0), -1)) * 3)
+    near = a * rng.uniform(0.0, 3.0, 100) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100))
+    _check_against_reference(stacked, np.concatenate([near, ws]))
 
 
 # ------------------------------------------------------------------ director

@@ -464,6 +464,34 @@ def test_quad2d_many_gives_each_problem_its_solo_outcome():
     assert len(calls) < (solo[1][2] + solo[2][2]) // (16 * 225) + 10
 
 
+def test_quad2d_refuses_non_finite_integrand_values_after_the_root_cells():
+    calls = []
+
+    def f(x, y):
+        calls.append(x.size)
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(AccuracyError, match="non-finite integrand values") as exc:
+        quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-6)
+    assert exc.value.evaluations == 225
+    assert calls == [225]
+
+
+def test_quad2d_many_fails_only_the_problem_with_non_finite_values():
+    smooth = lambda x, y: np.exp(x * y)
+    problems = [((0.0, 1.0, 0.0, 1.0), None), ((0.0, 2.0, 0.0, 1.0), None), ((0.0, 1.0, 0.0, 3.0), None)]
+    solo = [quad2d(smooth, dom, tol=1e-12, initial_splits=splits) for dom, splits in problems]
+
+    def f(x, y, k):
+        return np.where(k == 1, np.where(x > 1.5, np.nan, 1.0), smooth(x, y))
+
+    many = quad2d_many(f, problems, tol=1e-12)
+    assert [many[0], many[2]] == [solo[0], solo[2]]
+    assert isinstance(many[1], AccuracyError)
+    assert "non-finite integrand values" in str(many[1])
+    assert many[1].evaluations == 225
+
+
 def test_quad2d_many_of_no_problems_is_empty():
     assert quad2d_many(lambda x, y, k: x, [], tol=1e-6) == []
 
