@@ -221,20 +221,6 @@ class HomogeneousValue:
     dP: complex
     dQ: complex
 
-    @property
-    def is_pole(self) -> bool:
-        return abs(self.Q) == 0.0 or abs(self.Q) < 1e-300 * abs(self.P)
-
-    @property
-    def value(self) -> complex:
-        if self.is_pole:
-            return complex(math.inf, 0.0)
-        return self.P / self.Q
-
-    @property
-    def wronskian(self) -> complex:
-        return self.dP * self.Q - self.P * self.dQ
-
 
 # ----------------------------------------------------------------------
 # The projective kernel

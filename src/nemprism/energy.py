@@ -342,7 +342,8 @@ def conformal_energy(
     exterior faces contribute nothing: D is radial, so its normal component
     vanishes on any plane through the vertex.  Raises AccuracyError if the
     faces cannot reach ``tol`` within the budget, or at once when ``tol``
-    lies below the round-off floor (see ``quad2d``).
+    lies below the round-off floor (see ``quad2d``); a budget that is not a
+    non-negative integer (nan included) raises DomainError.
     """
     _check_modulus(K)
     return _faces_integral(prism, spec, prism.octant.half_lengths, 16.0 * K, tol, 3 * max_evals_per_face)

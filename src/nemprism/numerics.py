@@ -13,8 +13,11 @@ there is no solver or quadrature dependency:
                       non-finite integrand values as soon as they are rated,
 * quad2d_many         the same refinement loop over many independent
                       problems at once (quad2d is its one-problem case):
-                      each problem keeps its own cells, budget and outcome,
-                      and the integrand calls are shared between them,
+                      each problem keeps its own cells, budget and outcome
+                      (its live cells in a heap of (-error, creation number),
+                      so the largest errors are bisected first and ties go
+                      to the older cell), and the integrand calls are
+                      shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, reduced to a smooth integrand by substitution,
 * minimize_1d         a 101-point scan in one call of a vectorized
@@ -26,6 +29,7 @@ there is no solver or quadrature dependency:
 """
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -138,14 +142,14 @@ _BATCH_CELLS = 16
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
-def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[float], List[int]]:
     """Apply the nested tensor rule to a batch of cells.
 
     ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1), and ``k`` holds
-    the problem index of each of the 225 m points.  Returns the Kronrod
-    values, the |K15 - G7| error estimates, the preferred split axis per
-    cell (0 for x, 1 for y).  The integrand receives flat coordinate arrays
-    and ``k``.
+    the problem index of each of the 225 m points.  Returns, as lists, the
+    Kronrod values, the |K15 - G7| error estimates and the preferred split
+    axis per cell (0 for x, 1 for y).  The integrand receives flat
+    coordinate arrays and ``k``.
 
     The split axis follows the larger total variation of the sampled values
     (ridge features aligned with one axis are then bisected across the
@@ -159,7 +163,7 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.nda
     # Points: shape (m, 15, 15), x varying along axis 1, y along axis 2.
     xs = cx[:, None] + hx[:, None] * _XK[None, :]
     ys = cy[:, None] + hy[:, None] * _XK[None, :]
-    X, Y = np.repeat(xs, 15), np.tile(ys, 15).reshape(-1)
+    X, Y = np.repeat(xs, 15), np.repeat(ys[:, None, :], 15, axis=1).reshape(-1)
     vals = np.asarray(f(X, Y, k), dtype=float).reshape(-1, 15, 15)
 
     jac = hx * hy
@@ -168,28 +172,24 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.nda
     # einsum sums a lone cell's strided sub-grid in another order
     gauss = jac * np.cumsum((vals[:, 1::2, 1::2] * _WGG).reshape(-1, 49), axis=1)[:, -1]
 
-    tvx = np.abs(vals[:, 1:] - vals[:, :-1]).sum(axis=(1, 2))
-    tvy = np.abs(vals[:, :, 1:] - vals[:, :, :-1]).sum(axis=(1, 2))
-    longer = (hy > hx).astype(int)
-    axis = np.where(tvx > 1.5 * tvy, 0, np.where(tvy > 1.5 * tvx, 1, longer))
-    return kron, np.abs(kron - gauss), axis
+    tvx = np.abs(vals[:, 1:] - vals[:, :-1]).sum(axis=(1, 2)).tolist()
+    tvy = np.abs(vals[:, :, 1:] - vals[:, :, :-1]).sum(axis=(1, 2)).tolist()
+    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else int(ly > lx)
+            for tx, ty, lx, ly in zip(tvx, tvy, hx.tolist(), hy.tolist())]
+    return kron.tolist(), np.abs(kron - gauss).tolist(), axes
 
 
-def _joined(arrays: List[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[np.ndarray]:
-    """Values, errors and split axes of cells of several problems, rated in
-    blocks of ``_BATCH_CELLS`` cells, one integrand call each; the cells
-    come in runs of ``sizes`` cells, one run per problem in ``owners``.
+def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[list]:
+    """Values, errors and split axes (lists) of cells of several problems,
+    rated in blocks of ``_BATCH_CELLS`` cells, one integrand call each; the
+    cells come in runs of ``sizes`` cells, one run per problem in ``owners``.
     """
     tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
     rated = [
         _rate_cells(f, cells[i:i + _BATCH_CELLS], tags[_CELL_EVALS * i:_CELL_EVALS * (i + _BATCH_CELLS)])
         for i in range(0, len(cells), _BATCH_CELLS)
     ]
-    return rated[0] if len(rated) == 1 else [np.concatenate(part) for part in zip(*rated)]
+    return [[x for block in part for x in block] for part in zip(*rated)]
 
 
 def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
@@ -204,8 +204,8 @@ def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[floa
     return out
 
 
-def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> np.ndarray:
-    """Root cells (x0, x1, y0, y1) of one rectangle or of several."""
+def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[List[float]]:
+    """Root cells [x0, x1, y0, y1] of one rectangle or of several."""
     rects = np.asarray(domain, dtype=float)
     if rects.ndim not in (1, 2) or rects.shape[-1] != 4 or rects.size == 0:
         raise DomainError(f"domain must be (x0, x1, y0, y1) or a sequence of them, got {domain!r}")
@@ -219,7 +219,7 @@ def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> np.ndar
             f"initial_splits has {len(splits)} entries for {len(rects)} rectangles"
         )
     cells = []
-    for (x0, x1, y0, y1), split in zip(rects, splits):
+    for (x0, x1, y0, y1), split in zip(rects.tolist(), splits):
         if not (x1 > x0 and y1 > y0):
             raise DomainError(f"empty integration domain {domain!r}")
         sx, sy = (None, None) if split is None else split
@@ -230,17 +230,7 @@ def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> np.ndar
             for i in range(len(xs) - 1)
             for j in range(len(ys) - 1)
         )
-    return np.array(cells)
-
-
-def _bisect(cells: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """The two halves of each cell, split at the midpoint of its axis."""
-    rows = np.arange(len(cells))
-    mid = 0.5 * (cells[rows, 2 * axes] + cells[rows, 2 * axes + 1])
-    halves = np.repeat(cells, 2, axis=0)
-    halves[2 * rows, 2 * axes + 1] = mid
-    halves[2 * rows + 1, 2 * axes] = mid
-    return halves
+    return cells
 
 
 def quad2d(
@@ -254,13 +244,14 @@ def quad2d(
 
     ``domain`` is one rectangle (x0, x1, y0, y1) or a sequence of disjoint
     rectangles; the result is the integral over their union, and ``tol``
-    (absolute) and ``max_evals`` are shared by all of them.  ``f(x, y)``
-    receives flat coordinate arrays.
+    (absolute) and ``max_evals`` (a non-negative int) are shared by all of
+    them.  ``f(x, y)`` receives flat coordinate arrays.
 
     Each cell is rated by a tensor Kronrod-15 rule against its embedded
-    Gauss-7 rule.  Refinement runs in rounds over all cells at once: each
-    round orders the cells by error estimate (ties by creation order) and
-    bisects the shortest prefix whose removal would bring the summed error
+    Gauss-7 rule.  Refinement runs in rounds over all cells at once.  The
+    live cells sit in a heap keyed by (-error estimate, creation number),
+    so each round pops them largest error first, ties in creation order,
+    and bisects the shortest run whose removal would bring the summed error
     to ``tol`` or below, each cell across the dominant variation of its
     sampled values.  A round makes at most 16 bisections and one integrand
     call rates a block of at most 16 cells (3600 points), root cells too;
@@ -314,102 +305,106 @@ def quad2d_many(
     ``f(x, y, k)`` receives flat coordinate arrays and, in ``k``, the index
     of the problem each point belongs to.  Returns one entry per problem, in
     input order: its QuadratureResult, or the AccuracyError that ``quad2d``
-    would raise for it (returned, not raised).
+    would raise for it (returned, not raised).  A ``tol`` that is not
+    positive and finite, or a ``max_evals`` that is not a non-negative
+    integer (nan, inf, 1.5 and True included), raises DomainError before
+    ``f`` is called.
 
-    Every problem keeps its own cells as one block and runs the rounds of
-    ``quad2d`` on it: its own root-cell refusal, budget, round-off floor,
-    limit of 16 bisections per round and tie order, so its cells, value,
-    error estimate and evaluation count are those of a solo call.  Only
-    the integrand calls are shared: each still rates at most 16 cells,
-    drawn from any problems still refining, and a problem leaves the loop
-    when it converges or fails.  Many shallow problems (a family scan)
-    then take few, full integrand calls instead of many small ones
-    (Berntsen, Espelid & Genz, ACM TOMS 17, 1991, refine many integrals
-    this way).
+    Every problem keeps its own cells and runs the rounds of ``quad2d`` on
+    them: its own root-cell refusal, budget, round-off floor, limit of 16
+    bisections per round and tie order, so its cells, value, error estimate
+    and evaluation count are those of a solo call.  Its live cells are a
+    ``heapq`` of (-error, seq), seq the creation number, beside plain lists
+    of the rows, values and split axes of all its cells, indexed by seq;
+    numpy only rates cells.  The sums (``math.fsum``) are correctly rounded,
+    so they do not depend on the heap's order.  Only the integrand calls
+    are shared: each still rates at most 16 cells, drawn from any problems
+    still refining, and a problem leaves the loop when it converges or
+    fails.  Many shallow problems (a family scan) then take few, full
+    integrand calls instead of many small ones (QUADPACK and Berntsen,
+    Espelid & Genz, ACM TOMS 17, 1991, keep their subregions in such an
+    error-ordered heap; the latter refine many integrals this way).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    roots = [_root_cells(domain, splits) for domain, splits in problems]
-    out: List[Union[QuadratureResult, AccuracyError, None]] = [None] * len(roots)
-    live = []
-    for p, cells in enumerate(roots):
-        if len(cells) * _CELL_EVALS > max_evals:
+    if isinstance(max_evals, bool) or not isinstance(max_evals, (int, np.integer)) or max_evals < 0:
+        raise DomainError(f"max_evals must be a non-negative integer, got {max_evals!r}")
+    out: List[Union[QuadratureResult, AccuracyError, None]] = [None] * len(problems)
+    # per problem: the rows of the cells to rate this round, roots first
+    new = {}
+    for p, (domain, splits) in enumerate(problems):
+        roots = _root_cells(domain, splits)
+        if len(roots) * _CELL_EVALS > max_evals:
             out[p] = AccuracyError(
-                f"{len(cells)} root cells need {len(cells) * _CELL_EVALS} evaluations, "
+                f"{len(roots)} root cells need {len(roots) * _CELL_EVALS} evaluations, "
                 f"above the quadrature budget of {max_evals}",
                 math.nan,
                 math.inf,
                 0,
             )
         else:
-            live.append(p)
-    if not live:
-        return out
-    sizes = [len(roots[p]) for p in live]
-    cells = _joined([roots[p] for p in live])
-    rated = (cells, *_rate_tagged(f, cells, live, sizes))
-    # per problem: [cells, values, errors, axes, evaluations], one block each
-    state, start = {}, 0
-    for p, size in zip(live, sizes):
-        state[p] = [part[start:start + size] for part in rated] + [size * _CELL_EVALS]
-        start += size
-    while True:
-        refining, splits, parents, parent_axes = [], [], [], []
-        for p in live:
-            cells, vals, errs, axes, evals = state[p]
-            total_err = math.fsum(errs)
+            new[p] = roots
+    # per refining problem: the heap of its live cells, and the rows, values
+    # and split axes of all its cells, indexed by seq
+    state = {}
+    while new:
+        vals, errs, axes = _rate_tagged(
+            f, np.array([row for cells in new.values() for row in cells]), list(new), [len(c) for c in new.values()]
+        )
+        start = 0
+        for p, cells in new.items():
+            heap, rows, cell_vals, cell_axes = state.setdefault(p, ([], [], [], []))
+            stop = start + len(cells)
+            for seq, err in enumerate(errs[start:stop], len(rows)):
+                heapq.heappush(heap, (-err, seq))
+            rows += cells
+            cell_vals += vals[start:stop]
+            cell_axes += axes[start:stop]
+            start = stop
+        new = {}
+        for p, (heap, rows, cell_vals, cell_axes) in state.items():
+            evals = len(rows) * _CELL_EVALS
+            total_err = math.fsum([-neg_err for neg_err, _ in heap])
             if not math.isfinite(total_err):  # a non-finite value gives a non-finite error
                 out[p] = AccuracyError(f"non-finite integrand values or cell sums (error estimate "
                                        f"{total_err} after {evals} evaluations)", math.nan, total_err, evals)
                 continue
+            live_vals = [cell_vals[seq] for _, seq in heap]
             if total_err <= tol:
-                out[p] = QuadratureResult(math.fsum(vals), total_err, evals)
+                out[p] = QuadratureResult(math.fsum(live_vals), total_err, evals)
                 continue
-            floor = _ROUNDOFF * math.fsum(np.abs(vals))
+            floor = _ROUNDOFF * math.fsum(map(abs, live_vals))
             if total_err <= floor:
                 out[p] = AccuracyError(
                     f"tolerance {tol:.3e} is below the round-off floor {floor:.3e} "
                     f"(error estimate {total_err:.3e} after {evals} evaluations)",
-                    math.fsum(vals),
+                    math.fsum(live_vals),
                     total_err,
                     evals,
                 )
                 continue
-            # The arrays hold the cells in creation order, which breaks ties.
-            order = np.argsort(-errs, kind="stable")
-            # prefixes whose removal would still leave the sum above tol
-            still_over = np.cumsum(errs[order]) < total_err - tol
-            n_split = min(int(np.count_nonzero(still_over)) + 1, _BATCH_CELLS,
-                          (max_evals - evals) // (2 * _CELL_EVALS))
-            if n_split == 0:
+            limit = min(_BATCH_CELLS, (max_evals - evals) // (2 * _CELL_EVALS))
+            if limit == 0:
                 out[p] = AccuracyError(
                     f"quadrature budget of {max_evals} evaluations exhausted "
                     f"(error estimate {total_err:.3e} > tol {tol:.3e})",
-                    math.fsum(vals),
+                    math.fsum(live_vals),
                     total_err,
                     evals,
                 )
                 continue
-            split = order[:n_split]
-            refining.append(p)
-            splits.append(split)
-            parents.append(cells[split])
-            parent_axes.append(axes[split])
-        if not refining:
-            return out
-        live = refining
-        sizes = [2 * len(split) for split in splits]
-        children = _bisect(_joined(parents), _joined(parent_axes))
-        rated = (children, *_rate_tagged(f, children, live, sizes))
-        start = 0
-        for p, split, size in zip(live, splits, sizes):
-            *block, evals = state[p]
-            keep = np.ones(len(block[0]), dtype=bool)
-            keep[split] = False
-            state[p] = [
-                np.concatenate([old[keep], new[start:start + size]]) for old, new in zip(block, rated)
-            ] + [evals + size * _CELL_EVALS]
-            start += size
+            # Bisect the largest errors first (ties by seq), up to the first
+            # whose removal would bring the summed error to tol or below.
+            children, removed, target = [], 0.0, total_err - tol
+            while heap and len(children) < 2 * limit and removed < target:
+                neg_err, seq = heapq.heappop(heap)
+                removed -= neg_err
+                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
+                lo[a + 1] = hi[a] = 0.5 * (lo[a] + lo[a + 1])
+                children += [lo, hi]
+            new[p] = children
+        state = {p: state[p] for p in new}
+    return out
 
 
 # ======================================================================

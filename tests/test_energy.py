@@ -340,3 +340,9 @@ def test_energy_report_refuses_an_energy_outside_its_bounds(spec, lower):
         energy_report(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6)
     assert exc.value.value == pytest.approx(E0_CUBE, abs=1e-5)
     assert exc.value.value + exc.value.error_estimate < lower
+
+
+def test_conformal_energy_refuses_a_budget_that_is_not_an_int():
+    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
+    with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
+        conformal_energy(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6, max_evals_per_face=math.nan)

@@ -555,3 +555,108 @@ def test_minimize_1d_sets_at_boundary_only_on_an_endpoint():
     res = minimize_1d(lambda xs: (xs - 0.5475) ** 2, (1e-3, 1.0 - 1e-3), tol=0.5)
     assert abs(res.argmin - 0.5475) < 0.02
     assert not res.at_boundary
+
+
+# Refinement trajectories captured before the cells moved to a per-problem
+# heap: (integrand, domain, initial_splits, tol, max_evals), then the outcome
+# (value, error estimate, evaluations; a refusal also names its message) and
+# the integrand call sizes as (points, repeats) runs.
+_CUTS = (-0.5, 0.0, 0.5)
+_TRAJECTORIES = [
+    # exact ties between the mirror-image cells
+    ((lambda x, y: np.cos(9.0 * x) * np.cos(9.0 * y), (-1.0, 1.0, -1.0, 1.0), (_CUTS, _CUTS), 1e-12, 1_000_000),
+     (0.00838724177175122, 9.268358683886622e-13, 22050), [(3600, 6), (450, 1)]),
+    ((lambda x, y: np.abs(x) * np.abs(y), (-1.0, 1.0, -1.0, 1.0), None, 1e-9, 1_000_000),
+     (1.0, 1.942890293094024e-16, 1575), [(225, 1), (450, 1), (900, 1)]),
+    ((lambda x, y: 1.0 / (1e-3 + x * x + y * y), [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0)],
+      None, 1e-7, 1_000_000),
+     (16.796424561791447, 7.641415483705671e-08, 18225),
+     [(675, 1), (1350, 1), (2250, 1), (1350, 1), (2700, 1), (1350, 1), (2700, 1), (1350, 1), (1800, 1), (1350, 2)]),
+    ((lambda x, y: np.sqrt(np.abs(x - y)), (0.0, 1.0, 0.0, 1.0), None, 1e-10, 2_000_000),
+     ("budget of 2000000 evaluations exhausted", 0.5333333101365771, 8.82161017739272e-08, 1999575),
+     [(225, 1), (450, 1), (900, 1), (1800, 1), (2700, 1), (3600, 1), (900, 1), (3600, 1), (2700, 1), (3600, 550),
+      (2700, 1)]),
+]
+
+
+def _runs(calls):
+    """Call sizes as (size, repeats) runs."""
+    runs = []
+    for size in calls:
+        if runs and runs[-1][0] == size:
+            runs[-1] = (size, runs[-1][1] + 1)
+        else:
+            runs.append((size, 1))
+    return runs
+
+
+def _trajectory_outcome(result):
+    if isinstance(result, AccuracyError):
+        return (str(result), result.value, result.error_estimate, result.evaluations)
+    return (result.value, result.error_estimate, result.evaluations)
+
+
+@pytest.mark.parametrize("case, outcome, runs", _TRAJECTORIES, ids=["cos-ties", "abs", "peak", "sqrt-budget"])
+def test_quad2d_trajectories_are_pinned(case, outcome, runs):
+    f, domain, splits, tol, max_evals = case
+    counted, calls = _counting(f)
+    try:
+        got = _trajectory_outcome(quad2d(counted, domain, tol=tol, max_evals=max_evals, initial_splits=splits))
+    except AccuracyError as exc:
+        got = _trajectory_outcome(exc)
+        assert outcome[0] in got[0]
+        got, outcome = got[1:], outcome[1:]
+    assert got == outcome
+    assert _runs(calls) == runs
+
+
+def test_quad2d_many_trajectories_are_pinned():
+    cases = [case for case, _, _ in _TRAJECTORIES]
+    calls = []
+
+    def f(x, y, k):
+        calls.append(x.size)
+        out = np.empty_like(x)
+        for p, (g, *_) in enumerate(cases):
+            out[k == p] = g(x[k == p], y[k == p])
+        return out
+
+    results = quad2d_many(f, [(domain, splits) for _, domain, splits, _, _ in cases], tol=1e-10, max_evals=2_000_000)
+    assert [_trajectory_outcome(r) for r in results] == [
+        (0.008387241771751056, 9.919055615932593e-11, 9450),
+        (1.0, 1.942890293094024e-16, 1575),
+        (16.796424561791454, 9.925758825968245e-11, 40725),
+        ("quadrature budget of 2000000 evaluations exhausted (error estimate 8.822e-08 > tol 1.000e-10)",
+         0.5333333101365771, 8.82161017739272e-08, 1999575),
+    ]
+    assert _runs(calls) == [
+        (3600, 1), (1125, 1), (3600, 2), (1800, 1), (3600, 1), (1350, 1), (3600, 4), (2250, 1), (3600, 3),
+        (1800, 1), (3600, 3), (450, 1), (3600, 3), (1800, 1), (3600, 2), (3150, 1), (3600, 3), (900, 1),
+        (3600, 2), (1350, 1), (3600, 2), (2250, 1), (3600, 538), (2700, 1),
+    ]
+
+
+def test_quad2d_bisects_every_cell_when_their_sum_stays_above_the_target():
+    # Three root cells whose errors, added largest first, sum to less than
+    # their correctly rounded total minus tol: the round bisects all of them.
+    f = lambda x, y: np.cos(32.0 * x) * np.exp(y)
+    rects = [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
+    _, errs, _ = _rate_cells(lambda x, y, k: f(x, y), np.array(rects), np.zeros(3 * 225, dtype=int))
+    assert sum(sorted(errs, reverse=True)) < math.fsum(errs) - 1e-300
+    counted, calls = _counting(f)
+    with pytest.raises(AccuracyError, match="budget of 2025 evaluations exhausted") as exc:
+        quad2d(counted, rects, tol=1e-300, max_evals=3 * 225 + 6 * 225)
+    assert calls == [675, 1350]
+    assert (exc.value.value, exc.value.error_estimate, exc.value.evaluations) == (
+        0.05281502968194329, 0.00583800032887094, 2025
+    )
+
+
+@pytest.mark.parametrize("max_evals", [math.nan, math.inf, 1.5, True, -1], ids=["nan", "inf", "1.5", "True", "-1"])
+def test_quad2d_refuses_a_budget_that_is_not_a_non_negative_int(max_evals):
+    counted, calls = _counting(lambda x, y: np.sin(300.0 * x) * np.sin(300.0 * y))
+    with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
+        quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-9, max_evals=max_evals)
+    with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
+        quad2d_many(lambda x, y, k: counted(x, y), [((0.0, 1.0, 0.0, 1.0), None)], max_evals=max_evals)
+    assert calls == []
