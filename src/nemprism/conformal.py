@@ -24,13 +24,15 @@ map.
 
 Evaluation is projective, so poles need no special casing and the area
 density stays finite everywhere.  It is written once, in a shared kernel:
-``_accumulate`` (f = eps w^n Pt/Qt with Pt, Qt and their derivatives
-accumulated as polynomials in w^2, w conjugated first for anticonformal
-maps), ``_parts`` (the projective parts), ``_density`` (the area or sphere
-density in one fused pass), ``_lift`` (the unit vector of a pair) and
-``_project`` (a point to w, the -z axis to infinity).  The director, flux
-and density functions below, the energy face integrand, the trapped-area
-integrand and the winding sampler all call it.  ``_spec_points`` lets one
+``_accumulate`` (f = eps w^n Pt/Qt with Pt, Qt and, unless skipped, their
+derivatives accumulated as polynomials in w^2, w conjugated first for
+anticonformal maps), ``_parts`` (the projective parts), ``_density`` (the
+area or sphere density in one fused pass), ``_log_norm`` (log |(P, Q)|,
+half the Fubini-Study potential, from Pt and Qt alone), ``_lift`` (the
+unit vector of a pair) and ``_project`` (a point to w, the -z axis to
+infinity).  The director, flux and density functions below, the energy
+and flux face integrands, the trapped-area integrand and the winding
+sampler all call it.  ``_spec_points`` lets one
 kernel call evaluate many specs of one structure, each point under its
 own spec (a batched family scan).
 """
@@ -235,10 +237,11 @@ def _power(x, k: int):
     return out
 
 
-def _accumulate(spec: RationalMapSpec, w) -> tuple:
+def _accumulate(spec: RationalMapSpec, w, derivatives: bool = True) -> tuple:
     """(w, zeta, Pt, dPt, Qt, dQt) at finite w (scalar or ndarray): f(w) =
     eps w^n Pt(zeta)/Qt(zeta), zeta = w^2, with Pt, Qt the products of the
-    factor numerators and denominators and dPt, dQt their zeta-derivatives.
+    factor numerators and denominators and dPt, dQt their zeta-derivatives
+    (None without ``derivatives``, whose products are then skipped).
     ``spec`` may also be a per-point view from ``_spec_points``."""
     w = np.asarray(w, dtype=complex)
     if spec.is_anticonformal:
@@ -255,7 +258,10 @@ def _accumulate(spec: RationalMapSpec, w) -> tuple:
             yield zeta + s2, None, s2 * zeta + 1.0, s2, sign
         for u, v, sign in spec.quartics:
             z2, uz = zeta * zeta, u * zeta
-            yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
+            if derivatives:
+                yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
+            else:
+                yield z2 - uz + v, None, v * z2 - uz + 1.0, None, sign
 
     parts = None
     for num, dnum, den, dden, sign in factors():
@@ -266,14 +272,16 @@ def _accumulate(spec: RationalMapSpec, w) -> tuple:
             continue
         # (T t)' = T' t + T t', in place on the arrays made here
         Pt, dPt, Qt, dQt = parts
-        dPt = dPt * num
-        dPt += Pt if dnum is None else Pt * dnum
+        if derivatives:
+            dPt = dPt * num
+            dPt += Pt if dnum is None else Pt * dnum
+            dQt = dQt * den
+            dQt += Qt if dden is None else Qt * dden
         Pt *= num
-        dQt = dQt * den
-        dQt += Qt if dden is None else Qt * dden
         Qt *= den
         parts = [Pt, dPt, Qt, dQt]
-    return (w, zeta, *(parts or (1.0, 0.0, 1.0, 0.0)))
+    Pt, dPt, Qt, dQt = parts or (1.0, 0.0, 1.0, 0.0)
+    return (w, zeta, Pt, dPt, Qt, dQt) if derivatives else (w, zeta, Pt, None, Qt, None)
 
 
 def _parts(spec: RationalMapSpec, acc: tuple):
@@ -323,6 +331,28 @@ def _density(spec: RationalMapSpec, acc: tuple, sphere: bool):
     return root * root
 
 
+def _log_norm(spec: RationalMapSpec, acc: tuple):
+    """log |(P, Q)| = log sqrt(|P|^2 + |Q|^2), half the Fubini-Study
+    potential, from ``_accumulate``'s result (its derivatives are not read).
+
+    |P| = |w|^|n| |Pt| and |Q| = |Qt| (the power joins Qt for n < 0), and
+    |(P, Q)| is the modulus of the complex number |P| + i |Q|.  numpy takes
+    a complex modulus as ``np.hypot`` does, scaled by the larger part, so
+    this is log max(|P|, |Q|) plus half the log of the scaled sum and no
+    square over- or underflows at zeros and poles; it is also several times
+    faster than ``np.hypot``."""
+    w, _, Pt, _, Qt, _ = acc
+    mono = _power(np.abs(w), abs(spec.n))  # |w|^|n|
+    pair = np.empty(np.shape(w), dtype=complex)
+    np.abs(Pt, out=pair.real)
+    np.abs(Qt, out=pair.imag)
+    if spec.n > 0:
+        pair.real *= mono
+    else:
+        pair.imag *= mono
+    return np.log(np.abs(pair))
+
+
 def _structure(spec: RationalMapSpec) -> tuple:
     return (
         spec.epsilon,
@@ -345,7 +375,7 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
     where the factor data of point i are those of ``specs[k[i]]``.  The
     data are computed per spec as the spec itself computes them and only
     gathered per point, so every density is bit-identical to the one the
-    spec gives.
+    spec gives.  One spec is its own view: nothing is gathered.
     """
     first = specs[0]
     key = _structure(first)
@@ -355,6 +385,8 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
                 f"specs must share one structure (epsilon, n, orientation, factor "
                 f"counts and signs): {spec!r} differs from {first!r}"
             )
+    if len(specs) == 1:
+        return lambda k: first
 
     def columns(rows):
         return [np.array(col) for col in zip(*rows)] if rows[0] else []

@@ -1,13 +1,34 @@
 """Elastic energy of a tangent configuration: bounds and exact values.
 
 With a one-constant elastic density K (grad n)^2 and a radially constant
-conformal (or anticonformal) configuration, the energy over the whole box
-is an exact flux integral
+conformal (or anticonformal) configuration f = P/Q, the energy over the
+whole box is 16 K times the integral of rho Delta phi over the octant's
+directions, where rho is the ray length from the vertex to the far faces
+and phi = log(|P|^2 + |Q|^2) is the Fubini-Study potential of f, whose
+Laplacian is the pulled-back area density.  Green's second identity moves
+the Laplacian onto rho:
 
-    E = 16 K * sum over interior octant faces of  integral r (D . nhat) dA,
+    E / (16 K) = d A + sum_k (2/h_k) int_{face k} phi du dv
+                     - sum_{i<j} c_ij int_{edge ij} phi dt,
 
-because (grad n)^2 = 2 |D| pointwise for these fields and D is radial; the
-exterior faces (the coordinate planes through the vertex) carry no flux.
+with h the octant's half sides and d the degree.  The terms:
+
+* d A is the boundary term on the equator z = 0, where the normal
+  derivative of phi is d (by f(w) f(1/w) = 1); on the other two coordinate
+  planes it vanishes, and so does that of rho on all three.  A is the
+  integral of rho along the equator, h_x asinh(h_y/h_x) + h_y asinh(h_x/h_y).
+* On the region of face k, rho = h_k / omega_k and Delta rho dOmega =
+  (2/h_k) du dv in the face's own coordinates.
+* rho has a kink over each far box edge, where faces i and j meet; the jump
+  of its normal derivative gives the edge term with c_ij = (h_i^2 +
+  h_j^2)/(h_i h_j).  The edge runs along the third axis from 0 to its half
+  side.
+
+A constant added to phi cancels exactly, since sum_k (2/h_k) area_k =
+sum c_ij length_ij.  phi has no bumps: a zero/pole pair a distance g apart
+adds a term of mass O(g^2 log g) to it, where the area density carries a
+bump of mass 8 pi in an area of about g^2, so the faces need no cuts.
+
 Bounds need only the trapped solid angle omega0:
 
     lower = 8 K L_z |omega0|,   upper = 8 K sqrt(Lx^2+Ly^2+Lz^2) |omega0|,
@@ -16,16 +37,17 @@ so upper/lower = sqrt(a_xz^2 + a_yz^2 + 1) depends on shape alone.  A
 sharper certificate comes from the small linear program over per-vertex
 potentials with difference bounds given by vertex distances.
 
-``conformal_energy`` integrates one configuration; ``conformal_energies``
-integrates many of one structure (a family scan) in one batched
-quadrature with identical results.  ``energy_report`` refuses, with
-AccuracyError, an energy that falls outside its bounds by more than its
-error estimate.
+``conformal_energies`` integrates many configurations of one structure (a
+family scan) in one batched quadrature, and ``conformal_energy`` is its
+one-spec case.  ``face_flux`` integrates the flux D . nhat of the area
+density over the faces, which totals the trapped solid angle.
+``energy_report`` refuses, with AccuracyError, an energy that falls outside
+its bounds by more than its error estimate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -34,6 +56,8 @@ import numpy as np
 from ._json import Record
 from .conformal import (
     RationalMapSpec,
+    _accumulate,
+    _log_norm,
     _project,
     _spec_points,
     bracket_offsets,
@@ -216,7 +240,7 @@ def prism_lp_certificate(
 
 
 # ----------------------------------------------------------------------
-# Exact energy by face quadrature
+# Exact energy by Green's identity, flux by face quadrature
 # ----------------------------------------------------------------------
 
 def _face_cuts(
@@ -225,9 +249,11 @@ def _face_cuts(
     """Face coordinates of the rays through the factor directions.
 
     The sphere density peaks around the factor positions; where such a ray
-    pierces the face, the integrand carries a bump that can be narrower than
-    the node spacing of a large quadrature cell, so cell boundaries are
-    seeded there.
+    pierces the face, the flux integrand carries a bump that can be narrower
+    than the node spacing of a large quadrature cell, so cell boundaries are
+    seeded there.  A ray on the face's edge (a factor on an axis, whose
+    direction lies in a coordinate plane) is seeded too: its bump is half
+    inside the face.
     """
     cuts_u: List[float] = []
     cuts_v: List[float] = []
@@ -238,7 +264,7 @@ def _face_cuts(
             continue
         t = value / d[k]
         u0, v0 = t * d[free[0]], t * d[free[1]]
-        if 0.0 < u0 < limits[0] and 0.0 < v0 < limits[1]:
+        if 0.0 <= u0 < limits[0] and 0.0 <= v0 < limits[1]:
             # the spot subtends an angle ~delta seen from the vertex, so
             # its footprint at distance t has radius ~delta * t
             cuts_u.append(u0)
@@ -253,72 +279,94 @@ def _face_cuts(
 # quadrant of the (u, v) plane: face x in (+, +), face y in (-, +), face z
 # in (-, -).  The integrand recovers the face from the signs and uses |u|,
 # |v|; negation is exact, so every node is a node of the unmirrored face.
+# The energy adds the three far box edges in the free quadrant (+, -): the
+# edge along axis m is the segment v = -(m + 1) L, 0 <= u <= h_m, where
+# L = 1 + h_x + h_y + h_z lies below every point of face z.
 _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+def _face_rects(half: Tuple[float, float, float]) -> List[Tuple[float, float, float, float]]:
+    """The three octant faces as quadrature rectangles; face k lies in the
+    plane where coordinate k is constant, and its free coordinates range
+    over the other two half-sides."""
+    rects = []
+    for k, (su, sv) in enumerate(_FACE_SIGNS):
+        free = [m for m in range(3) if m != k]
+        (u0, u1), (v0, v1) = sorted((0.0, su * half[free[0]])), sorted((0.0, sv * half[free[1]]))
+        rects.append((u0, u1, v0, v1))
+    return rects
 
 
 def _faces_domain(
     prism: Prism, spec: RationalMapSpec, values: Tuple[float, float, float]
 ) -> Tuple[List[Tuple[float, float, float, float]], list]:
-    """The three octant faces as quadrature rectangles with their cuts.
-
-    Face k lies in the plane where coordinate k equals ``values[k]``; its
-    free coordinates range over the other two half-sides.
-    """
+    """The three octant faces as quadrature rectangles with their cuts;
+    face k lies in the plane where coordinate k equals ``values[k]``."""
     half = prism.octant.half_lengths
-    rects = []
     splits = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
         free = [m for m in range(3) if m != k]
-        limits = (half[free[0]], half[free[1]])
-        (u0, u1), (v0, v1) = sorted((0.0, su * limits[0])), sorted((0.0, sv * limits[1]))
-        rects.append((u0, u1, v0, v1))
         if values[k] > 0.0:
-            cuts_u, cuts_v = _face_cuts(spec, k, values[k], free, limits)
+            cuts_u, cuts_v = _face_cuts(spec, k, values[k], free, (half[free[0]], half[free[1]]))
             splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
         else:
             splits.append(None)
-    return rects, splits
+    return _face_rects(half), splits
 
 
-def _faces_density(spec, values, energy_weight: Optional[float], u, v):
-    """The flux integrand at face points (u, v) of ``_faces_domain``.
-
-    With an ``energy_weight`` it is energy_weight * r (D . nhat) =
-    energy_weight * value * density / r^2 (16 K for the energy); without
-    one it is the signed flux D . nhat = value * density / r^3.  ``spec``
-    may be a per-point view from ``_spec_points``.
-    """
+def _face_points(values, per_face, u, v):
+    """(x, y, z, c) at points (u, v) of the face rectangles: the box point,
+    face k lying in the plane where coordinate k equals ``values[k]``, and
+    c = ``per_face[k]`` for a point of face k."""
     on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
     on_z = v < 0.0
-    value = np.where(on_x, values[0], np.where(on_z, values[2], values[1]))
-    au = np.abs(u)
-    av = np.abs(v)
-    x = np.where(on_x, value, au)
-    y = np.where(on_x, au, np.where(on_z, av, value))
-    z = np.where(on_z, value, av)
+    x = np.where(on_x, values[0], -u)
+    y = np.where(on_x, u, np.where(on_z, -v, values[1]))
+    z = np.where(on_z, values[2], v)
+    return x, y, z, np.where(on_x, per_face[0], np.where(on_z, per_face[2], per_face[1]))
+
+
+def _faces_density(spec, values, u, v):
+    """The signed flux D . nhat = value * density / r^3 at face points
+    (u, v) of ``_faces_domain``."""
+    x, y, z, value = _face_points(values, values, u, v)
     w, r2, r = _project(x, y, z)
-    dens = sphere_density(spec, w)
-    if energy_weight is not None:
-        return energy_weight * value * dens / r2
     sign = -1.0 if spec.is_anticonformal else 1.0
-    return sign * value * dens / (r2 * r)
+    return sign * value * sphere_density(spec, w) / (r2 * r)
 
 
-def _faces_integral(
-    prism: Prism,
-    spec: RationalMapSpec,
-    values: Tuple[float, float, float],
-    energy_weight: Optional[float],
-    tol: float,
-    max_evals: int,
-) -> QuadratureResult:
-    """Quadrature of ``_faces_density`` over the three octant faces at once;
-    ``tol`` and ``max_evals`` are shared by the three faces."""
-    rects, splits = _faces_domain(prism, spec, values)
-    return quad2d(
-        lambda u, v: _faces_density(spec, values, energy_weight, u, v),
-        rects, tol=tol, max_evals=max_evals, initial_splits=splits,
-    )
+def _edge_level(half: Tuple[float, float, float]) -> float:
+    """L = 1 + h_x + h_y + h_z: the edge along axis m lies at v = -(m + 1) L."""
+    return 1.0 + sum(half)
+
+
+def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, float, float]]:
+    """The face rectangles and, as segments, the far box edges."""
+    level = _edge_level(half)
+    return _face_rects(half) + [(0.0, h, -(m + 1) * level, -(m + 1) * level) for m, h in enumerate(half)]
+
+
+def _green_density(spec, half, weight: float, u, v):
+    """``weight`` times the integrand of Green's second identity at points
+    (u, v) of ``_green_domain``: (2/h_k) phi on face k and -c_ij phi on the
+    edge where the faces i and j meet, c_ij = (h_i^2 + h_j^2)/(h_i h_j),
+    with phi = 2 log |(P, Q)|.  ``spec`` may be a per-point view from
+    ``_spec_points``."""
+    # the scales carry phi's factor 2 over log |(P, Q)|
+    x, y, z, scale = _face_points(half, [4.0 * weight / h for h in half], u, v)
+    level = _edge_level(half)
+    if v.min() <= -level:  # the call holds edge points
+        edge = v <= -level
+        axis = np.rint(v[edge] / -level).astype(int) - 1
+        pts = np.repeat(np.asarray(half)[:, None], axis.size, axis=1)
+        pts[axis, np.arange(axis.size)] = u[edge]
+        x[edge], y[edge], z[edge] = pts
+        hx, hy, hz = half  # c_ij of the edges along x, y and z
+        c = np.array([(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz),
+                      (hx * hx + hy * hy) / (hx * hy)])
+        scale[edge] = -2.0 * weight * c[axis]
+    w = _project(x, y, z)[0]
+    return scale * _log_norm(spec, _accumulate(spec, w, derivatives=False))
 
 
 def _check_modulus(K: float) -> None:
@@ -335,18 +383,21 @@ def conformal_energy(
 ) -> QuadratureResult:
     """Exact elastic energy of the configuration over the whole box.
 
-    Sums 16 K r (D . nhat) over the three interior octant faces in one
-    adaptive quadrature: the absolute tolerance ``tol`` and a budget of
-    3 * ``max_evals_per_face`` evaluations are shared by the faces, so
-    refinement goes wherever the error is, whichever face holds it.  The
-    exterior faces contribute nothing: D is radial, so its normal component
-    vanishes on any plane through the vertex.  Raises AccuracyError if the
-    faces cannot reach ``tol`` within the budget, or at once when ``tol``
-    lies below the round-off floor (see ``quad2d``); a budget that is not a
-    non-negative integer (nan included) raises DomainError.
+    By Green's second identity (see the module docstring) the energy is
+    16 K d A in closed form plus one adaptive quadrature of the potential
+    phi over the three interior octant faces and the three far box edges:
+    the absolute tolerance ``tol`` and a budget of 3 * ``max_evals_per_face``
+    evaluations are shared by the faces and edges, so refinement goes
+    wherever the error is.  Raises AccuracyError if the quadrature cannot
+    reach ``tol`` within the budget, or at once when ``tol`` lies below the
+    round-off floor (see ``quad2d``); a budget that is not a non-negative
+    integer (nan included) raises DomainError.  This is the one-spec case
+    of ``conformal_energies``.
     """
-    _check_modulus(K)
-    return _faces_integral(prism, spec, prism.octant.half_lengths, 16.0 * K, tol, 3 * max_evals_per_face)
+    (result,) = conformal_energies(prism, [spec], K, tol, max_evals_per_face)
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
 
 
 def conformal_energies(
@@ -360,12 +411,13 @@ def conformal_energies(
 
     The specs must share one structure (epsilon, n, orientation, factor
     counts and signs; DomainError otherwise), as the members of a family
-    do.  Each spec is one problem of ``quad2d_many`` with the faces, cuts,
-    tolerance and budget that ``conformal_energy`` gives it, and one kernel
-    call per integrand call evaluates every spec in it.  Returns, in input
-    order, the QuadratureResult of each spec, or the AccuracyError that
-    ``conformal_energy`` would raise for it; every entry equals the
-    serial call's (value, error estimate and evaluations).
+    do.  Each spec is one problem of ``quad2d_many`` (the faces and edges,
+    the tolerance and the budget), and one kernel call per integrand call
+    evaluates every spec in it.  Returns, in input order, the
+    QuadratureResult of each spec, or the AccuracyError that
+    ``conformal_energy`` raises for it; both carry the closed-form term in
+    their value.  Every entry is that of the spec alone (value, error
+    estimate and evaluations).
     """
     _check_modulus(K)
     if not specs:
@@ -373,12 +425,23 @@ def conformal_energies(
     at = _spec_points(specs)
     half = prism.octant.half_lengths
     weight = 16.0 * K
-    return quad2d_many(
-        lambda u, v, k: _faces_density(at(k), half, weight, u, v),
-        [_faces_domain(prism, spec, half) for spec in specs],
+    results = quad2d_many(
+        lambda u, v, k: _green_density(at(k), half, weight, u, v),
+        [(_green_domain(half), None)] * len(specs),
         tol=tol,
         max_evals=3 * max_evals_per_face,
     )
+    hx, hy, _ = half
+    area = hx * math.asinh(hy / hx) + hy * math.asinh(hx / hy)
+    out = []
+    for spec, res in zip(specs, results):
+        closed = weight * spec.degree * area
+        if isinstance(res, AccuracyError):
+            res.value += closed
+        else:
+            res = replace(res, value=res.value + closed)
+        out.append(res)
+    return out
 
 
 def face_flux(
@@ -398,7 +461,11 @@ def face_flux(
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
     values = prism.octant.half_lengths if which == "interior" else (0.0, 0.0, 0.0)
-    return _faces_integral(prism, spec, values, None, tol, 3 * max_evals_per_face)
+    rects, splits = _faces_domain(prism, spec, values)
+    return quad2d(
+        lambda u, v: _faces_density(spec, values, u, v),
+        rects, tol=tol, max_evals=3 * max_evals_per_face, initial_splits=splits,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -438,8 +505,9 @@ def energy_report(
     """Bounds plus the exact quadrature energy for one configuration.
 
     The bounds certify the quadrature: an energy E with error estimate err
-    outside lower - err <= E <= upper + err is wrong (a bump the cells
-    missed), so AccuracyError is raised instead of a report.
+    outside lower - err <= E <= upper + err contradicts the paper's bounds,
+    so its error estimate is wrong, and AccuracyError is raised instead of
+    a report.
     """
     omega0 = trapped_area(spec)
     lower = lower_bound_prism(prism, omega0, K)

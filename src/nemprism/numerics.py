@@ -5,7 +5,8 @@ there is no solver or quadrature dependency:
 
 * quad2d              adaptive 2-D quadrature over one rectangle or several
                       disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
-                      pair per cell; it refines in rounds, rates cells in
+                      pair per cell, and over segments (line integrals along
+                      x) with the 1-D pair; it refines in rounds, rates cells in
                       blocks of 16 per integrand call, shares one tolerance
                       and one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
@@ -133,8 +134,10 @@ _WKK = np.outer(_WK, _WK)
 _WGG = np.outer(_WG, _WG)
 
 
-# Integrand evaluations per cell; the most cells per integrand call and bisections per round.
+# Integrand evaluations per cell (a rectangle) and per segment; the most
+# cells per integrand call and bisections per round.
 _CELL_EVALS = 225
+_SEGMENT_EVALS = 15
 _BATCH_CELLS = 16
 
 # Below this multiple of the summed |cell values| an error estimate is
@@ -142,29 +145,48 @@ _BATCH_CELLS = 16
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
+def _evals(row) -> int:
+    """Integrand evaluations of one cell row (x0, x1, y0, y1); y0 == y1 is a segment."""
+    return _SEGMENT_EVALS if row[2] == row[3] else _CELL_EVALS
+
+
 def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[float], List[int]]:
-    """Apply the nested tensor rule to a batch of cells.
+    """Apply the nested rules to a batch of cells.
 
-    ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1), and ``k`` holds
-    the problem index of each of the 225 m points.  Returns, as lists, the
-    Kronrod values, the |K15 - G7| error estimates and the preferred split
-    axis per cell (0 for x, 1 for y).  The integrand receives flat
-    coordinate arrays and ``k``.
+    ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1).  A rectangle is
+    rated by the tensor Kronrod-15 rule against its embedded Gauss-7 rule
+    (225 points); a segment, a row with y0 == y1, by the 15-point Kronrod
+    rule against the 7-point Gauss rule on [x0, x1] at y0.  The integrand
+    receives flat coordinate arrays, the points of the rectangles first and
+    then those of the segments, each in cell order, and ``k``, the problem
+    index of each point in that order (so a ``k`` shorter than 225 m tells
+    that segments are present).  Returns, as lists in cell order, the
+    Kronrod values, the |K - G| error estimates and the preferred split
+    axis per cell (0 for x, 1 for y).
 
-    The split axis follows the larger total variation of the sampled values
-    (ridge features aligned with one axis are then bisected across the
-    ridge, not along it); near-ties fall back to the longer side.
+    A rectangle's split axis follows the larger total variation of the
+    sampled values (ridge features aligned with one axis are then bisected
+    across the ridge, not along it); near-ties fall back to the longer side.
+    A segment is always split along x.
     """
-    cx = 0.5 * (cells[:, 0] + cells[:, 1])
-    hx = 0.5 * (cells[:, 1] - cells[:, 0])
-    cy = 0.5 * (cells[:, 2] + cells[:, 3])
-    hy = 0.5 * (cells[:, 3] - cells[:, 2])
+    seg = cells[:, 2] == cells[:, 3] if len(k) < _CELL_EVALS * len(cells) else None
+    rects = cells if seg is None else cells[~seg]
+    cx = 0.5 * (rects[:, 0] + rects[:, 1])
+    hx = 0.5 * (rects[:, 1] - rects[:, 0])
+    cy = 0.5 * (rects[:, 2] + rects[:, 3])
+    hy = 0.5 * (rects[:, 3] - rects[:, 2])
 
     # Points: shape (m, 15, 15), x varying along axis 1, y along axis 2.
     xs = cx[:, None] + hx[:, None] * _XK[None, :]
     ys = cy[:, None] + hy[:, None] * _XK[None, :]
     X, Y = np.repeat(xs, 15), np.repeat(ys[:, None, :], 15, axis=1).reshape(-1)
-    vals = np.asarray(f(X, Y, k), dtype=float).reshape(-1, 15, 15)
+    if seg is not None:
+        lines = cells[seg]
+        sc, sh = 0.5 * (lines[:, 0] + lines[:, 1]), 0.5 * (lines[:, 1] - lines[:, 0])
+        X = np.concatenate([X, (sc[:, None] + sh[:, None] * _XK[None, :]).reshape(-1)])
+        Y = np.concatenate([Y, np.repeat(lines[:, 2], 15)])
+    values = np.asarray(f(X, Y, k), dtype=float)
+    vals = values[:_CELL_EVALS * len(rects)].reshape(-1, 15, 15)
 
     jac = hx * hy
     kron = jac * np.einsum("mij,ij->m", vals, _WKK)
@@ -176,23 +198,45 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[
     tvy = np.abs(vals[:, :, 1:] - vals[:, :, :-1]).sum(axis=(1, 2)).tolist()
     axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else int(ly > lx)
             for tx, ty, lx, ly in zip(tvx, tvy, hx.tolist(), hy.tolist())]
-    return kron.tolist(), np.abs(kron - gauss).tolist(), axes
+    if seg is None:
+        return kron.tolist(), np.abs(kron - gauss).tolist(), axes
+    line = values[_CELL_EVALS * len(rects):].reshape(-1, 15)
+    kron_line = sh * np.cumsum(line * _WK, axis=1)[:, -1]
+    gauss_line = sh * np.cumsum(line[:, 1::2] * _WG, axis=1)[:, -1]
+    rated = zip(kron.tolist(), np.abs(kron - gauss).tolist(), axes)
+    rated_lines = zip(kron_line.tolist(), np.abs(kron_line - gauss_line).tolist(), [0] * len(lines))
+    return [list(part) for part in zip(*[next(rated_lines if on else rated) for on in seg.tolist()])]
 
 
 def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[list]:
-    """Values, errors and split axes (lists) of cells of several problems,
-    rated in blocks of ``_BATCH_CELLS`` cells, one integrand call each; the
-    cells come in runs of ``sizes`` cells, one run per problem in ``owners``.
+    """Values, errors and split axes (lists, in cell order) of cells of
+    several problems, rated in blocks of ``_BATCH_CELLS`` cells, one
+    integrand call each; the cells come in runs of ``sizes`` cells, one run
+    per problem in ``owners``.  Rectangles are rated before segments, so
+    that at most one block mixes the two kinds (a cell's rating does not
+    depend on the cells sharing its call).
     """
-    tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
+    seg = cells[:, 2] == cells[:, 3]
+    if not seg.any():
+        tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
+        rated = [
+            _rate_cells(f, cells[i:i + _BATCH_CELLS], tags[_CELL_EVALS * i:_CELL_EVALS * (i + _BATCH_CELLS)])
+            for i in range(0, len(cells), _BATCH_CELLS)
+        ]
+        return [[x for block in part for x in block] for part in zip(*rated)]
+    order = np.argsort(seg, kind="stable")
+    points = np.where(seg[order], _SEGMENT_EVALS, _CELL_EVALS)
+    k, ends = np.repeat(np.repeat(owners, sizes)[order], points), [0] + np.cumsum(points).tolist()
     rated = [
-        _rate_cells(f, cells[i:i + _BATCH_CELLS], tags[_CELL_EVALS * i:_CELL_EVALS * (i + _BATCH_CELLS)])
+        _rate_cells(f, cells[order[i:i + _BATCH_CELLS]], k[ends[i]:ends[min(i + _BATCH_CELLS, len(cells))]])
         for i in range(0, len(cells), _BATCH_CELLS)
     ]
-    return [[x for block in part for x in block] for part in zip(*rated)]
+    parts = [[x for block in part for x in block] for part in zip(*rated)]
+    back = np.argsort(order).tolist()
+    return [[part[i] for i in back] for part in parts]
 
 
-def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
+def _breakpoints(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
     """Breakpoints lo..hi with interior cuts deduplicated and clipped."""
     eps = 1e-12 * (hi - lo)
     inner = sorted({float(v) for v in (cuts or ()) if lo + eps < float(v) < hi - eps})
@@ -205,7 +249,7 @@ def _segment(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[floa
 
 
 def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[List[float]]:
-    """Root cells [x0, x1, y0, y1] of one rectangle or of several."""
+    """Root cells [x0, x1, y0, y1] of one rectangle or segment, or of several."""
     rects = np.asarray(domain, dtype=float)
     if rects.ndim not in (1, 2) or rects.shape[-1] != 4 or rects.size == 0:
         raise DomainError(f"domain must be (x0, x1, y0, y1) or a sequence of them, got {domain!r}")
@@ -220,11 +264,11 @@ def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[Li
         )
     cells = []
     for (x0, x1, y0, y1), split in zip(rects.tolist(), splits):
-        if not (x1 > x0 and y1 > y0):
+        if not (x1 > x0 and y1 >= y0):
             raise DomainError(f"empty integration domain {domain!r}")
         sx, sy = (None, None) if split is None else split
-        xs = _segment(x0, x1, sx)
-        ys = _segment(y0, y1, sy)
+        xs = _breakpoints(x0, x1, sx)
+        ys = _breakpoints(y0, y1, sy)
         cells.extend(
             [xs[i], xs[i + 1], ys[j], ys[j + 1]]
             for i in range(len(xs) - 1)
@@ -245,32 +289,38 @@ def quad2d(
     ``domain`` is one rectangle (x0, x1, y0, y1) or a sequence of disjoint
     rectangles; the result is the integral over their union, and ``tol``
     (absolute) and ``max_evals`` (a non-negative int) are shared by all of
-    them.  ``f(x, y)`` receives flat coordinate arrays.
+    them.  ``f(x, y)`` receives flat coordinate arrays.  A rectangle of
+    zero height, y0 == y1, is a segment: it contributes the line integral
+    of f(x, y0) over x0..x1.
 
     Each cell is rated by a tensor Kronrod-15 rule against its embedded
-    Gauss-7 rule.  Refinement runs in rounds over all cells at once.  The
-    live cells sit in a heap keyed by (-error estimate, creation number),
-    so each round pops them largest error first, ties in creation order,
-    and bisects the shortest run whose removal would bring the summed error
-    to ``tol`` or below, each cell across the dominant variation of its
-    sampled values.  A round makes at most 16 bisections and one integrand
-    call rates a block of at most 16 cells (3600 points), root cells too;
-    larger calls page-fault their freed temporaries back in on every call.
+    Gauss-7 rule (225 evaluations), and each segment piece by the 15-point
+    Kronrod rule against its 7-point Gauss rule (15 evaluations); segments
+    are always bisected along x.  Refinement runs in rounds over all cells
+    at once.  The live cells sit in a heap keyed by (-error estimate,
+    creation number), so each round pops them largest error first, ties in
+    creation order, and bisects the shortest run whose removal would bring
+    the summed error to ``tol`` or below, each cell across the dominant
+    variation of its sampled values.  A round makes at most 16 bisections
+    and one integrand call rates a block of at most 16 cells (3600 points),
+    root cells too; larger calls page-fault their freed temporaries back in
+    on every call.
     Refinement order and summation order are deterministic for fixed inputs.
 
     ``initial_splits`` places cell boundaries at known feature locations:
     one (x cuts, y cuts) pair for a single rectangle, or a sequence of such
-    pairs (or None), one per rectangle.  A narrow integrand bump lying
-    between the nodes of a large cell is invisible to the error estimate; a
-    cut through the bump puts clustered near-edge nodes right on top of it.
+    pairs (or None), one per rectangle (a segment reads its x cuts only).
+    A narrow integrand bump lying between the nodes of a large cell is
+    invisible to the error estimate; a cut through the bump puts clustered
+    near-edge nodes right on top of it.
 
     The budget is checked before every integrand call, so ``evaluations``
-    never exceeds ``max_evals``.  Raises AccuracyError when the root cells
-    alone would exceed it (before any evaluation, with value nan), or when
-    the budget runs out before the tolerance is met (carrying the best
-    estimate), or at once, with value nan, when an integrand value or a
-    cell's sum is not finite (its nan or infinite error is never bisected
-    away).
+    never exceeds ``max_evals``: a round bisects no cell whose children
+    would pass it.  Raises AccuracyError when the root cells alone would
+    exceed it (before any evaluation, with value nan), or when the budget
+    runs out before the tolerance is met (carrying the best estimate), or
+    at once, with value nan, when an integrand value or a cell's sum is not
+    finite (its nan or infinite error is never bisected away).
 
     A summed error estimate at or below the round-off floor
     ``50 * eps * sum(|cell values|)`` cannot be trusted to fall further, so
@@ -334,9 +384,10 @@ def quad2d_many(
     new = {}
     for p, (domain, splits) in enumerate(problems):
         roots = _root_cells(domain, splits)
-        if len(roots) * _CELL_EVALS > max_evals:
+        need = sum(map(_evals, roots))
+        if need > max_evals:
             out[p] = AccuracyError(
-                f"{len(roots)} root cells need {len(roots) * _CELL_EVALS} evaluations, "
+                f"{len(roots)} root cells need {need} evaluations, "
                 f"above the quadrature budget of {max_evals}",
                 math.nan,
                 math.inf,
@@ -345,8 +396,8 @@ def quad2d_many(
         else:
             new[p] = roots
     # per refining problem: the heap of its live cells, and the rows, values
-    # and split axes of all its cells, indexed by seq
-    state = {}
+    # and split axes of all its cells, indexed by seq; and its evaluations
+    state, spent = {}, dict.fromkeys(new, 0)
     while new:
         vals, errs, axes = _rate_tagged(
             f, np.array([row for cells in new.values() for row in cells]), list(new), [len(c) for c in new.values()]
@@ -360,10 +411,11 @@ def quad2d_many(
             rows += cells
             cell_vals += vals[start:stop]
             cell_axes += axes[start:stop]
+            spent[p] += sum(map(_evals, cells))
             start = stop
         new = {}
         for p, (heap, rows, cell_vals, cell_axes) in state.items():
-            evals = len(rows) * _CELL_EVALS
+            evals = spent[p]
             total_err = math.fsum([-neg_err for neg_err, _ in heap])
             if not math.isfinite(total_err):  # a non-finite value gives a non-finite error
                 out[p] = AccuracyError(f"non-finite integrand values or cell sums (error estimate "
@@ -383,8 +435,22 @@ def quad2d_many(
                     evals,
                 )
                 continue
-            limit = min(_BATCH_CELLS, (max_evals - evals) // (2 * _CELL_EVALS))
-            if limit == 0:
+            # Bisect the largest errors first (ties by seq), up to the first
+            # whose removal would bring the summed error to tol or below,
+            # while the children fit in the budget.
+            children, removed, target, room = [], 0.0, total_err - tol, max_evals - evals
+            while heap and len(children) < 2 * _BATCH_CELLS and removed < target:
+                neg_err, seq = heap[0]
+                cost = 2 * _evals(rows[seq])
+                if cost > room:
+                    break
+                heapq.heappop(heap)
+                room -= cost
+                removed -= neg_err
+                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
+                lo[a + 1] = hi[a] = 0.5 * (lo[a] + lo[a + 1])
+                children += [lo, hi]
+            if not children:
                 out[p] = AccuracyError(
                     f"quadrature budget of {max_evals} evaluations exhausted "
                     f"(error estimate {total_err:.3e} > tol {tol:.3e})",
@@ -393,15 +459,6 @@ def quad2d_many(
                     evals,
                 )
                 continue
-            # Bisect the largest errors first (ties by seq), up to the first
-            # whose removal would bring the summed error to tol or below.
-            children, removed, target = [], 0.0, total_err - tol
-            while heap and len(children) < 2 * limit and removed < target:
-                neg_err, seq = heapq.heappop(heap)
-                removed -= neg_err
-                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
-                lo[a + 1] = hi[a] = 0.5 * (lo[a] + lo[a + 1])
-                children += [lo, hi]
             new[p] = children
         state = {p: state[p] for p in new}
     return out

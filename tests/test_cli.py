@@ -7,7 +7,7 @@ import time
 import pytest
 
 import nemprism.energy
-from nemprism import invariants_report, RationalMapSpec
+from nemprism import QuadratureResult, invariants_report, RationalMapSpec
 from nemprism.cli import _COMMANDS, _FIELD_ROW, Job, _build_parser, _fmt, run
 
 SPEC = {"epsilon": 1, "n": 1, "imag": [[0.5, 1]]}
@@ -507,7 +507,9 @@ def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, 
 
 
 # stdout captured before the family scans were batched; the sweep's E_err
-# re-captured from the zeta = w^2 kernel, which moved them in the 8th digit
+# re-captured from the zeta = w^2 kernel, which moved them in the 8th digit,
+# and min_value and E_err again from the energy by Green's identity (every
+# E within the two releases' summed error estimates, min_value by 1.2e-12)
 MINIMIZE_SLAB_BYTES = (
     '{\n'
     '  "argmin": 0.5465939960585007,\n'
@@ -517,30 +519,30 @@ MINIMIZE_SLAB_BYTES = (
     '    0.5468565821837293\n'
     '  ],\n'
     '  "classification": "smooth",\n'
-    '  "min_value": 45.079431966332805\n'
+    '  "min_value": 45.07943196633158\n'
     '}\n'
 )
 README_SWEEP_BYTES = (
     's,E,E_err,eps_scaled,lower,upper\n'
-    '0.05,44.0634788916,1.54467412306e-07,44.0634788916,37.6991118431,65.2967771124\n'
-    '0.1,44.0628131075,1.55328229945e-07,44.0628131075,37.6991118431,65.2967771124\n'
-    '0.15,44.0599289527,1.59031461555e-07,44.0599289527,37.6991118431,65.2967771124\n'
-    '0.2,44.0521712624,1.68842785753e-07,44.0521712624,37.6991118431,65.2967771124\n'
-    '0.25,44.0358486519,1.87933425377e-07,44.0358486519,37.6991118431,65.2967771124\n'
-    '0.3,44.0062885629,2.13783063918e-07,44.0062885629,37.6991118431,65.2967771124\n'
-    '0.35,43.9579486587,2.138210905e-07,43.9579486587,37.6991118431,65.2967771124\n'
-    '0.4,43.8846121285,3.20192864445e-08,43.8846121285,37.6991118431,65.2967771124\n'
-    '0.45,43.779695623,9.46741335772e-07,43.779695623,37.6991118431,65.2967771124\n'
-    '0.5,43.6366950481,3.983266188e-07,43.6366950481,37.6991118431,65.2967771124\n'
-    '0.55,43.449785407,5.63771198614e-08,43.449785407,37.6991118431,65.2967771124\n'
-    '0.6,43.2145773514,9.70721376614e-08,43.2145773514,37.6991118431,65.2967771124\n'
-    '0.65,42.9290196052,1.22624024934e-07,42.9290196052,37.6991118431,65.2967771124\n'
-    '0.7,42.5944323965,7.26470501089e-07,42.5944323965,37.6991118431,65.2967771124\n'
-    '0.75,42.216678481,3.36205499885e-07,42.216678481,37.6991118431,65.2967771124\n'
-    '0.8,41.8075533295,8.14062155852e-07,41.8075533295,37.6991118431,65.2967771124\n'
-    '0.85,41.3866699382,3.3347797429e-07,41.3866699382,37.6991118431,65.2967771124\n'
-    '0.9,40.9846481616,1.15024651137e-07,40.9846481616,37.6991118431,65.2967771124\n'
-    '0.95,40.6503944314,1.22195509988e-07,40.6503944314,37.6991118431,65.2967771124\n'
+    '0.05,44.0634788916,5.32211203164e-07,44.0634788916,37.6991118431,65.2967771124\n'
+    '0.1,44.0628131075,5.03174143171e-07,44.0628131075,37.6991118431,65.2967771124\n'
+    '0.15,44.0599289527,4.57300140512e-07,44.0599289527,37.6991118431,65.2967771124\n'
+    '0.2,44.0521712624,3.98332347894e-07,44.0521712624,37.6991118431,65.2967771124\n'
+    '0.25,44.0358486519,3.31282873169e-07,44.0358486519,37.6991118431,65.2967771124\n'
+    '0.3,44.0062885629,2.61951993291e-07,44.0062885629,37.6991118431,65.2967771124\n'
+    '0.35,43.9579486587,1.96100590738e-07,43.9579486587,37.6991118431,65.2967771124\n'
+    '0.4,43.8846121285,1.38081163462e-07,43.8846121285,37.6991118431,65.2967771124\n'
+    '0.45,43.779695623,8.80001654324e-08,43.779695623,37.6991118431,65.2967771124\n'
+    '0.5,43.6366950481,2.31748615576e-07,43.6366950481,37.6991118431,65.2967771124\n'
+    '0.55,43.449785407,6.73745832819e-07,43.449785407,37.6991118431,65.2967771124\n'
+    '0.6,43.2145773514,2.44876546152e-07,43.2145773514,37.6991118431,65.2967771124\n'
+    '0.65,42.9290196052,2.79004332304e-07,42.9290196052,37.6991118431,65.2967771124\n'
+    '0.7,42.5944323965,3.37736298706e-07,42.5944323965,37.6991118431,65.2967771124\n'
+    '0.75,42.216678481,4.75117263865e-07,42.216678481,37.6991118431,65.2967771124\n'
+    '0.8,41.8075533295,5.5392311793e-07,41.8075533295,37.6991118431,65.2967771124\n'
+    '0.85,41.3866699382,2.15274911453e-07,41.3866699382,37.6991118431,65.2967771124\n'
+    '0.9,40.9846481616,2.74846883586e-07,40.9846481616,37.6991118431,65.2967771124\n'
+    '0.95,40.6503944314,1.58294168662e-07,40.6503944314,37.6991118431,65.2967771124\n'
 )
 
 
@@ -561,27 +563,28 @@ def _energy_bytes(exact, exact_err, lower, upper):
     )
 
 
-# `energy --prism 1,1,1 --tol 1e-7` stdout of the zeta = w^2 kernel (the
-# w-form kernel gave the same exact values but the last one ulp lower,
-# 172.2622998569723, and each exact_err within 7e-8 relative).  The last bits of
-# exact_err follow every rounding of the Gauss estimates: with those summed
-# by einsum, rating in blocks of 1, 5, 7, 9, 11 or 15 cells changed at least
-# one of these.  The third spec has 19 root cells, so its roots take two
-# integrand calls.
+# `energy --prism 1,1,1 --tol 1e-7` stdout of the energy by Green's
+# identity.  The face-density flux integral before it gave 110.27903886664656
+# (exact_err 7.97e-08), 131.42749567860426 (9.52e-08) and 172.26229985697233
+# (8.53e-08): each exact within 3e-14 of these.  The last bits of exact_err
+# follow every rounding of the Gauss estimates: with those summed by einsum,
+# rating in blocks of 1, 5, 7, 9, 11 or 15 cells changed at least one of
+# these.  The third id counts the root cells that the face-density energy
+# seeded for that spec; Green's identity starts every spec from 6.
 ENERGY_BYTES = [
     (
         {"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
-        _energy_bytes("110.27903886664656", "7.96697889049458e-08",
+        _energy_bytes("110.27903886664654", "9.471481338119148e-08",
                       "87.96459430051421", "152.35914659567428"),
     ),
     (
         {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-        _energy_bytes("131.42749567860426", "9.520587999217733e-08",
+        _energy_bytes("131.42749567860423", "6.029040977573175e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
     (
         {"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
-        _energy_bytes("172.26229985697233", "8.53163279468383e-08",
+        _energy_bytes("172.26229985697236", "9.339246632923855e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
 ]
@@ -596,8 +599,8 @@ def test_energy_artifact_bytes_are_pinned(tmp_path, capsys, payload, expected):
 
 
 def test_minimize_counts_failed_points_as_inf_and_exits_2(capsys):
-    # at quad-tol 2e-13 most scan points reach the round-off floor first
-    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "2e-13"])
+    # at quad-tol 3e-14 most scan points reach the round-off floor first
+    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "3e-14"])
     assert code == 2
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -633,12 +636,27 @@ def test_extreme_boxes_exit_1_naming_prism(tmp_path, capsys, argv):
     assert captured.err.startswith("nemprism: error: --prism:")
 
 
-def test_energy_outside_its_bounds_exits_2(tmp_path, capsys):
-    spec = write_spec(tmp_path, {"epsilon": 1, "n": 1, "imag": [[1.0 - 1e-8, 1]]})
+def test_energy_outside_its_bounds_exits_2(tmp_path, capsys, monkeypatch):
+    # a quadrature result below the lower bound 4 pi of the identity map
+    monkeypatch.setattr(nemprism.energy, "conformal_energy", lambda *args: QuadratureResult(1.0, 1e-6, 225))
+    spec = write_spec(tmp_path, {"epsilon": 1, "n": 1})
     assert run(["energy", "--prism", "1,1,1", "--spec", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "outside the bounds" in captured.err
+
+
+@pytest.mark.parametrize("payload,expected", [
+    ({"epsilon": 1, "n": 1, "imag": [[1.0 - 1e-8, 1]]}, 40.480989673605755),
+    ({"epsilon": 1, "n": 1, "imag": [[0.99999999, 1]]}, 297.6529511474164),
+], ids=["imag1-cube", "imag1-slab"])
+def test_energy_of_a_coalescing_factor_exits_0_with_its_value(tmp_path, capsys, payload, expected):
+    # the face-density energy refused the first (outside its bounds) and gave
+    # 46.33 for the second; the references are tol 1e-10 runs
+    prism = "1,1,1" if expected < 100 else "20,10,1"
+    assert run(["energy", "--prism", prism, "--spec", write_spec(tmp_path, payload)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["exact"] - expected) <= report["exact_err"] + 1e-9
 
 
 # (job fields, the field the message must name)

@@ -7,6 +7,8 @@ import pytest
 
 from helpers import random_spec, reference_area_density, reference_parts
 
+from nemprism.conformal import _accumulate, _log_norm
+
 from nemprism import (
     InvalidSpecError,
     RationalMapSpec,
@@ -234,6 +236,37 @@ def test_kernel_matches_the_w_form_reference_at_extremes():
     stacked = RationalMapSpec(-1, 3, real_factors=((a, 1), (math.nextafter(a, 1.0), -1)) * 3)
     near = a * rng.uniform(0.0, 3.0, 100) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100))
     _check_against_reference(stacked, np.concatenate([near, ws]))
+
+
+def test_log_norm_skips_the_derivatives_and_matches_the_reference():
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        spec = random_spec(rng)
+        ws = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(0.0, 0.5 * math.pi, 200))
+        for orientation in ("conformal", "anticonformal"):
+            spec = replace(spec, orientation=orientation)
+            full, bare = _accumulate(spec, ws), _accumulate(spec, ws, derivatives=False)
+            assert bare[3] is None and bare[5] is None
+            assert all(np.array_equal(full[i], bare[i]) for i in (0, 1, 2, 4))
+            P, Q, _, _ = reference_parts(spec, ws)
+            ref = 0.5 * np.log(np.abs(P) ** 2 + np.abs(Q) ** 2)
+            assert np.all(np.abs(_log_norm(spec, bare) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+def test_log_norm_stays_finite_where_the_squares_underflow():
+    # 20 zeros at 0.5 and 20 poles at 0.5 + 1e-9: near 0.5 both |P| and |Q|
+    # lie below 1e-154, so |P|^2 + |Q|^2 underflows to 0
+    r, rp, k = 0.5, 0.5 + 1e-9, 20
+    spec = RationalMapSpec(1, 1, real_factors=((r, 1),) * k + ((rp, -1),) * k)
+    ws = 0.5 + np.array([1e-10, 3e-10, -2e-10, 1e-10j, 2e-10 + 1e-10j])
+    zeta = ws * ws
+    log_p = np.log(np.abs(ws)) + k * (np.log(np.abs(zeta - r * r)) + np.log(np.abs(rp * rp * zeta - 1.0)))
+    log_q = k * (np.log(np.abs(r * r * zeta - 1.0)) + np.log(np.abs(zeta - rp * rp)))
+    top, low = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
+    ref = top + 0.5 * np.log1p(np.exp(2.0 * (low - top)))
+    assert np.all(top < math.log(1e-154))
+    got = _log_norm(spec, _accumulate(spec, ws, derivatives=False))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 # ------------------------------------------------------------------ director

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nemprism.energy
 from helpers import random_prism, random_spec
 
 from nemprism import (
@@ -11,6 +12,7 @@ from nemprism import (
     ElasticConstants,
     EnergyReport,
     LowerBoundCertificate,
+    QuadratureResult,
     RationalMapSpec,
     SumRuleError,
     UNWRAPPED_VARIANTS,
@@ -25,6 +27,7 @@ from nemprism import (
     make_prism,
     prism_lp_certificate,
     scaled_energy,
+    stereo_lift,
     trapped_area,
     unwrapped_energy,
     upper_bound_prism,
@@ -328,18 +331,120 @@ def test_conformal_energies_of_no_specs_is_empty():
     assert conformal_energies(make_prism(1.0, 1.0, 1.0), []) == []
 
 
-@pytest.mark.parametrize("spec,lower", [
-    # a tight zero/pole pair whose bump sits on a face edge, missed by the
-    # cells: the quadrature gives the identity energy, far below the bound
-    (RationalMapSpec(1, 1, real_factors=((0.5, 1), (0.5 + 1e-8, -1), (0.3, 1), (0.3 + 1e-8, -1)),
-                     imag_factors=((0.4, 1), (0.4 + 1e-8, -1))), 163.36281798666926),
-    (RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), 37.69911184307752),
+def _gap(g):
+    """Unit-cube spec with a zero/pole pair g apart on each of three axis factors."""
+    return RationalMapSpec(1, 1, real_factors=((0.5, 1), (0.5 + g, -1), (0.3, 1), (0.3 + g, -1)),
+                           imag_factors=((0.4, 1), (0.4 + g, -1)))
+
+
+def _bubble_limit(prism, points):
+    """Energy limit as zero/pole pairs coalesce at the first-quadrant points
+    ``points`` of an otherwise identity map: E_rest + 8 pi sum rho(omega)
+    over the distinct mirror images omega of each bubble direction, with
+    rho(omega) = min_k h_k / |omega_k| (the same for every image)."""
+    total = unwrapped_energy(prism, tol=1e-12)
+    for w0 in points:
+        omega = stereo_lift(w0)
+        axes = [k for k in range(3) if omega[k] != 0.0]
+        rho = min(prism.octant.half_lengths[k] / abs(omega[k]) for k in axes)
+        total += 8.0 * math.pi * 2 ** len(axes) * rho
+    return total
+
+
+CUBE = make_prism(1.0, 1.0, 1.0)
+SLAB = make_prism(20.0, 10.0, 1.0)
+# A limit is approached linearly in the distance delta of the pair: the gap
+# spec's energy falls by 115 delta and the slab's by 235 delta, so 1e3 delta
+# bounds the distance to the limit.
+_LIMIT_SLOPE = 1e3
+# The face-density references are the energy that ``conformal_energy``
+# computed before it used Green's identity: the flux integral
+# 16 K r (D . nhat) over the faces, each factor's bump seeded as a cell
+# boundary, at the tolerance named; "edge-seeded" ones seed the bumps on
+# face edges too, as ``_face_cuts`` now does.  Each carries its own error
+# estimate.
+# (id, prism, spec, [(reference, its uncertainty)])
+GREEN_TABLE = [
+    ("identity-cube", CUBE, RationalMapSpec(1, 1), [(E0_CUBE, 1e-12)]),
+    # face density, tol 1e-6
+    ("gap-1e-6", CUBE, _gap(1e-6), [(207.80257210030666, 9.83149328994012e-07)]),
+    # edge-seeded face density, tol 1e-6; face density, tol 1e-7 (at tol
+    # 1e-6 it gave 204.48579, inside the bounds and wrong)
+    ("gap-1e-7", CUBE, _gap(1e-7), [(207.80245728972181, 9.965149008024923e-07),
+                                    (207.80245730709947, 9.735345003013137e-08)]),
+    # edge-seeded face density, tol 1e-6; the bubble limit
+    ("gap-1e-8", CUBE, _gap(1e-8), [(207.8024459411647, 9.780861867542975e-07),
+                                    (_bubble_limit(CUBE, [0.5, 0.3, 0.4j]), _LIMIT_SLOPE * 1e-8)]),
+    # the bubble limit; edge-seeded face density, tol 1e-7
+    ("imag1-1e-8-cube", CUBE, RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)),
+     [(_bubble_limit(CUBE, [1j]), _LIMIT_SLOPE * 1e-8), (40.48098977085279, 9.083248053110382e-08)]),
+    ("imag-2e-12-slab", SLAB, RationalMapSpec(1, 1, imag_factors=((1.0 - 2e-12, 1),)),
+     [(_bubble_limit(SLAB, [1j]), _LIMIT_SLOPE * 2e-12)]),
+    # the bubble limit with 8 images
+    ("pair-1e-10", CUBE, RationalMapSpec(1, 1, complex_factors=((0.3 + 0.4j, 1), (0.3 + 1e-10 + 0.4j, -1))),
+     [(_bubble_limit(CUBE, [0.3 + 0.4j]), _LIMIT_SLOPE * 1e-10)]),
+    # face density, tol 1e-6
+    ("n-3-degree-13", make_prism(3.0, 2.0, 0.5),
+     RationalMapSpec(1, -3, real_factors=((0.4, 1),), complex_factors=((0.3 + 0.5j, 1), (0.6 + 0.2j, -1))),
+     [(183.86578456658034, 8.465393464551774e-07)]),
+    ("n-101", CUBE, RationalMapSpec(1, 101), [(1424.3571361226707, 4.994950508636248e-07)]),
+    # the face density gave 46.3255 here and exited 0; the value quoted for
+    # this spec (to 6 decimals), edge-seeded face density at tol 1e-6, and
+    # the bubble limit
+    ("imag-1e-8-slab", SLAB, RationalMapSpec(1, 1, imag_factors=((0.99999999, 1),)),
+     [(297.652951, 5e-7), (297.65295153314366, 9.375535028709776e-07),
+      (_bubble_limit(SLAB, [1j]), _LIMIT_SLOPE * 1e-8)]),
+]
+
+
+@pytest.mark.parametrize("prism,spec,references", [row[1:] for row in GREEN_TABLE],
+                         ids=[row[0] for row in GREEN_TABLE])
+def test_energy_matches_its_references_within_the_estimates(prism, spec, references):
+    res = conformal_energy(prism, spec, tol=1e-7)
+    assert res.error_estimate <= 1e-7
+    for reference, uncertainty in references:
+        assert abs(res.value - reference) <= res.error_estimate + uncertainty
+
+
+def test_bubble_limits_match_the_closed_forms():
+    # 2, 4 and 8 images: imag1 on the cube and the slab, a real pair at 0.5
+    assert _bubble_limit(CUBE, [1j]) == pytest.approx(E0_CUBE + 8.0 * math.pi, rel=1e-15)
+    assert _bubble_limit(SLAB, [1j]) == pytest.approx(46.32553650682567 + 16.0 * math.pi * 5.0, rel=1e-15)
+    assert _bubble_limit(CUBE, [0.5]) == pytest.approx(E0_CUBE + 8.0 * math.pi * 4 * 0.625, rel=1e-15)
+    assert _bubble_limit(CUBE, [0.3 + 0.4j]) == pytest.approx(E0_CUBE + 8.0 * math.pi * 8 * 0.78125, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [_gap(1e-6), _gap(1e-7), _gap(1e-8),
+                                  RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),))],
+                         ids=["gap-1e-6", "gap-1e-7", "gap-1e-8", "imag1-1e-8"])
+def test_face_flux_equals_the_trapped_area_at_the_gaps(spec):
+    # before the bumps on face edges were seeded, the gaps 1e-7 and 1e-8 and
+    # imag1 gave a flux of 1.5708, against 20.42 and 4.712
+    res = face_flux(CUBE, spec, "interior", tol=1e-6)
+    assert abs(res.value - trapped_area(spec)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("spec,references", [
+    (_gap(1e-8), [(207.8024459411647, 9.780861867542975e-07)]),
+    (RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), [(40.480989750375166, 8.263586859765847e-07)]),
 ], ids=["gap-1e-8", "imag1-coalescing"])
-def test_energy_report_refuses_an_energy_outside_its_bounds(spec, lower):
+def test_energy_report_gives_the_coalescing_energies(spec, references):
+    # the face-density energy missed these bumps, gave the identity energy
+    # and was refused as outside the bounds; references: edge-seeded face
+    # density at the same tol
+    rep = energy_report(CUBE, spec, tol=1e-6)
+    assert rep.lower <= rep.exact <= rep.upper
+    for reference, uncertainty in references:
+        assert abs(rep.exact - reference) <= rep.exact_err + uncertainty
+
+
+@pytest.mark.parametrize("value", [1.0, 1e3], ids=["below", "above"])
+def test_energy_report_refuses_an_energy_outside_its_bounds(monkeypatch, value):
+    # the identity map on the cube has bounds [4 pi, 4 sqrt(3) pi]
+    monkeypatch.setattr(nemprism.energy, "conformal_energy", lambda *args: QuadratureResult(value, 1e-6, 225))
     with pytest.raises(AccuracyError, match="outside the bounds") as exc:
-        energy_report(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6)
-    assert exc.value.value == pytest.approx(E0_CUBE, abs=1e-5)
-    assert exc.value.value + exc.value.error_estimate < lower
+        energy_report(CUBE, RationalMapSpec(1, 1), tol=1e-6)
+    assert (exc.value.value, exc.value.error_estimate, exc.value.evaluations) == (value, 1e-6, 225)
 
 
 def test_conformal_energy_refuses_a_budget_that_is_not_an_int():

@@ -660,3 +660,80 @@ def test_quad2d_refuses_a_budget_that_is_not_a_non_negative_int(max_evals):
     with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
         quad2d_many(lambda x, y, k: counted(x, y), [((0.0, 1.0, 0.0, 1.0), None)], max_evals=max_evals)
     assert calls == []
+
+
+def _counting3(f):
+    calls = []
+
+    def counted(x, y, k):
+        calls.append(x.size)
+        return f(x, y)
+
+    return counted, calls
+
+
+def test_quad2d_integrates_a_segment_along_x():
+    # a row (x0, x1, y, y) is the line integral of f(x, y) over x0..x1
+    res = quad2d(lambda x, y: np.exp(x) * y, (0.0, 1.0, 2.0, 2.0), tol=1e-12)
+    assert res.value == pytest.approx(2.0 * (math.e - 1.0), rel=1e-14)
+    assert res.evaluations == 15
+    # refinement splits it along x, 15 evaluations per piece
+    res = quad2d(lambda x, y: np.sqrt(x), (0.0, 1.0, -1.0, -1.0), tol=1e-10)
+    assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert res.evaluations % 15 == 0 and res.evaluations > 15
+
+
+def test_quad2d_sums_rectangles_and_segments_in_one_domain():
+    f = lambda x, y: np.cos(x) + y
+    res = quad2d(f, [(0.0, 1.0, 0.0, 1.0), (0.0, 2.0, -3.0, -3.0), (-1.0, 0.0, 5.0, 5.0)], tol=1e-12)
+    exact = (math.sin(1.0) + 0.5) + (math.sin(2.0) - 6.0) + (math.sin(1.0) + 5.0)
+    assert res.value == pytest.approx(exact, abs=1e-12)
+    # a 225-point cell and two 15-point segments
+    assert res.evaluations == 225 + 2 * 15
+
+
+def test_segment_points_follow_the_rectangle_points_in_a_call():
+    seen = []
+
+    def f(x, y, k):
+        seen.append((x.copy(), y.copy(), k.copy()))
+        return np.ones_like(x)
+
+    problems = [([(0.0, 1.0, -1.0, -1.0), (0.0, 1.0, 0.0, 1.0)], None), ([(2.0, 3.0, 4.0, 4.0)], None)]
+    results = quad2d_many(f, problems, tol=1e-6)
+    assert [r.value for r in results] == pytest.approx([2.0, 1.0], abs=1e-14)
+    ((x, y, k),) = seen
+    assert x.size == 225 + 2 * 15
+    assert np.all(y[:225] >= 0.0) and np.all(y[225:240] == -1.0) and np.all(y[240:] == 4.0)
+    assert list(k[:240]) == [0] * 240 and list(k[240:]) == [1] * 15
+
+
+def test_segment_ratings_do_not_depend_on_the_cells_sharing_a_call():
+    rng = np.random.default_rng(5)
+    x0, y0 = rng.uniform(0.0, 1.0, (2, 9))
+    cells = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1)
+    cells[::2, 3] = cells[::2, 2]  # every other cell a segment
+    f = lambda x, y, k: np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) / (0.1 + x * y)
+    seg = cells[:, 2] == cells[:, 3]
+    k = np.zeros(225 * int(np.count_nonzero(~seg)) + 15 * int(np.count_nonzero(seg)), dtype=int)
+    together = _rate_cells(f, cells, k)
+    for i in range(len(cells)):
+        alone = _rate_cells(f, cells[i:i + 1], k[:15 if seg[i] else 225])
+        for part, single in zip(together, alone):
+            assert part[i] == single[0]
+    assert [together[2][i] for i in np.flatnonzero(seg)] == [0] * int(np.count_nonzero(seg))
+
+
+def test_segments_count_their_evaluations_against_the_budget():
+    f = lambda x, y: np.sin(300.0 * x)
+    counted, calls = _counting3(f)
+    (res,) = quad2d_many(counted, [([(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, -1.0, -1.0)], None)], max_evals=239)
+    assert isinstance(res, AccuracyError) and "2 root cells need 240 evaluations" in str(res)
+    assert calls == []
+    for max_evals in (15, 100, 1000):
+        counted, calls = _counting3(f)
+        (res,) = quad2d_many(counted, [((0.0, 1.0, -1.0, -1.0), None)], tol=1e-15, max_evals=max_evals)
+        assert isinstance(res, AccuracyError)
+        assert res.evaluations == sum(calls) <= max_evals
+        # a segment's two children cost 30: the budget stops within 30 of the end
+        assert max_evals - res.evaluations < 30
