@@ -29,6 +29,19 @@ sum c_ij length_ij.  phi has no bumps: a zero/pole pair a distance g apart
 adds a term of mass O(g^2 log g) to it, where the area density carries a
 bump of mass 8 pi in an area of about g^2, so the faces need no cuts.
 
+On a flat box the face z term, of size h_x h_y / h_z, cancels against the
+parts h_x/h_z and h_y/h_z of c_ij on the two long edges beside it, so the
+round-off floor of the sum grows with h_y / h_z.  The divergence theorem
+on face z with the field (x, y) phi / 2, and phi's invariance along rays
+(x d/dx + y d/dy = -h_z d/dz on the face), turn that difference into
+
+    (2/h_z) int_{face z} phi - (h_x/h_z) int_{edge y} phi
+                             - (h_y/h_z) int_{edge x} phi = int_{face z} d phi/dz,
+
+with nothing to cancel.  Past h_y / h_z = 16 face z takes this slope form,
+which needs the derivatives of P and Q, and the long edges keep the parts
+h_z/h_y and h_z/h_x of their c_ij; below it phi alone is the cheaper.
+
 Bounds need only the trapped solid angle omega0:
 
     lower = 8 K L_z |omega0|,   upper = 8 K sqrt(Lx^2+Ly^2+Lz^2) |omega0|,
@@ -58,6 +71,7 @@ from .conformal import (
     RationalMapSpec,
     _accumulate,
     _log_norm,
+    _log_norm_slope,
     _project,
     _spec_points,
     bracket_offsets,
@@ -335,6 +349,10 @@ def _faces_density(spec, values, u, v):
     return sign * value * sphere_density(spec, w) / (r2 * r)
 
 
+# Above this h_y / h_z, face z takes the slope form (see the module docstring).
+_SLOPE_ASPECT = 16.0
+
+
 def _edge_level(half: Tuple[float, float, float]) -> float:
     """L = 1 + h_x + h_y + h_z: the edge along axis m lies at v = -(m + 1) L."""
     return 1.0 + sum(half)
@@ -350,10 +368,13 @@ def _green_density(spec, half, weight: float, u, v):
     """``weight`` times the integrand of Green's second identity at points
     (u, v) of ``_green_domain``: (2/h_k) phi on face k and -c_ij phi on the
     edge where the faces i and j meet, c_ij = (h_i^2 + h_j^2)/(h_i h_j),
-    with phi = 2 log |(P, Q)|.  ``spec`` may be a per-point view from
-    ``_spec_points``."""
+    with phi = 2 log |(P, Q)|; on a flat box, d phi/dz on face z and the
+    reduced c_ij on the long edges (see the module docstring).  ``spec``
+    may be a per-point view from ``_spec_points``."""
     # the scales carry phi's factor 2 over log |(P, Q)|
     x, y, z, scale = _face_points(half, [4.0 * weight / h for h in half], u, v)
+    hx, hy, hz = half
+    flat = hy > _SLOPE_ASPECT * hz
     level = _edge_level(half)
     if v.min() <= -level:  # the call holds edge points
         edge = v <= -level
@@ -361,12 +382,20 @@ def _green_density(spec, half, weight: float, u, v):
         pts = np.repeat(np.asarray(half)[:, None], axis.size, axis=1)
         pts[axis, np.arange(axis.size)] = u[edge]
         x[edge], y[edge], z[edge] = pts
-        hx, hy, hz = half  # c_ij of the edges along x, y and z
-        c = np.array([(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz),
-                      (hx * hx + hy * hy) / (hx * hy)])
+        # c_ij of the edges along x, y and z; face z's slope form takes the
+        # parts h_y/h_z and h_x/h_z of the first two
+        if flat:
+            c = np.array([hz / hy, hz / hx, (hx * hx + hy * hy) / (hx * hy)])
+        else:
+            c = np.array([(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz),
+                          (hx * hx + hy * hy) / (hx * hy)])
         scale[edge] = -2.0 * weight * c[axis]
-    w = _project(x, y, z)[0]
-    return scale * _log_norm(spec, _accumulate(spec, w, derivatives=False))
+    w, _, r = _project(x, y, z)
+    acc = _accumulate(spec, w, derivatives=flat)
+    out = scale * _log_norm(spec, acc)
+    if flat:  # d phi/dz = -(2/r) |w| d/d|w| log |(P, Q)|, as dw/dz = -w/r
+        out = np.where((u < 0.0) & (v < 0.0), -2.0 * weight * _log_norm_slope(spec, acc) / r, out)
+    return out
 
 
 def _check_modulus(K: float) -> None:
@@ -388,7 +417,9 @@ def conformal_energy(
     phi over the three interior octant faces and the three far box edges:
     the absolute tolerance ``tol`` and a budget of 3 * ``max_evals_per_face``
     evaluations are shared by the faces and edges, so refinement goes
-    wherever the error is.  Raises AccuracyError if the quadrature cannot
+    wherever the error is.  On a flat box (h_y > 16 h_z) face z takes the
+    slope form of the module docstring, whose round-off floor does not grow
+    with h_y / h_z.  Raises AccuracyError if the quadrature cannot
     reach ``tol`` within the budget, or at once when ``tol`` lies below the
     round-off floor (see ``quad2d``); a budget that is not a non-negative
     integer (nan included) raises DomainError.  This is the one-spec case

@@ -217,13 +217,6 @@ def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> L
     depend on the cells sharing its call).
     """
     seg = cells[:, 2] == cells[:, 3]
-    if not seg.any():
-        tags = np.repeat(owners, [_CELL_EVALS * size for size in sizes])
-        rated = [
-            _rate_cells(f, cells[i:i + _BATCH_CELLS], tags[_CELL_EVALS * i:_CELL_EVALS * (i + _BATCH_CELLS)])
-            for i in range(0, len(cells), _BATCH_CELLS)
-        ]
-        return [[x for block in part for x in block] for part in zip(*rated)]
     order = np.argsort(seg, kind="stable")
     points = np.where(seg[order], _SEGMENT_EVALS, _CELL_EVALS)
     k, ends = np.repeat(np.repeat(owners, sizes)[order], points), [0] + np.cumsum(points).tolist()
@@ -319,8 +312,12 @@ def quad2d(
     would pass it.  Raises AccuracyError when the root cells alone would
     exceed it (before any evaluation, with value nan), or when the budget
     runs out before the tolerance is met (carrying the best estimate), or
-    at once, with value nan, when an integrand value or a cell's sum is not
-    finite (its nan or infinite error is never bisected away).
+    when the next cell to bisect is one float spacing wide along its split
+    axis, so that its midpoint is one of its ends (carrying the best
+    estimate; a zero-width child would be taken for a segment or count as
+    nothing), or at once, with value nan, when an integrand value or a
+    cell's sum is not finite (its nan or infinite error is never bisected
+    away).
 
     A summed error estimate at or below the round-off floor
     ``50 * eps * sum(|cell values|)`` cannot be trusted to fall further, so
@@ -439,17 +436,31 @@ def quad2d_many(
             # whose removal would bring the summed error to tol or below,
             # while the children fit in the budget.
             children, removed, target, room = [], 0.0, total_err - tol, max_evals - evals
+            narrow = None
             while heap and len(children) < 2 * _BATCH_CELLS and removed < target:
                 neg_err, seq = heap[0]
                 cost = 2 * _evals(rows[seq])
                 if cost > room:
                     break
+                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
+                mid = 0.5 * (lo[a] + lo[a + 1])
+                if not lo[a] < mid < lo[a + 1]:  # the side is one float spacing wide
+                    narrow = rows[seq]
+                    break
                 heapq.heappop(heap)
                 room -= cost
                 removed -= neg_err
-                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
-                lo[a + 1] = hi[a] = 0.5 * (lo[a] + lo[a + 1])
+                lo[a + 1] = hi[a] = mid
                 children += [lo, hi]
+            if narrow is not None:
+                out[p] = AccuracyError(
+                    f"cell {narrow!r} cannot be bisected: its side is one float spacing wide "
+                    f"(error estimate {total_err:.3e} > tol {tol:.3e})",
+                    math.fsum(live_vals),
+                    total_err,
+                    evals,
+                )
+                continue
             if not children:
                 out[p] = AccuracyError(
                     f"quadrature budget of {max_evals} evaluations exhausted "

@@ -451,3 +451,45 @@ def test_conformal_energy_refuses_a_budget_that_is_not_an_int():
     spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
     with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
         conformal_energy(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6, max_evals_per_face=math.nan)
+
+
+FLAT = make_prism(1e4, 1e4, 1.0)
+
+
+@pytest.mark.parametrize("prism,tol", [(FLAT, 1e-6), (make_prism(1e3, 1e3, 1.0), 1e-7)],
+                         ids=["1e4-to-1", "1e3-to-1"])
+def test_flat_box_energy_matches_the_closed_form(prism, tol):
+    # without face z's slope form the cancelling face z and long edge terms
+    # put the round-off floor at 2.5e-5 on 1e4 x 1e4 x 1, and tol 1e-6 was
+    # refused
+    res = conformal_energy(prism, RationalMapSpec(1, 1), tol=tol)
+    reference = unwrapped_energy(prism, tol=1e-12)
+    assert abs(res.value - reference) <= res.error_estimate + 1e-12 * reference
+
+
+@pytest.mark.parametrize("spec,reference,uncertainty", [
+    (RationalMapSpec(1, 1, real_factors=((0.5, 1),)), 1071.294226696103, 8.997801685950435e-07),
+    (RationalMapSpec(1, 1, imag_factors=((0.9, 1),)), 2335.5304418531405, 9.422982594209373e-07),
+    (RationalMapSpec(-1, -3, complex_factors=((0.3 + 0.4j, -1),), orientation="anticonformal"),
+     5056.658607158672, 9.571842275587703e-07),
+], ids=["real", "imag", "anticonformal-complex"])
+def test_flat_box_energy_matches_the_face_density(spec, reference, uncertainty):
+    # references: the face-density energy at tol 1e-6, with its estimate
+    res = conformal_energy(FLAT, spec, tol=1e-6)
+    assert abs(res.value - reference) <= res.error_estimate + uncertainty
+
+
+@pytest.mark.parametrize("prism", [CUBE, make_prism(64.0, 32.0, 1.0)], ids=["cube", "32-to-1"])
+@pytest.mark.parametrize("spec", [
+    RationalMapSpec(1, 1, real_factors=((0.5, 1),), complex_factors=((0.3 + 0.4j, -1),)),
+    RationalMapSpec(-1, -3, imag_factors=((0.7, 1),), orientation="anticonformal"),
+], ids=["conformal", "anticonformal"])
+def test_slope_form_of_face_z_agrees_with_the_potential_form(monkeypatch, prism, spec):
+    # the divergence theorem on face z is exact on any box, so both forms
+    # must agree wherever both answer
+    forms = []
+    for aspect in (0.0, math.inf):  # every box flat, then none
+        monkeypatch.setattr(nemprism.energy, "_SLOPE_ASPECT", aspect)
+        forms.append(conformal_energy(prism, spec, tol=1e-8))
+    slope, potential = forms
+    assert abs(slope.value - potential.value) <= slope.error_estimate + potential.error_estimate

@@ -737,3 +737,22 @@ def test_segments_count_their_evaluations_against_the_budget():
         assert res.evaluations == sum(calls) <= max_evals
         # a segment's two children cost 30: the budget stops within 30 of the end
         assert max_evals - res.evaluations < 30
+
+
+@pytest.mark.parametrize("segment", [False, True])
+def test_quad2d_refuses_to_bisect_a_side_one_float_spacing_wide(segment):
+    # 1/|t - 1/2| keeps the cells beside t = 1/2 above any tolerance: they
+    # are bisected along y (along x on a segment) down to one float
+    # spacing, where a midpoint equals an endpoint; the quadrature stops
+    # there rather than make a zero-width child, which would count as a
+    # segment or as nothing
+    def f(x, y):
+        return 1.0 / (np.abs((x if segment else y) - 0.5) + 1e-300)
+
+    domain = (0.25, 0.75, 0.0, 0.0) if segment else (0.0, 1.0, 0.25, 0.75)
+    with pytest.raises(AccuracyError, match="one float spacing wide") as info:
+        quad2d(f, domain, tol=1e-6, max_evals=10_000_000)
+    x0, x1, y0, y1 = eval(str(info.value).split("cell ")[1].split(" cannot")[0])
+    lo, hi = (x0, x1) if segment else (y0, y1)
+    assert hi == math.nextafter(lo, math.inf) and 0.5 in (lo, hi)
+    assert 0 < info.value.evaluations < 200_000
