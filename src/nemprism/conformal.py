@@ -28,8 +28,8 @@ density stays finite everywhere.  It is written once, in a shared kernel:
 derivatives accumulated as polynomials in w^2, w conjugated first for
 anticonformal maps), ``_parts`` (the projective parts), ``_density`` (the
 area or sphere density in one fused pass), ``_log_norm`` (log |(P, Q)|,
-half the Fubini-Study potential, from Pt and Qt alone), ``_log_norm_slope``
-(its radial derivative |w| d/d|w|), ``_lift`` (the
+half the Fubini-Study potential, from Pt and Qt alone), ``_log_norm_gradient``
+(its derivative in w), ``_lift`` (the
 unit vector of a pair) and ``_project`` (a point to w, the -z axis to
 infinity).  The director, flux and density functions below, the energy
 and flux face integrands, the trapped-area integrand and the winding
@@ -354,16 +354,15 @@ def _log_norm(spec: RationalMapSpec, acc: tuple):
     return np.log(np.abs(pair))
 
 
-def _log_norm_slope(spec: RationalMapSpec, acc: tuple):
-    """|w| d/d|w| of log |(P, Q)| from ``_accumulate``'s result with its
-    derivatives: Re(w (P' conj(P) + Q' conj(Q))) / (|P|^2 + |Q|^2), the
-    pair divided by max(|P|, |Q|) first.  w is the point the kernel
-    evaluated (conjugated for anticonformal maps)."""
+def _log_norm_gradient(spec: RationalMapSpec, acc: tuple):
+    """g = (P' conj(P) + Q' conj(Q)) / (|P|^2 + |Q|^2) from ``_accumulate``'s
+    result with its derivatives, so that d log |(P, Q)| = Re(g dw); the pair
+    is divided by max(|P|, |Q|) first.  w is the point the kernel evaluated
+    (conjugated for anticonformal maps)."""
     P, Q, dP, dQ = _parts(spec, acc)
     inv = 1.0 / np.maximum(np.abs(P), np.abs(Q))
     p, q = P * inv, Q * inv
-    dot = acc[0] * inv * (dP * np.conj(p) + dQ * np.conj(q))
-    return dot.real / (np.abs(p) ** 2 + np.abs(q) ** 2)
+    return inv * (dP * np.conj(p) + dQ * np.conj(q)) / (np.abs(p) ** 2 + np.abs(q) ** 2)
 
 
 def _structure(spec: RationalMapSpec) -> tuple:

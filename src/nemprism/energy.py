@@ -29,18 +29,23 @@ sum c_ij length_ij.  phi has no bumps: a zero/pole pair a distance g apart
 adds a term of mass O(g^2 log g) to it, where the area density carries a
 bump of mass 8 pi in an area of about g^2, so the faces need no cuts.
 
-On a flat box the face z term, of size h_x h_y / h_z, cancels against the
-parts h_x/h_z and h_y/h_z of c_ij on the two long edges beside it, so the
-round-off floor of the sum grows with h_y / h_z.  The divergence theorem
-on face z with the field (x, y) phi / 2, and phi's invariance along rays
-(x d/dx + y d/dy = -h_z d/dz on the face), turn that difference into
+On a flat box or a needle a face term is large and cancels against the
+edges beside it: face z's, of size h_x h_y / h_z, against the parts
+h_x/h_z and h_y/h_z of c_ij on its two far edges, so the round-off floor
+of the sum grows with the aspect ratio.  The divergence theorem on face k
+with the field (u, v) phi / 2 in its own coordinates, and phi's invariance
+along rays (u d/du + v d/dv = -h_k d/dx_k on the face), turn that
+difference into
 
-    (2/h_z) int_{face z} phi - (h_x/h_z) int_{edge y} phi
-                             - (h_y/h_z) int_{edge x} phi = int_{face z} d phi/dz,
+    (2/h_k) int_{face k} phi - sum_{far edges e of face k} (h_e/h_k) int_e phi
+        = int_{face k} d phi/dx_k,
 
-with nothing to cancel.  Past h_y / h_z = 16 face z takes this slope form,
-which needs the derivatives of P and Q, and the long edges keep the parts
-h_z/h_y and h_z/h_x of their c_ij; below it phi alone is the cheaper.
+where the far edge at x_j = h_j has h_e = h_j, and nothing is left to
+cancel.
+Face k takes this slope form when h_i h_j > 256 h_k^2 (i, j the other
+axes): face z on a flat box, faces y and z on a needle.  It needs the
+derivatives of P and Q, and the edges lose the parts of their c_ij that
+face k took; on other faces phi alone is the cheaper.
 
 Bounds need only the trapped solid angle omega0:
 
@@ -71,7 +76,7 @@ from .conformal import (
     RationalMapSpec,
     _accumulate,
     _log_norm,
-    _log_norm_slope,
+    _log_norm_gradient,
     _project,
     _spec_points,
     bracket_offsets,
@@ -349,8 +354,9 @@ def _faces_density(spec, values, u, v):
     return sign * value * sphere_density(spec, w) / (r2 * r)
 
 
-# Above this h_y / h_z, face z takes the slope form (see the module docstring).
-_SLOPE_ASPECT = 16.0
+# Face k takes the slope form when h_i h_j > _SLOPE_RATIO h_k^2 (see the
+# module docstring).
+_SLOPE_RATIO = 256.0
 
 
 def _edge_level(half: Tuple[float, float, float]) -> float:
@@ -364,17 +370,24 @@ def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, 
     return _face_rects(half) + [(0.0, h, -(m + 1) * level, -(m + 1) * level) for m, h in enumerate(half)]
 
 
+def _slope_faces(half: Tuple[float, float, float]) -> Tuple[bool, bool, bool]:
+    """Which faces take the slope form: face k does when h_i h_j > 256 h_k^2
+    (i, j the other axes), i.e. its phi term outweighs 2 h_k by 256."""
+    return tuple(half[i] * half[j] > _SLOPE_RATIO * half[k] ** 2 for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+
+
 def _green_density(spec, half, weight: float, u, v):
     """``weight`` times the integrand of Green's second identity at points
     (u, v) of ``_green_domain``: (2/h_k) phi on face k and -c_ij phi on the
-    edge where the faces i and j meet, c_ij = (h_i^2 + h_j^2)/(h_i h_j),
-    with phi = 2 log |(P, Q)|; on a flat box, d phi/dz on face z and the
-    reduced c_ij on the long edges (see the module docstring).  ``spec``
-    may be a per-point view from ``_spec_points``."""
+    edge where the faces i and j meet, c_ij = h_i/h_j + h_j/h_i, with
+    phi = 2 log |(P, Q)|; a face in the slope form (``_slope_faces``) has
+    d phi/dx_k instead, and the edges lose its parts of their c_ij (see the
+    module docstring).  ``spec`` may be a per-point view from
+    ``_spec_points``."""
     # the scales carry phi's factor 2 over log |(P, Q)|
     x, y, z, scale = _face_points(half, [4.0 * weight / h for h in half], u, v)
     hx, hy, hz = half
-    flat = hy > _SLOPE_ASPECT * hz
+    slope = _slope_faces(half)
     level = _edge_level(half)
     if v.min() <= -level:  # the call holds edge points
         edge = v <= -level
@@ -382,19 +395,26 @@ def _green_density(spec, half, weight: float, u, v):
         pts = np.repeat(np.asarray(half)[:, None], axis.size, axis=1)
         pts[axis, np.arange(axis.size)] = u[edge]
         x[edge], y[edge], z[edge] = pts
-        # c_ij of the edges along x, y and z; face z's slope form takes the
-        # parts h_y/h_z and h_x/h_z of the first two
-        if flat:
-            c = np.array([hz / hy, hz / hx, (hx * hx + hy * hy) / (hx * hy)])
-        else:
-            c = np.array([(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz),
-                          (hx * hx + hy * hy) / (hx * hy)])
-        scale[edge] = -2.0 * weight * c[axis]
+        if any(slope):  # the edge between faces i and j keeps h_j/h_i unless face i takes it
+            c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
+                 for a, b in ((1, 2), (0, 2), (0, 1))]
+        else:  # c_ij of the edges along x, y and z
+            c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
+        scale[edge] = -2.0 * weight * np.array(c)[axis]
     w, _, r = _project(x, y, z)
-    acc = _accumulate(spec, w, derivatives=flat)
+    acc = _accumulate(spec, w, derivatives=any(slope))
     out = scale * _log_norm(spec, acc)
-    if flat:  # d phi/dz = -(2/r) |w| d/d|w| log |(P, Q)|, as dw/dz = -w/r
-        out = np.where((u < 0.0) & (v < 0.0), -2.0 * weight * _log_norm_slope(spec, acc) / r, out)
+    if any(slope):
+        # face k's point moves by dw = (e_k - w (h_k/r + [k = z])) / (r + z)
+        # along x_k, with e = (1, i, 0); the kernel evaluates anticonformal
+        # maps at conj(w)
+        on_x, on_y, on_z = (u > 0.0) & (v > 0.0), (u < 0.0) & (v > 0.0), (u < 0.0) & (v < 0.0)
+        h = np.where(on_x, hx, np.where(on_z, hz, hy))
+        dw = (np.where(on_x, 1.0, np.where(on_z, 0.0, 1j)) - w * (h / r + on_z)) / (r + z)
+        if spec.is_anticonformal:
+            dw = np.conj(dw)
+        d_phi = 2.0 * weight * (_log_norm_gradient(spec, acc) * dw).real
+        out = np.where((on_x & slope[0]) | (on_y & slope[1]) | (on_z & slope[2]), d_phi, out)
     return out
 
 
@@ -417,9 +437,9 @@ def conformal_energy(
     phi over the three interior octant faces and the three far box edges:
     the absolute tolerance ``tol`` and a budget of 3 * ``max_evals_per_face``
     evaluations are shared by the faces and edges, so refinement goes
-    wherever the error is.  On a flat box (h_y > 16 h_z) face z takes the
-    slope form of the module docstring, whose round-off floor does not grow
-    with h_y / h_z.  Raises AccuracyError if the quadrature cannot
+    wherever the error is.  On a flat box or a needle the faces whose phi
+    term would cancel against their edges take the slope form of the module
+    docstring.  Raises AccuracyError if the quadrature cannot
     reach ``tol`` within the budget, or at once when ``tol`` lies below the
     round-off floor (see ``quad2d``); a budget that is not a non-negative
     integer (nan included) raises DomainError.  This is the one-spec case

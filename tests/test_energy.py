@@ -459,9 +459,8 @@ FLAT = make_prism(1e4, 1e4, 1.0)
 @pytest.mark.parametrize("prism,tol", [(FLAT, 1e-6), (make_prism(1e3, 1e3, 1.0), 1e-7)],
                          ids=["1e4-to-1", "1e3-to-1"])
 def test_flat_box_energy_matches_the_closed_form(prism, tol):
-    # without face z's slope form the cancelling face z and long edge terms
-    # put the round-off floor at 2.5e-5 on 1e4 x 1e4 x 1, and tol 1e-6 was
-    # refused
+    # in the phi form the cancelling face z and long edge terms put the
+    # round-off floor at 2.5e-5 on 1e4 x 1e4 x 1, and tol 1e-6 was refused
     res = conformal_energy(prism, RationalMapSpec(1, 1), tol=tol)
     reference = unwrapped_energy(prism, tol=1e-12)
     assert abs(res.value - reference) <= res.error_estimate + 1e-12 * reference
@@ -479,17 +478,31 @@ def test_flat_box_energy_matches_the_face_density(spec, reference, uncertainty):
     assert abs(res.value - reference) <= res.error_estimate + uncertainty
 
 
-@pytest.mark.parametrize("prism", [CUBE, make_prism(64.0, 32.0, 1.0)], ids=["cube", "32-to-1"])
+NEEDLE = make_prism(1e4, 1.0, 1.0)
+
+
+def test_needle_energies_match_the_closed_forms():
+    # the needle's faces y and z take the slope form; the phi form refused
+    # tol 1e-9 here, and the face density gave the identity energy 22.15
+    # for the coalescing factor
+    res = conformal_energy(NEEDLE, RationalMapSpec(1, 1), tol=1e-9)
+    assert abs(res.value - unwrapped_energy(NEEDLE, tol=1e-12)) <= res.error_estimate + 1e-12 * res.value
+    res = conformal_energy(NEEDLE, RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), tol=1e-7)
+    assert abs(res.value - _bubble_limit(NEEDLE, [1j])) <= res.error_estimate + _LIMIT_SLOPE * 1e-8
+
+
+@pytest.mark.parametrize("prism", [CUBE, make_prism(64.0, 32.0, 1.0), make_prism(1e3, 1.0, 1.0)],
+                         ids=["cube", "32-to-1", "needle"])
 @pytest.mark.parametrize("spec", [
     RationalMapSpec(1, 1, real_factors=((0.5, 1),), complex_factors=((0.3 + 0.4j, -1),)),
     RationalMapSpec(-1, -3, imag_factors=((0.7, 1),), orientation="anticonformal"),
 ], ids=["conformal", "anticonformal"])
-def test_slope_form_of_face_z_agrees_with_the_potential_form(monkeypatch, prism, spec):
-    # the divergence theorem on face z is exact on any box, so both forms
+def test_slope_form_agrees_with_the_potential_form(monkeypatch, prism, spec):
+    # the divergence theorem on a face is exact on any box, so both forms
     # must agree wherever both answer
     forms = []
-    for aspect in (0.0, math.inf):  # every box flat, then none
-        monkeypatch.setattr(nemprism.energy, "_SLOPE_ASPECT", aspect)
+    for ratio in (0.0, math.inf):  # every face in the slope form, then none
+        monkeypatch.setattr(nemprism.energy, "_SLOPE_RATIO", ratio)
         forms.append(conformal_energy(prism, spec, tol=1e-8))
     slope, potential = forms
     assert abs(slope.value - potential.value) <= slope.error_estimate + potential.error_estimate

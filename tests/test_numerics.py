@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 
@@ -751,8 +752,8 @@ def test_quad2d_refuses_to_bisect_a_side_one_float_spacing_wide(segment):
 
     domain = (0.25, 0.75, 0.0, 0.0) if segment else (0.0, 1.0, 0.25, 0.75)
     with pytest.raises(AccuracyError, match="one float spacing wide") as info:
-        quad2d(f, domain, tol=1e-6, max_evals=10_000_000)
-    x0, x1, y0, y1 = eval(str(info.value).split("cell ")[1].split(" cannot")[0])
+        quad2d(f, domain, tol=1e-6, max_evals=200_000)
+    x0, x1, y0, y1 = ast.literal_eval(str(info.value).split("cell ")[1].split(" cannot")[0])
     lo, hi = (x0, x1) if segment else (y0, y1)
     assert hi == math.nextafter(lo, math.inf) and 0.5 in (lo, hi)
-    assert 0 < info.value.evaluations < 200_000
+    assert math.isfinite(info.value.value) and info.value.evaluations > 0
