@@ -441,7 +441,9 @@ def _project(x, y, z):
     where |r| + z = 0, projects to infinity.  w is built from one
     reciprocal, as numpy's complex division by a real number builds it.
     """
-    r2 = x * x + y * y + z * z
+    r2 = x * x
+    r2 += y * y  # in place on arrays, as (x x + y y) + z z
+    r2 += z * z
     r = np.sqrt(r2)
     if np.ndim(r) == 0 and r + z == 0.0:
         return complex(math.inf, 0.0), r2, r

@@ -333,25 +333,36 @@ def _faces_domain(
     return _face_rects(half), splits
 
 
-def _face_points(values, per_face, u, v):
-    """(x, y, z, c) at points (u, v) of the face rectangles: the box point,
-    face k lying in the plane where coordinate k equals ``values[k]``, and
-    c = ``per_face[k]`` for a point of face k."""
+def _face_project(values, u, v, level: Optional[float] = None):
+    """(w, r2, r, z, part) at points (u, v) of the face rectangles: the
+    stereographic projection w, r^2 and |r| of the box point, face k lying
+    in the plane where coordinate k equals ``values[k]``, its z, and the
+    face index ``part`` (0, 1, 2 for faces x, y, z).  With ``level``, the
+    points with v <= -level come last and lie on the far box edges of
+    ``_green_domain``; their ``part`` is 3 + the edge's axis."""
     on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
     on_z = v < 0.0
     x = np.where(on_x, values[0], -u)
     y = np.where(on_x, u, np.where(on_z, -v, values[1]))
     z = np.where(on_z, values[2], v)
-    return x, y, z, np.where(on_x, per_face[0], np.where(on_z, per_face[2], per_face[1]))
+    part = np.add(~on_x, on_z, dtype=np.intp)
+    if level is not None and v[-1] <= -level:  # the call ends with edge points
+        n = np.count_nonzero(v <= -level)
+        axis = np.rint(v[-n:] / -level).astype(np.intp) - 1
+        pts = np.repeat(np.asarray(values)[:, None], n, axis=1)
+        pts[axis, np.arange(n)] = u[-n:]
+        x[-n:], y[-n:], z[-n:] = pts
+        part[-n:] = axis + 3
+    w, r2, r = _project(x, y, z)
+    return w, r2, r, z, part
 
 
 def _faces_density(spec, values, u, v):
     """The signed flux D . nhat = value * density / r^3 at face points
     (u, v) of ``_faces_domain``."""
-    x, y, z, value = _face_points(values, values, u, v)
-    w, r2, r = _project(x, y, z)
+    w, r2, r, _, part = _face_project(values, u, v)
     sign = -1.0 if spec.is_anticonformal else 1.0
-    return sign * value * sphere_density(spec, w) / (r2 * r)
+    return sign * np.asarray(values)[part] * sphere_density(spec, w) / (r2 * r)
 
 
 # Face k takes the slope form when h_i h_j > _SLOPE_RATIO h_k^2 (see the
@@ -370,52 +381,92 @@ def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, 
     return _face_rects(half) + [(0.0, h, -(m + 1) * level, -(m + 1) * level) for m, h in enumerate(half)]
 
 
+# A face side or edge at least _LONG times its short side gets root cuts at
+# _LONG, 4 _LONG, 16 _LONG, ... times the short side.
+_LONG = 64.0
+
+
+def _long_cuts(length: float, short: float) -> List[float]:
+    """Root cuts along a side of ``length`` whose short side is ``short``.
+
+    phi varies on the scale of the short side near the vertex end (u = 0)
+    and is nearly constant beyond it; a long root cell puts no node there,
+    so its error estimate misses that variation and the quadrature can
+    converge to a wrong value.  Cells that grow by 4 from 64 short sides
+    keep an aspect ratio of at most 64 near the vertex."""
+    cuts = []
+    cut = _LONG * short
+    while cut < length:
+        cuts.append(cut)
+        cut *= 4.0
+    return cuts
+
+
+def _green_splits(half: Tuple[float, float, float]) -> list:
+    """``initial_splits`` of ``_green_domain``: ``_long_cuts`` along each
+    face side at least 64 times the face's other side, mirrored into the
+    face's quadrant, and along each edge at least 64 times the shorter of
+    the two faces' other half sides; None where there is no cut."""
+    splits = []
+    for k, (su, sv) in enumerate(_FACE_SIGNS):
+        i, j = [m for m in range(3) if m != k]
+        cuts_u, cuts_v = _long_cuts(half[i], half[j]), _long_cuts(half[j], half[i])
+        splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]) if cuts_u or cuts_v else None)
+    for m in range(3):
+        cuts = _long_cuts(half[m], min(h for n, h in enumerate(half) if n != m))
+        splits.append((cuts, None) if cuts else None)
+    return splits
+
+
 def _slope_faces(half: Tuple[float, float, float]) -> Tuple[bool, bool, bool]:
     """Which faces take the slope form: face k does when h_i h_j > 256 h_k^2
     (i, j the other axes), i.e. its phi term outweighs 2 h_k by 256."""
     return tuple(half[i] * half[j] > _SLOPE_RATIO * half[k] ** 2 for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
 
 
-def _green_density(spec, half, weight: float, u, v):
-    """``weight`` times the integrand of Green's second identity at points
-    (u, v) of ``_green_domain``: (2/h_k) phi on face k and -c_ij phi on the
-    edge where the faces i and j meet, c_ij = h_i/h_j + h_j/h_i, with
-    phi = 2 log |(P, Q)|; a face in the slope form (``_slope_faces``) has
-    d phi/dx_k instead, and the edges lose its parts of their c_ij (see the
-    module docstring).  ``spec`` may be a per-point view from
-    ``_spec_points``."""
-    # the scales carry phi's factor 2 over log |(P, Q)|
-    x, y, z, scale = _face_points(half, [4.0 * weight / h for h in half], u, v)
+def _green_density(half: Tuple[float, float, float], weight: float):
+    """``density(spec, u, v)``: ``weight`` times the integrand of Green's
+    second identity at points (u, v) of ``_green_domain``, the edge points
+    last: (2/h_k) phi on face k and -c_ij phi on the edge where the faces i
+    and j meet, c_ij = h_i/h_j + h_j/h_i, with phi = 2 log |(P, Q)|; a face
+    in the slope form (``_slope_faces``) has d phi/dx_k instead, and the
+    edges lose its parts of their c_ij (see the module docstring).  ``spec``
+    may be a per-point view from ``_spec_points``.  What depends on the box
+    alone is computed here, once per quadrature."""
     hx, hy, hz = half
     slope = _slope_faces(half)
     level = _edge_level(half)
-    if v.min() <= -level:  # the call holds edge points
-        edge = v <= -level
-        axis = np.rint(v[edge] / -level).astype(int) - 1
-        pts = np.repeat(np.asarray(half)[:, None], axis.size, axis=1)
-        pts[axis, np.arange(axis.size)] = u[edge]
-        x[edge], y[edge], z[edge] = pts
-        if any(slope):  # the edge between faces i and j keeps h_j/h_i unless face i takes it
-            c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
-                 for a, b in ((1, 2), (0, 2), (0, 1))]
-        else:  # c_ij of the edges along x, y and z
-            c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
-        scale[edge] = -2.0 * weight * np.array(c)[axis]
-    w, _, r = _project(x, y, z)
-    acc = _accumulate(spec, w, derivatives=any(slope))
-    out = scale * _log_norm(spec, acc)
-    if any(slope):
-        # face k's point moves by dw = (e_k - w (h_k/r + [k = z])) / (r + z)
-        # along x_k, with e = (1, i, 0); the kernel evaluates anticonformal
-        # maps at conj(w)
-        on_x, on_y, on_z = (u > 0.0) & (v > 0.0), (u < 0.0) & (v > 0.0), (u < 0.0) & (v < 0.0)
-        h = np.where(on_x, hx, np.where(on_z, hz, hy))
-        dw = (np.where(on_x, 1.0, np.where(on_z, 0.0, 1j)) - w * (h / r + on_z)) / (r + z)
-        if spec.is_anticonformal:
-            dw = np.conj(dw)
-        d_phi = 2.0 * weight * (_log_norm_gradient(spec, acc) * dw).real
-        out = np.where((on_x & slope[0]) | (on_y & slope[1]) | (on_z & slope[2]), d_phi, out)
-    return out
+    derivatives = any(slope)
+    if derivatives:  # the edge between faces i and j keeps h_j/h_i unless face i takes it
+        c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
+             for a, b in ((1, 2), (0, 2), (0, 1))]
+        # by ``part``, as ``scales``: face k's point moves by
+        # dw = (e_k - w (h_k/r + [k = z])) / (r + z) along x_k, with
+        # e = (1, i, 0); the kernel evaluates anticonformal maps at conj(w)
+        sides = np.array([hx, hy, hz, hy, hy, hy])
+        unit = np.array([1.0, 1j, 0.0, 0.0, 0.0, 0.0])
+        on_z = np.array([False, False, True, False, False, False])
+        sloped = np.array(slope + (False,) * 3)
+    else:  # c_ij of the edges along x, y and z
+        c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
+    # by ``part``: faces x, y, z, then the edges along x, y, z; the scales
+    # carry phi's factor 2 over log |(P, Q)|
+    scales = np.array([4.0 * weight / h for h in half] + [-2.0 * weight * ci for ci in c])
+
+    def density(spec, u, v):
+        w, _, r, z, part = _face_project(half, u, v, level)
+        acc = _accumulate(spec, w, derivatives=derivatives)
+        out = _log_norm(spec, acc)
+        out *= scales[part]
+        if derivatives:
+            dw = (unit[part] - w * (sides[part] / r + on_z[part])) / (r + z)
+            if spec.is_anticonformal:
+                dw = np.conj(dw)
+            d_phi = 2.0 * weight * (_log_norm_gradient(spec, acc) * dw).real
+            out = np.where(sloped[part], d_phi, out)
+        return out
+
+    return density
 
 
 def _check_modulus(K: float) -> None:
@@ -439,11 +490,13 @@ def conformal_energy(
     evaluations are shared by the faces and edges, so refinement goes
     wherever the error is.  On a flat box or a needle the faces whose phi
     term would cancel against their edges take the slope form of the module
-    docstring.  Raises AccuracyError if the quadrature cannot
-    reach ``tol`` within the budget, or at once when ``tol`` lies below the
-    round-off floor (see ``quad2d``); a budget that is not a non-negative
-    integer (nan included) raises DomainError.  This is the one-spec case
-    of ``conformal_energies``.
+    docstring, and every face side or edge at least 64 times its short
+    side gets root cuts at 64, 256, 1024, ... short sides from the vertex
+    end (``_long_cuts``), where phi varies.  Raises AccuracyError if the
+    quadrature cannot reach ``tol`` within the budget, or at once when
+    ``tol`` lies below the round-off floor (see ``quad2d``); a budget that
+    is not a non-negative integer (nan included) raises DomainError.  This
+    is the one-spec case of ``conformal_energies``.
     """
     (result,) = conformal_energies(prism, [spec], K, tol, max_evals_per_face)
     if isinstance(result, AccuracyError):
@@ -476,9 +529,10 @@ def conformal_energies(
     at = _spec_points(specs)
     half = prism.octant.half_lengths
     weight = 16.0 * K
+    density = _green_density(half, weight)
     results = quad2d_many(
-        lambda u, v, k: _green_density(at(k), half, weight, u, v),
-        [(_green_domain(half), None)] * len(specs),
+        lambda u, v, k: density(at(k), u, v),
+        [(_green_domain(half), _green_splits(half))] * len(specs),
         tol=tol,
         max_evals=3 * max_evals_per_face,
     )

@@ -20,7 +20,8 @@ there is no solver or quadrature dependency:
                       to the older cell), and the integrand calls are
                       shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
-                      energy, reduced to a smooth integrand by substitution,
+                      energy, its inner integral in closed form and the
+                      outer one on a quad2d segment,
 * minimize_1d         a 101-point scan in one call of a vectorized
                       objective, then golden-section refinement to a
                       tolerance no finer than the interval's float spacing,
@@ -35,6 +36,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -168,71 +170,103 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[
     sampled values (ridge features aligned with one axis are then bisected
     across the ridge, not along it); near-ties fall back to the longer side.
     A segment is always split along x.
+
+    Most calls rate 2 to 6 cells, so their cost is mostly a fixed count of
+    numpy calls: the nodes of all cells come from one (m, 2, 15) array,
+    both total variations of all rectangles from one reduction, and the
+    per-cell products are taken in Python.
     """
-    seg = cells[:, 2] == cells[:, 3] if len(k) < _CELL_EVALS * len(cells) else None
-    rects = cells if seg is None else cells[~seg]
-    cx = 0.5 * (rects[:, 0] + rects[:, 1])
-    hx = 0.5 * (rects[:, 1] - rects[:, 0])
-    cy = 0.5 * (rects[:, 2] + rects[:, 3])
-    hy = 0.5 * (rects[:, 3] - rects[:, 2])
+    m = len(cells)
+    # rectangles, from the points: 225 r + 15 (m - r) = len(k)
+    r = (len(k) - _SEGMENT_EVALS * m) // (_CELL_EVALS - _SEGMENT_EVALS)
+    order = None
+    if r < m:
+        seg = cells[:, 2] == cells[:, 3]
+        if seg[:r].any():  # rate rectangles first, then put the results back in cell order
+            order = np.argsort(seg, kind="stable")
+            cells = cells[order]
+    lo, hi = cells[:, 0::2], cells[:, 1::2]
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)  # (m, 2): centres and half-widths along x and y
+    nodes = c[:, :, None] + h[:, :, None] * _XK  # (m, 2, 15); y + 0 x = y on a segment
 
-    # Points: shape (m, 15, 15), x varying along axis 1, y along axis 2.
-    xs = cx[:, None] + hx[:, None] * _XK[None, :]
-    ys = cy[:, None] + hy[:, None] * _XK[None, :]
-    X, Y = np.repeat(xs, 15), np.repeat(ys[:, None, :], 15, axis=1).reshape(-1)
-    if seg is not None:
-        lines = cells[seg]
-        sc, sh = 0.5 * (lines[:, 0] + lines[:, 1]), 0.5 * (lines[:, 1] - lines[:, 0])
-        X = np.concatenate([X, (sc[:, None] + sh[:, None] * _XK[None, :]).reshape(-1)])
-        Y = np.concatenate([Y, np.repeat(lines[:, 2], 15)])
-    values = np.asarray(f(X, Y, k), dtype=float)
-    vals = values[:_CELL_EVALS * len(rects)].reshape(-1, 15, 15)
+    # points of rectangle i at [i, a, b] of a (2, r, 15, 15) grid, x varying
+    # along a and y along b, then the segments' 15 points each
+    points = np.empty((2, len(k)))
+    grid = points[:, :_CELL_EVALS * r].reshape(2, r, 15, 15)
+    grid[0] = nodes[:r, 0, :, None]
+    grid[1] = nodes[:r, 1, None, :]
+    if r < m:
+        points[:, _CELL_EVALS * r:] = nodes[r:].transpose(1, 0, 2).reshape(2, -1)
+    values = np.asarray(f(points[0], points[1], k), dtype=float)
+    vals = values[:_CELL_EVALS * r].reshape(r, 15, 15)
+    widths = h.tolist()
 
-    jac = hx * hy
-    kron = jac * np.einsum("mij,ij->m", vals, _WKK)
+    # per cell, Kronrod and Gauss sums of the sampled values (times the
+    # Jacobian below) and |differences| along x and along y (their sums, the
+    # total variations, pick the split axis), with numpy on all cells at once
+    kron = np.einsum("mij,ij->m", vals, _WKK).tolist()
     # Gauss-7 on the odd Kronrod nodes, summed term by term in row-major order;
     # einsum sums a lone cell's strided sub-grid in another order
-    gauss = jac * np.cumsum((vals[:, 1::2, 1::2] * _WGG).reshape(-1, 49), axis=1)[:, -1]
+    gauss = (vals[:, 1::2, 1::2] * _WGG).reshape(r, 49).cumsum(axis=1)[:, -1].tolist()
+    tv = np.empty((r, 2, 210))
+    np.subtract(vals[:, 1:], vals[:, :-1], out=tv[:, 0].reshape(r, 14, 15))
+    np.subtract(vals[:, :, 1:], vals[:, :, :-1], out=tv[:, 1].reshape(r, 15, 14))
+    tvs = np.add.reduce(np.abs(tv, out=tv), axis=2).tolist()
+    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else int(ly > lx) for (tx, ty), (lx, ly) in zip(tvs, widths)]
+    if r < m:
+        line = values[_CELL_EVALS * r:].reshape(m - r, 15)
+        kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
+        gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
+        axes += [0] * (m - r)
+    # a rectangle's Jacobian is hx hy, a segment's hx
+    jacs = [lx * ly for lx, ly in widths[:r]] + [lx for lx, _ in widths[r:]]
+    rated = [[j * s for j, s in zip(jacs, kron)], [abs(j * s - j * g) for j, s, g in zip(jacs, kron, gauss)], axes]
+    if order is not None:
+        back = np.argsort(order).tolist()
+        rated = [[part[i] for i in back] for part in rated]
+    return rated
 
-    tvx = np.abs(vals[:, 1:] - vals[:, :-1]).sum(axis=(1, 2)).tolist()
-    tvy = np.abs(vals[:, :, 1:] - vals[:, :, :-1]).sum(axis=(1, 2)).tolist()
-    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else int(ly > lx)
-            for tx, ty, lx, ly in zip(tvx, tvy, hx.tolist(), hy.tolist())]
-    if seg is None:
-        return kron.tolist(), np.abs(kron - gauss).tolist(), axes
-    line = values[_CELL_EVALS * len(rects):].reshape(-1, 15)
-    kron_line = sh * np.cumsum(line * _WK, axis=1)[:, -1]
-    gauss_line = sh * np.cumsum(line[:, 1::2] * _WG, axis=1)[:, -1]
-    rated = zip(kron.tolist(), np.abs(kron - gauss).tolist(), axes)
-    rated_lines = zip(kron_line.tolist(), np.abs(kron_line - gauss_line).tolist(), [0] * len(lines))
-    return [list(part) for part in zip(*[next(rated_lines if on else rated) for on in seg.tolist()])]
 
-
-def _rate_tagged(f, cells: np.ndarray, owners: List[int], sizes: List[int]) -> List[list]:
+def _rate_tagged(f, rows: List[List[float]], owners: List[int], sizes: List[int]) -> List[list]:
     """Values, errors and split axes (lists, in cell order) of cells of
     several problems, rated in blocks of ``_BATCH_CELLS`` cells, one
-    integrand call each; the cells come in runs of ``sizes`` cells, one run
-    per problem in ``owners``.  Rectangles are rated before segments, so
+    integrand call each; the cell rows come in runs of ``sizes`` cells, one
+    run per problem in ``owners``.  Rectangles are rated before segments, so
     that at most one block mixes the two kinds (a cell's rating does not
     depend on the cells sharing its call).
     """
-    seg = cells[:, 2] == cells[:, 3]
-    order = np.argsort(seg, kind="stable")
-    points = np.where(seg[order], _SEGMENT_EVALS, _CELL_EVALS)
-    k, ends = np.repeat(np.repeat(owners, sizes)[order], points), [0] + np.cumsum(points).tolist()
-    rated = [
-        _rate_cells(f, cells[order[i:i + _BATCH_CELLS]], k[ends[i]:ends[min(i + _BATCH_CELLS, len(cells))]])
-        for i in range(0, len(cells), _BATCH_CELLS)
-    ]
-    parts = [[x for block in part for x in block] for part in zip(*rated)]
-    back = np.argsort(order).tolist()
-    return [[part[i] for i in back] for part in parts]
+    seg = [row[2] == row[3] for row in rows]
+    if True in seg:
+        tags = [p for p, size in zip(owners, sizes) for _ in range(size)]
+        order = sorted(range(len(rows)), key=seg.__getitem__)
+        rows, seg = [rows[i] for i in order], sorted(seg)
+        r = seg.index(True)
+        k = np.array([tags[i] for i in order]).repeat([_SEGMENT_EVALS if s else _CELL_EVALS for s in seg])
+    else:
+        order, r = None, len(rows)
+        k = np.array(owners).repeat([_CELL_EVALS * size for size in sizes])
+
+    def offset(n):  # points of the first n cells
+        return _CELL_EVALS * min(n, r) + _SEGMENT_EVALS * max(n - r, 0)
+
+    cells = np.array(rows)
+    blocks = [_rate_cells(f, cells[i:i + _BATCH_CELLS], k[offset(i):offset(i + _BATCH_CELLS)])
+              for i in range(0, len(rows), _BATCH_CELLS)]
+    rated = blocks[0] if len(blocks) == 1 else [[x for block in blocks for x in block[n]] for n in range(3)]
+    if order is not None:
+        back = [0] * len(order)
+        for n, i in enumerate(order):
+            back[i] = n
+        rated = [[part[n] for n in back] for part in rated]
+    return rated
 
 
 def _breakpoints(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
     """Breakpoints lo..hi with interior cuts deduplicated and clipped."""
+    if not cuts:
+        return [lo, hi]
     eps = 1e-12 * (hi - lo)
-    inner = sorted({float(v) for v in (cuts or ()) if lo + eps < float(v) < hi - eps})
+    inner = sorted({float(v) for v in cuts if lo + eps < float(v) < hi - eps})
     out = [lo]
     for c in inner:
         if c - out[-1] > eps:
@@ -297,7 +331,12 @@ def quad2d(
     variation of its sampled values.  A round makes at most 16 bisections
     and one integrand call rates a block of at most 16 cells (3600 points),
     root cells too; larger calls page-fault their freed temporaries back in
-    on every call.
+    on every call.  A round rates the rectangles before the segments, so
+    each call holds the points of its rectangles first and then those of
+    its segments.  Most rounds rate 2 to 6 cells, so a round costs mostly
+    its fixed numpy and Python work, not its points: the nodes of a block
+    come from one array, both total variations of its rectangles from one
+    reduction, and the per-cell sums are finished in Python.
     Refinement order and summation order are deterministic for fixed inputs.
 
     ``initial_splits`` places cell boundaries at known feature locations:
@@ -363,8 +402,11 @@ def quad2d_many(
     and evaluation count are those of a solo call.  Its live cells are a
     ``heapq`` of (-error, seq), seq the creation number, beside plain lists
     of the rows, values and split axes of all its cells, indexed by seq;
-    numpy only rates cells.  The sums (``math.fsum``) are correctly rounded,
-    so they do not depend on the heap's order.  Only the integrand calls
+    numpy only rates cells.  A round's bookkeeping is a few list and heap
+    operations per new or bisected cell, two sums over the live cells
+    and, while the error is above ``tol``, a third for the round-off floor.
+    The sums (``math.fsum``) are correctly rounded, so they do not depend
+    on the heap's order.  Only the integrand calls
     are shared: each still rates at most 16 cells, drawn from any problems
     still refining, and a problem leaves the loop when it converges or
     fails.  Many shallow problems (a family scan) then take few, full
@@ -378,7 +420,7 @@ def quad2d_many(
         raise DomainError(f"max_evals must be a non-negative integer, got {max_evals!r}")
     out: List[Union[QuadratureResult, AccuracyError, None]] = [None] * len(problems)
     # per problem: the rows of the cells to rate this round, roots first
-    new = {}
+    new, spent = {}, {}
     for p, (domain, splits) in enumerate(problems):
         roots = _root_cells(domain, splits)
         need = sum(map(_evals, roots))
@@ -392,33 +434,40 @@ def quad2d_many(
             )
         else:
             new[p] = roots
+            spent[p] = need
     # per refining problem: the heap of its live cells, and the rows, values
-    # and split axes of all its cells, indexed by seq; and its evaluations
-    state, spent = {}, dict.fromkeys(new, 0)
+    # and split axes of all its cells, indexed by seq; and, in spent, its
+    # evaluations once the cells in new are rated
+    state = {}
     while new:
+        owners = list(new)
         vals, errs, axes = _rate_tagged(
-            f, np.array([row for cells in new.values() for row in cells]), list(new), [len(c) for c in new.values()]
+            f, new[owners[0]] if len(owners) == 1 else [row for cells in new.values() for row in cells],
+            owners, [len(c) for c in new.values()]
         )
         start = 0
         for p, cells in new.items():
-            heap, rows, cell_vals, cell_axes = state.setdefault(p, ([], [], [], []))
+            if p not in state:
+                state[p] = ([], [], [], [])
+            heap, rows, cell_vals, cell_axes = state[p]
             stop = start + len(cells)
             for seq, err in enumerate(errs[start:stop], len(rows)):
                 heapq.heappush(heap, (-err, seq))
             rows += cells
             cell_vals += vals[start:stop]
             cell_axes += axes[start:stop]
-            spent[p] += sum(map(_evals, cells))
             start = stop
         new = {}
         for p, (heap, rows, cell_vals, cell_axes) in state.items():
             evals = spent[p]
-            total_err = math.fsum([-neg_err for neg_err, _ in heap])
+            # fsum is correctly rounded, so the sum of the -errors is -(that of
+            # the errors); 0.0 - keeps a zero sum +0.0
+            total_err = 0.0 - math.fsum(map(itemgetter(0), heap))
             if not math.isfinite(total_err):  # a non-finite value gives a non-finite error
                 out[p] = AccuracyError(f"non-finite integrand values or cell sums (error estimate "
                                        f"{total_err} after {evals} evaluations)", math.nan, total_err, evals)
                 continue
-            live_vals = [cell_vals[seq] for _, seq in heap]
+            live_vals = list(map(cell_vals.__getitem__, map(itemgetter(1), heap)))
             if total_err <= tol:
                 out[p] = QuadratureResult(math.fsum(live_vals), total_err, evals)
                 continue
@@ -439,13 +488,14 @@ def quad2d_many(
             narrow = None
             while heap and len(children) < 2 * _BATCH_CELLS and removed < target:
                 neg_err, seq = heap[0]
-                cost = 2 * _evals(rows[seq])
+                row = rows[seq]
+                cost = 2 * _SEGMENT_EVALS if row[2] == row[3] else 2 * _CELL_EVALS
                 if cost > room:
                     break
-                lo, hi, a = list(rows[seq]), list(rows[seq]), 2 * cell_axes[seq]
+                lo, hi, a = list(row), list(row), 2 * cell_axes[seq]
                 mid = 0.5 * (lo[a] + lo[a + 1])
                 if not lo[a] < mid < lo[a + 1]:  # the side is one float spacing wide
-                    narrow = rows[seq]
+                    narrow = row
                     break
                 heapq.heappop(heap)
                 room -= cost
@@ -471,7 +521,9 @@ def quad2d_many(
                 )
                 continue
             new[p] = children
-        state = {p: state[p] for p in new}
+            spent[p] = max_evals - room
+        if len(new) < len(state):  # some problems finished
+            state = {p: state[p] for p in new}
     return out
 
 
@@ -484,8 +536,17 @@ def appell_f2_restricted(p: float, q: float, tol: float = 1e-10) -> float:
 
     Equals (1/4) * int_0^1 int_0^1 u^(-1/2) v^(-1/2) / (1 + p u + q v) du dv.
     The substitution u = a^2, v = b^2 removes the endpoint singularities
-    exactly, leaving int_0^1 int_0^1 da db / (1 + p a^2 + q b^2), which is
-    evaluated with quad2d.  F2(0, 0) = 1.
+    exactly, leaving int_0^1 int_0^1 da db / (1 + p a^2 + q b^2).  F2 is
+    symmetric in p and q; the variable with the larger coefficient, say b
+    with q >= p, is integrated in closed form,
+
+        int_0^1 db / (A + q b^2) = atan(sqrt(q/A)) / sqrt(q A),  A = 1 + p a^2,
+
+    and the outer integral over a, whose integrand is smooth and decreasing,
+    by ``quad2d`` on the segment 0 <= a <= 1 (15 evaluations per piece).
+    A large q leaves a spike of width 1/sqrt(q) at b = 0 in the double
+    integral, which a 2-D rule misses on a needle; the closed form has
+    none.  F2(0, 0) = 1.
 
     ``tol`` is relative: quad2d runs at the absolute tolerance tol * LB,
     where LB <= F2 is the larger of the two 1-D integrals with b = 1 or
@@ -496,15 +557,19 @@ def appell_f2_restricted(p: float, q: float, tol: float = 1e-10) -> float:
     q = float(q)
     if p < 0 or q < 0:
         raise DomainError(f"arguments must be nonnegative, got p={p!r}, q={q!r}")
+    p, q = min(p, q), max(p, q)
+    if q == 0.0:
+        return 1.0
 
     def edge(p, q):  # int_0^1 da / (1 + q + p a^2) <= F2, as b^2 <= 1
         c = 1.0 + q
         return math.atan(math.sqrt(p / c)) / math.sqrt(p * c) if p > 0 else 1.0 / c
 
-    def integrand(a, b):
-        return 1.0 / (1.0 + p * a * a + q * b * b)
+    def outer(a, _):
+        c = 1.0 + p * a * a
+        return np.arctan(np.sqrt(q / c)) / np.sqrt(q * c)
 
-    return quad2d(integrand, (0.0, 1.0, 0.0, 1.0), tol=tol * max(edge(p, q), edge(q, p))).value
+    return quad2d(outer, (0.0, 1.0, 0.0, 0.0), tol=tol * max(edge(p, q), edge(q, p))).value
 
 
 # ======================================================================

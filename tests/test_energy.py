@@ -438,6 +438,30 @@ def test_energy_report_gives_the_coalescing_energies(spec, references):
         assert abs(rep.exact - reference) <= rep.exact_err + uncertainty
 
 
+@pytest.mark.parametrize("payload,calls", [
+    ({"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
+     [720, 1380, 1830, 1830, 1800, 450, 450]),
+    ({"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
+     [720, 1410, 900, 900, 900, 900, 450]),
+    ({"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
+     [720, 1440, 2310, 2730, 3600, 3180, 1350]),
+], ids=["anticonformal-n-3", "degree-9", "19-root-cells"])
+def test_energy_integrand_calls_are_pinned(monkeypatch, payload, calls):
+    # the specs whose artifact bytes tests/test_cli.py pins, on the cube at
+    # tol 1e-7: the points of every integrand call, in order, and the
+    # evaluations; a faster refinement round must keep them all
+    seen = []
+    quad = nemprism.energy.quad2d_many
+
+    def counted(f, problems, **kwargs):
+        return quad(lambda x, y, k: seen.append(x.size) or f(x, y, k), problems, **kwargs)
+
+    monkeypatch.setattr(nemprism.energy, "quad2d_many", counted)
+    res = conformal_energy(CUBE, RationalMapSpec.from_dict(payload), tol=1e-7)
+    assert seen == calls
+    assert res.evaluations == sum(calls)
+
+
 @pytest.mark.parametrize("value", [1.0, 1e3], ids=["below", "above"])
 def test_energy_report_refuses_an_energy_outside_its_bounds(monkeypatch, value):
     # the identity map on the cube has bounds [4 pi, 4 sqrt(3) pi]
@@ -489,6 +513,56 @@ def test_needle_energies_match_the_closed_forms():
     assert abs(res.value - unwrapped_energy(NEEDLE, tol=1e-12)) <= res.error_estimate + 1e-12 * res.value
     res = conformal_energy(NEEDLE, RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), tol=1e-7)
     assert abs(res.value - _bubble_limit(NEEDLE, [1j])) <= res.error_estimate + _LIMIT_SLOPE * 1e-8
+
+
+@pytest.mark.parametrize("length", [1e6, 1e8, 1e12], ids=["1e6", "1e8", "1e12"])
+def test_long_needle_energy_matches_the_closed_form(length):
+    # a root cell as long as the needle has no node near the vertex, where
+    # phi varies: 1e6 x 1 x 1 gave 20.1314 (estimate 5.9e-7) against 22.1513
+    prism = make_prism(length, 1.0, 1.0)
+    res = conformal_energy(prism, RationalMapSpec(1, 1), tol=1e-6)
+    assert abs(res.value - unwrapped_energy(prism, tol=1e-12)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("spec", [RationalMapSpec(1, 3), RationalMapSpec(1, 1, imag_factors=((0.5, 1),))],
+                         ids=["n3", "imag-0.5"])
+def test_needle_energy_does_not_fall_as_the_needle_grows(spec):
+    # a longer box holds the shorter one's configuration and more, so E
+    # cannot fall; n = 3 fell from 88.66 at 1e4 to 86.62 at 1e8, and imag
+    # 0.5 jumped from 71.13 at 1e8 to 77.57 at 1e10
+    energies = [conformal_energy(make_prism(10.0 ** e, 1.0, 1.0), spec, tol=1e-6) for e in (2, 4, 6, 8, 10)]
+    for short, long in zip(energies, energies[1:]):
+        assert long.value >= short.value - short.error_estimate - long.error_estimate
+    # and it approaches the needle's limit: each hundredfold longer box
+    # adds less than the one before
+    steps = [long.value - short.value for short, long in zip(energies, energies[1:])]
+    slack = [2.0 * (a.error_estimate + b.error_estimate) for a, b in zip(energies, energies[1:])]
+    for step, next_step, err, next_err in zip(steps, steps[1:], slack, slack[1:]):
+        assert next_step <= step + err + next_err
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0, 1.0), (8.0, 8.0, 1.0), (8.0, 1.0, 1.0), (20.0, 10.0, 1.0),
+                                   (63.0, 1.0, 1.0)])
+def test_boxes_of_aspect_below_64_get_no_root_cuts(sides):
+    # the cuts on long sides leave every benchmark box and the slab as they were
+    half = make_prism(*sides).octant.half_lengths
+    assert nemprism.energy._green_splits(half) == [None] * 6
+
+
+def test_needle_root_cuts_grow_by_four_from_64_short_sides():
+    splits = nemprism.energy._green_splits(make_prism(1e4, 1.0, 1.0).octant.half_lengths)
+    cuts = [32.0, 128.0, 512.0, 2048.0]  # 64, 256, ... half sides of 0.5, below 5000
+    # faces y and z (x along u, mirrored into the u < 0 quadrants) and the edge along x
+    assert splits == [None, ([-c for c in cuts], []), ([-c for c in cuts], []), (cuts, None), None, None]
+
+
+def test_unwrapped_energy_on_long_needles():
+    # the 2-D rule missed the spike of width 1e-13 that F2(1, 1e26) puts at
+    # b = 0 and returned 1.1e-9 on 1e13 x 1 x 1; the closed-form inner
+    # integral leaves a smooth 1-D one, and E tends to its needle limit
+    assert unwrapped_energy(make_prism(1e13, 1.0, 1.0)) == pytest.approx(22.151334288388643, rel=1e-12)
+    assert unwrapped_energy(make_prism(1e15, 1.0, 1.0)) == pytest.approx(22.151334288389442, rel=1e-12)
+    assert unwrapped_energy(make_prism(1e12, 1e12, 1.0)) == pytest.approx(361.17064201809814, rel=1e-12)
 
 
 @pytest.mark.parametrize("prism", [CUBE, make_prism(64.0, 32.0, 1.0), make_prism(1e3, 1.0, 1.0)],

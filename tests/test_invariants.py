@@ -189,3 +189,16 @@ def test_invariants_report_numeric_fields():
     assert rep["ky_numeric"] == inv.k_y
     assert rep["kz_numeric"] == inv.k_z
     assert rep["omega0_numeric"] == pytest.approx(inv.omega0, abs=1e-5)
+
+
+def test_numeric_trapped_area_on_a_close_gap_is_pinned():
+    # the cube gap probe of the benchmark at g = 1e-4: 2,923 seeded root
+    # cells rated in one round, then refinement; value, error estimate and
+    # evaluations are pinned bit for bit
+    g = 1e-4
+    spec = RationalMapSpec(
+        1, 1, real_factors=((0.5, 1), (0.5 + g, -1), (0.3, 1), (0.3 + g, -1)),
+        imag_factors=((0.4, 1), (0.4 + g, -1)),
+    )
+    res = numeric_trapped_area(spec, tol=1e-6)
+    assert (res.value, res.error_estimate, res.evaluations) == (20.42035224832919, 9.89302592756603e-07, 671175)

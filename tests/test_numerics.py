@@ -230,6 +230,16 @@ def test_appell_f2_restricted_against_1d_reduction():
         )
 
 
+def test_appell_f2_restricted_on_a_needle():
+    # F2(1, q) -> (pi/2) asinh(1) / sqrt(q) as q grows: the spike of width
+    # 1/sqrt(q) at b = 0 that a 2-D rule missed (7.0e-30 at q = 1e32)
+    for q in (1e8, 1e20, 1e32):
+        expected = 0.5 * math.pi * math.asinh(1.0) / math.sqrt(q)
+        # the next term is -1/q, a relative 0.72 / sqrt(q)
+        assert appell_f2_restricted(1.0, q) == pytest.approx(expected, rel=max(1.0 / math.sqrt(q), 1e-9))
+        assert appell_f2_restricted(q, 1.0) == appell_f2_restricted(1.0, q)
+
+
 def test_minimize_1d_quadratic():
     res = minimize_1d(lambda x: (x - 0.3) ** 2, (0.0, 1.0), tol=1e-10)
     assert res.argmin == pytest.approx(0.3, abs=1e-8)
