@@ -351,7 +351,8 @@ def _log_norm(spec: RationalMapSpec, acc: tuple):
         pair.real *= mono
     else:
         pair.imag *= mono
-    return np.log(np.abs(pair))
+    out = np.abs(pair)
+    return np.log(out, out=out)
 
 
 def _log_norm_gradient(spec: RationalMapSpec, acc: tuple):
@@ -445,9 +446,13 @@ def _project(x, y, z):
     r2 += y * y  # in place on arrays, as (x x + y y) + z z
     r2 += z * z
     r = np.sqrt(r2)
-    if np.ndim(r) == 0 and r + z == 0.0:
-        return complex(math.inf, 0.0), r2, r
-    inv = 1.0 / (r + z)
+    inv = r + z
+    if np.ndim(inv) == 0:
+        if inv == 0.0:
+            return complex(math.inf, 0.0), r2, r
+        inv = 1.0 / inv
+    else:
+        np.divide(1.0, inv, out=inv)
     w = np.empty(np.shape(inv), dtype=complex)
     np.multiply(x, inv, out=w.real)
     np.multiply(y, inv, out=w.imag)

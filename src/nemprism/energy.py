@@ -349,7 +349,7 @@ def _face_project(values, u, v, level: Optional[float] = None):
     if level is not None and v[-1] <= -level:  # the call ends with edge points
         n = np.count_nonzero(v <= -level)
         axis = np.rint(v[-n:] / -level).astype(np.intp) - 1
-        pts = np.repeat(np.asarray(values)[:, None], n, axis=1)
+        pts = np.asarray(values)[:, None].repeat(n, axis=1)
         pts[axis, np.arange(n)] = u[-n:]
         x[-n:], y[-n:], z[-n:] = pts
         part[-n:] = axis + 3
@@ -376,9 +376,22 @@ def _edge_level(half: Tuple[float, float, float]) -> float:
 
 
 def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, float, float]]:
-    """The face rectangles and, as segments, the far box edges."""
+    """The face rectangles and, as segments, the far box edges, each face
+    side and edge cut into pieces at ``_long_cuts``: a face side against
+    the face's other side, an edge against the shorter of the other two
+    half sides.  The pieces are rectangles of their own rather than
+    ``initial_splits``, which drop cuts within 1e-12 of a side's length of
+    its ends: on 1e50 x 1 x 1 that is every cut near the vertex."""
     level = _edge_level(half)
-    return _face_rects(half) + [(0.0, h, -(m + 1) * level, -(m + 1) * level) for m, h in enumerate(half)]
+    rects = []
+    for k, (su, sv) in enumerate(_FACE_SIGNS):
+        i, j = [m for m in range(3) if m != k]
+        rects += [(u0, u1, v0, v1) for u0, u1 in _pieces(half[i], half[j], su)
+                  for v0, v1 in _pieces(half[j], half[i], sv)]
+    for m, h in enumerate(half):
+        y = -(m + 1) * level
+        rects += [(u0, u1, y, y) for u0, u1 in _pieces(h, min(half[n] for n in range(3) if n != m), 1.0)]
+    return rects
 
 
 # A face side or edge at least _LONG times its short side gets root cuts at
@@ -402,20 +415,13 @@ def _long_cuts(length: float, short: float) -> List[float]:
     return cuts
 
 
-def _green_splits(half: Tuple[float, float, float]) -> list:
-    """``initial_splits`` of ``_green_domain``: ``_long_cuts`` along each
-    face side at least 64 times the face's other side, mirrored into the
-    face's quadrant, and along each edge at least 64 times the shorter of
-    the two faces' other half sides; None where there is no cut."""
-    splits = []
-    for k, (su, sv) in enumerate(_FACE_SIGNS):
-        i, j = [m for m in range(3) if m != k]
-        cuts_u, cuts_v = _long_cuts(half[i], half[j]), _long_cuts(half[j], half[i])
-        splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]) if cuts_u or cuts_v else None)
-    for m in range(3):
-        cuts = _long_cuts(half[m], min(h for n, h in enumerate(half) if n != m))
-        splits.append((cuts, None) if cuts else None)
-    return splits
+def _pieces(length: float, short: float, sign: float) -> List[Tuple[float, float]]:
+    """The pieces (lo, hi), in increasing order, of the side from 0 to
+    sign * length cut at ``_long_cuts(length, short)``."""
+    ends = [0.0] + _long_cuts(length, short) + [length]
+    if sign < 0:
+        ends = [-e for e in ends[:0:-1]] + [0.0]
+    return list(zip(ends, ends[1:]))
 
 
 def _slope_faces(half: Tuple[float, float, float]) -> Tuple[bool, bool, bool]:
@@ -532,7 +538,7 @@ def conformal_energies(
     density = _green_density(half, weight)
     results = quad2d_many(
         lambda u, v, k: density(at(k), u, v),
-        [(_green_domain(half), _green_splits(half))] * len(specs),
+        [(_green_domain(half), None)] * len(specs),
         tol=tol,
         max_evals=3 * max_evals_per_face,
     )

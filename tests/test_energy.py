@@ -515,10 +515,12 @@ def test_needle_energies_match_the_closed_forms():
     assert abs(res.value - _bubble_limit(NEEDLE, [1j])) <= res.error_estimate + _LIMIT_SLOPE * 1e-8
 
 
-@pytest.mark.parametrize("length", [1e6, 1e8, 1e12], ids=["1e6", "1e8", "1e12"])
+@pytest.mark.parametrize("length", [1e6, 1e8, 1e12, 1e50, 1e150], ids=["1e6", "1e8", "1e12", "1e50", "1e150"])
 def test_long_needle_energy_matches_the_closed_form(length):
     # a root cell as long as the needle has no node near the vertex, where
-    # phi varies: 1e6 x 1 x 1 gave 20.1314 (estimate 5.9e-7) against 22.1513
+    # phi varies: 1e6 x 1 x 1 gave 20.1314 (estimate 5.9e-7) against 22.1513;
+    # cuts passed as initial_splits still gave 20.1314 on 1e50 x 1 x 1, as
+    # those within 1e-12 of the side's length of its ends are dropped
     prism = make_prism(length, 1.0, 1.0)
     res = conformal_energy(prism, RationalMapSpec(1, 1), tol=1e-6)
     assert abs(res.value - unwrapped_energy(prism, tol=1e-12)) <= res.error_estimate
@@ -544,16 +546,28 @@ def test_needle_energy_does_not_fall_as_the_needle_grows(spec):
 @pytest.mark.parametrize("sides", [(1.0, 1.0, 1.0), (8.0, 8.0, 1.0), (8.0, 1.0, 1.0), (20.0, 10.0, 1.0),
                                    (63.0, 1.0, 1.0)])
 def test_boxes_of_aspect_below_64_get_no_root_cuts(sides):
-    # the cuts on long sides leave every benchmark box and the slab as they were
+    # the cuts on long sides leave every benchmark box and the slab as they
+    # were: three face rectangles and three edge segments
     half = make_prism(*sides).octant.half_lengths
-    assert nemprism.energy._green_splits(half) == [None] * 6
+    domain = nemprism.energy._green_domain(half)
+    assert len(domain) == 6
+    assert [y0 == y1 for _, _, y0, y1 in domain] == [False] * 3 + [True] * 3
 
 
 def test_needle_root_cuts_grow_by_four_from_64_short_sides():
-    splits = nemprism.energy._green_splits(make_prism(1e4, 1.0, 1.0).octant.half_lengths)
-    cuts = [32.0, 128.0, 512.0, 2048.0]  # 64, 256, ... half sides of 0.5, below 5000
-    # faces y and z (x along u, mirrored into the u < 0 quadrants) and the edge along x
-    assert splits == [None, ([-c for c in cuts], []), ([-c for c in cuts], []), (cuts, None), None, None]
+    domain = nemprism.energy._green_domain(make_prism(1e4, 1.0, 1.0).octant.half_lengths)
+    ends = [0.0, 32.0, 128.0, 512.0, 2048.0, 5000.0]  # 64, 256, ... half sides of 0.5, below 5000
+    mirrored = [(-b, -a) for a, b in zip(ends, ends[1:])][::-1]
+    level = 1.0 + 5000.0 + 0.5 + 0.5
+    # face x, then faces y and z (x along u, mirrored into the u < 0
+    # quadrants), then the edges; only the edge along x is long
+    assert domain == (
+        [(0.0, 0.5, 0.0, 0.5)]
+        + [(u0, u1, 0.0, 0.5) for u0, u1 in mirrored]
+        + [(u0, u1, -0.5, 0.0) for u0, u1 in mirrored]
+        + [(a, b, -level, -level) for a, b in zip(ends, ends[1:])]
+        + [(0.0, 0.5, -2.0 * level, -2.0 * level), (0.0, 0.5, -3.0 * level, -3.0 * level)]
+    )
 
 
 def test_unwrapped_energy_on_long_needles():
