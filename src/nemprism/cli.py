@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
@@ -216,11 +217,14 @@ class _PartialArtifact(Exception):
 # f"{x:.12g}" give the same text for every float (-0, nan and inf included)
 _FLOAT_FORMAT = "%.12g"
 
-# one row of the field CSV: x, y, z and the director nx, ny, nz
-_FIELD_ROW = ",".join([_FLOAT_FORMAT] * 6) + "\n"
+# one row of the field CSV: x, y, z and the director nx, ny, nz; _run_field
+# writes x, y and z from strings formatted once per grid value, and fills
+# the director triples of a block of rows with one %
+_FIELD_TRIPLE = ",".join([_FLOAT_FORMAT] * 3) + "\n"
+_FIELD_ROW = ",".join([_FLOAT_FORMAT] * 3) + "," + _FIELD_TRIPLE
 
-# field rows formatted per tolist(): bounds the Python floats alive at once,
-# so the peak memory is the text's, not the table's as Python floats
+# field rows formatted per block: bounds the Python floats and strings alive
+# at once, so the peak memory is the text's, not the table's as Python floats
 _FIELD_BLOCK = 4096
 
 
@@ -335,16 +339,22 @@ def _run_field(job: Job) -> str:
     prism = _prism(job)
     spec = RationalMapSpec.from_dict(job.spec)
     try:
-        hx, hy, hz = prism.octant.half_lengths
-        axes = [np.linspace(0.0, h, job.grid + 1) for h in (hx, hy, hz)]
+        n = job.grid + 1
+        axes = [np.linspace(0.0, h, n) for h in prism.octant.half_lengths]
         X, Y, Z = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([X.reshape(-1), Y.reshape(-1), Z.reshape(-1)], axis=-1)
-        keep = np.sum(pts * pts, axis=-1) > 0.0  # drop the singular vertex
-        pts = pts[keep]
-        table = np.concatenate([pts, _director_many(spec, pts)], axis=1)
+        kept = np.flatnonzero(np.sum(pts * pts, axis=-1) > 0.0)  # drop the singular vertex
+        directors = _director_many(spec, pts[kept])
+        # node (i, j, l) is row i n^2 + j n + l, z fastest: its text starts
+        # with the "x,y," of node (i, j) and goes on with "z," + _FIELD_TRIPLE
+        xs, ys, zs = ([_FLOAT_FORMAT % v + "," for v in axis.tolist()] for axis in axes)
+        xy = [x + y for x in xs for y in ys]
+        z_rows = [z + _FIELD_TRIPLE for z in zs]
         blocks = ["x,y,z,nx,ny,nz\n"]
-        for i in range(0, len(table), _FIELD_BLOCK):
-            blocks.append("".join([_FIELD_ROW % tuple(r) for r in table[i:i + _FIELD_BLOCK].tolist()]))
+        for i in range(0, len(kept), _FIELD_BLOCK):
+            ij, l = np.divmod(kept[i:i + _FIELD_BLOCK], n)
+            rows = "".join(map(operator.add, map(xy.__getitem__, ij.tolist()), map(z_rows.__getitem__, l.tolist())))
+            blocks.append(rows % tuple(directors[i:i + _FIELD_BLOCK].ravel().tolist()))
         return "".join(blocks)
     except (MemoryError, ValueError):  # ValueError: past numpy's own size limits
         raise ValueError(f"--grid {job.grid} needs more memory than can be allocated") from None

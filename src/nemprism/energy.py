@@ -304,33 +304,37 @@ def _face_cuts(
 _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def _face_rects(half: Tuple[float, float, float]) -> List[Tuple[float, float, float, float]]:
-    """The three octant faces as quadrature rectangles; face k lies in the
-    plane where coordinate k is constant, and its free coordinates range
-    over the other two half-sides."""
-    rects = []
+def _face_pieces(half: Tuple[float, float, float]) -> List[Tuple[int, Tuple[float, float, float, float]]]:
+    """(k, rectangle) of each piece of the three octant faces, face k in its
+    quadrant of ``_FACE_SIGNS``, each face side cut into ``_pieces``
+    against the face's other side."""
+    pieces = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
-        free = [m for m in range(3) if m != k]
-        (u0, u1), (v0, v1) = sorted((0.0, su * half[free[0]])), sorted((0.0, sv * half[free[1]]))
-        rects.append((u0, u1, v0, v1))
-    return rects
+        i, j = [m for m in range(3) if m != k]
+        pieces += [(k, (u0, u1, v0, v1)) for u0, u1 in _pieces(half[i], half[j], su)
+                   for v0, v1 in _pieces(half[j], half[i], sv)]
+    return pieces
 
 
 def _faces_domain(
     prism: Prism, spec: RationalMapSpec, values: Tuple[float, float, float]
 ) -> Tuple[List[Tuple[float, float, float, float]], list]:
-    """The three octant faces as quadrature rectangles with their cuts;
-    face k lies in the plane where coordinate k equals ``values[k]``."""
+    """The pieces of the three octant faces (``_face_pieces``, as in the
+    energy: on a needle the flux lives near the vertex, where a whole-face
+    root cell has no node) as quadrature rectangles, each with the cuts
+    that fall inside it; face k lies in the plane where coordinate k equals
+    ``values[k]``."""
     half = prism.octant.half_lengths
-    splits = []
+    cuts = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
-        free = [m for m in range(3) if m != k]
-        if values[k] > 0.0:
-            cuts_u, cuts_v = _face_cuts(spec, k, values[k], free, (half[free[0]], half[free[1]]))
-            splits.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
-        else:
-            splits.append(None)
-    return _face_rects(half), splits
+        i, j = [m for m in range(3) if m != k]
+        cuts_u, cuts_v = _face_cuts(spec, k, values[k], (i, j), (half[i], half[j])) if values[k] > 0.0 else ([], [])
+        cuts.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
+    rects, splits = [], []
+    for k, (u0, u1, v0, v1) in _face_pieces(half):
+        rects.append((u0, u1, v0, v1))
+        splits.append(([c for c in cuts[k][0] if u0 <= c <= u1], [c for c in cuts[k][1] if v0 <= c <= v1]))
+    return rects, splits
 
 
 def _face_project(values, u, v, level: Optional[float] = None):
@@ -383,11 +387,7 @@ def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, 
     ``initial_splits``, which drop cuts within 1e-12 of a side's length of
     its ends: on 1e50 x 1 x 1 that is every cut near the vertex."""
     level = _edge_level(half)
-    rects = []
-    for k, (su, sv) in enumerate(_FACE_SIGNS):
-        i, j = [m for m in range(3) if m != k]
-        rects += [(u0, u1, v0, v1) for u0, u1 in _pieces(half[i], half[j], su)
-                  for v0, v1 in _pieces(half[j], half[i], sv)]
+    rects = [rect for _, rect in _face_pieces(half)]
     for m, h in enumerate(half):
         y = -(m + 1) * level
         rects += [(u0, u1, y, y) for u0, u1 in _pieces(h, min(half[n] for n in range(3) if n != m), 1.0)]
@@ -567,7 +567,9 @@ def face_flux(
     Over the interior faces the total equals the trapped solid angle; over
     an exterior face the integrand vanishes identically.  One adaptive
     quadrature covers the three faces, sharing the absolute tolerance
-    ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations.
+    ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations; as in
+    ``conformal_energy``, every face side at least 64 times the face's
+    other side is cut into root rectangles at 64, 256, 1024, ... of it.
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")

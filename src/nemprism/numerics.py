@@ -6,8 +6,10 @@ there is no solver or quadrature dependency:
 * quad2d              adaptive 2-D quadrature over one rectangle or several
                       disjoint ones, with a nested tensor Gauss(7)/Kronrod(15)
                       pair per cell, and over segments (line integrals along
-                      x) with the 1-D pair; it refines in rounds, rates cells in
-                      blocks of 16 per integrand call, shares one tolerance
+                      x) with the 1-D pair; it refines in rounds, bisecting
+                      cells or, when one bisection cannot finish a cell,
+                      splitting it in four, rates cells in blocks of 16 per
+                      integrand call, shares one tolerance
                       and one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
                       as the error estimate reaches that floor, and
@@ -16,7 +18,7 @@ there is no solver or quadrature dependency:
                       problems at once (quad2d is its one-problem case):
                       each problem keeps its own cells, budget and outcome
                       (its live cells in a heap of (-error, creation number),
-                      so the largest errors are bisected first and ties go
+                      so the largest errors are split first and ties go
                       to the older cell), and the integrand calls are
                       shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
@@ -137,7 +139,7 @@ _WGG = np.outer(_WG, _WG)
 
 
 # Integrand evaluations per cell (a rectangle) and per segment; the most
-# cells per integrand call and bisections per round.
+# cells per integrand call, and half the most children per round.
 _CELL_EVALS = 225
 _SEGMENT_EVALS = 15
 _BATCH_CELLS = 16
@@ -145,6 +147,16 @@ _BATCH_CELLS = 16
 # Below this multiple of the summed |cell values| an error estimate is
 # dominated by round-off (QUADPACK's 50 eps; Gander & Gautschi, BIT 40, 2000).
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+
+# A rectangle's split axis code, from _rate_cells: 0 (x) or 1 (y) when the
+# sampled variation along that axis dominates, _TIE + the longer side's
+# axis on a near-tie; code & 1 is the axis.
+_TIE = 2
+# A near-tie cell with an error estimate above _FOUR_WAY tol is split in four:
+# one bisection cuts a Gauss-7 (h^14) estimate by at most 2^14 on an
+# analytic cell, and leaves the error along the other axis.
+_FOUR_WAY = 2.0 ** 14
 
 
 def _evals(row) -> int:
@@ -163,13 +175,15 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[
     then those of the segments, each in cell order, and ``k``, the problem
     index of each point in that order (so a ``k`` shorter than 225 m tells
     that segments are present).  Returns, as lists in cell order, the
-    Kronrod values, the |K - G| error estimates and the preferred split
-    axis per cell (0 for x, 1 for y).
+    Kronrod values, the |K - G| error estimates and the split axis code
+    per cell: 0 for x or 1 for y, plus ``_TIE`` on a near-tie.
 
     A rectangle's split axis follows the larger total variation of the
     sampled values (ridge features aligned with one axis are then bisected
-    across the ridge, not along it); near-ties fall back to the longer side.
-    A segment is always split along x.
+    across the ridge, not along it); near-ties, neither variation 1.5 times
+    the other, fall back to the longer side and are reported, so that
+    ``quad2d_many`` may split such a cell in four.  A segment is always
+    split along x.
 
     Most calls rate 2 to 6 cells, so their cost is mostly a fixed count of
     numpy calls: the nodes of all cells come from one (m, 2, 15) array,
@@ -212,7 +226,7 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[
     np.subtract(vals[:, 1:], vals[:, :-1], out=tv[:, 0].reshape(r, 14, 15))
     np.subtract(vals[:, :, 1:], vals[:, :, :-1], out=tv[:, 1].reshape(r, 15, 14))
     tvs = np.add.reduce(np.abs(tv, out=tv), axis=2).tolist()
-    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else int(ly > lx) for (tx, ty), (lx, ly) in zip(tvs, widths)]
+    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else _TIE + (ly > lx) for (tx, ty), (lx, ly) in zip(tvs, widths)]
     if r < m:
         line = values[_CELL_EVALS * r:].reshape(m - r, 15)
         kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
@@ -259,6 +273,26 @@ def _rate_tagged(f, rows: List[List[float]], owners: List[int], sizes: List[int]
             back[i] = n
         rated = [[part[n] for n in back] for part in rated]
     return rated
+
+
+def _bisect(row: List[float], axis: int) -> Optional[List[List[float]]]:
+    """The two halves of a cell row across ``axis`` (0 x, 1 y), or None when
+    that side is one float spacing wide, so that its midpoint is one of its
+    ends."""
+    lo, hi, a = list(row), list(row), 2 * axis
+    mid = 0.5 * (lo[a] + lo[a + 1])
+    if not lo[a] < mid < lo[a + 1]:
+        return None
+    lo[a + 1] = hi[a] = mid
+    return [lo, hi]
+
+
+def _quarters(halves: List[List[float]], axis: int) -> Optional[List[List[float]]]:
+    """The four quarters of a rectangle whose ``halves`` across ``axis``
+    are given, each half bisected across the other axis, or None when that
+    side is one float spacing wide."""
+    first = _bisect(halves[0], 1 - axis)
+    return None if first is None else first + _bisect(halves[1], 1 - axis)
 
 
 def _breakpoints(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
@@ -326,9 +360,17 @@ def quad2d(
     are always bisected along x.  Refinement runs in rounds over all cells
     at once.  The live cells sit in a heap keyed by (-error estimate,
     creation number), so each round pops them largest error first, ties in
-    creation order, and bisects the shortest run whose removal would bring
+    creation order, and splits the shortest run whose removal would bring
     the summed error to ``tol`` or below, each cell across the dominant
-    variation of its sampled values.  A round makes at most 16 bisections
+    variation of its sampled values.  A rectangle is split in four at both
+    midpoints instead when one bisection cannot finish it: when it is the
+    only cell the round would bisect (a round then costs one integrand call
+    of four cells, not two rounds of two), or when its two total variations
+    nearly tie and its error estimate exceeds 2^14 ``tol`` (the most that
+    one bisection can cut a Gauss-7 estimate, of order h^14, on an analytic
+    cell; the error along the other axis stays).  If the four children
+    would pass the budget or the round's limit, or a side is one float
+    spacing wide, the cell is bisected.  A round makes at most 32 children
     and one integrand call rates a block of at most 16 cells (3600 points),
     root cells too; larger calls page-fault their freed temporaries back in
     on every call.  A round rates the rectangles before the segments, so
@@ -347,7 +389,7 @@ def quad2d(
     near-edge nodes right on top of it.
 
     The budget is checked before every integrand call, so ``evaluations``
-    never exceeds ``max_evals``: a round bisects no cell whose children
+    never exceeds ``max_evals``: a round splits no cell whose children
     would pass it.  Raises AccuracyError when the root cells alone would
     exceed it (before any evaluation, with value nan), or when the budget
     runs out before the tolerance is met (carrying the best estimate), or
@@ -397,13 +439,13 @@ def quad2d_many(
     ``f`` is called.
 
     Every problem keeps its own cells and runs the rounds of ``quad2d`` on
-    them: its own root-cell refusal, budget, round-off floor, limit of 16
-    bisections per round and tie order, so its cells, value, error estimate
-    and evaluation count are those of a solo call.  Its live cells are a
+    them: its own root-cell refusal, budget, round-off floor, split rule,
+    limit of 32 children per round and tie order, so its cells, value,
+    error estimate and evaluation count are those of a solo call.  Its live cells are a
     ``heapq`` of (-error, seq), seq the creation number, beside plain lists
     of the rows, values and split axes of all its cells, indexed by seq;
     numpy only rates cells.  A round's bookkeeping is a few list and heap
-    operations per new or bisected cell, two sums over the live cells
+    operations per new or split cell, two sums over the live cells
     and, while the error is above ``tol``, a third for the round-off floor.
     The sums (``math.fsum``) are correctly rounded, so they do not depend
     on the heap's order.  Only the integrand calls
@@ -483,25 +525,33 @@ def quad2d_many(
                 continue
             # Bisect the largest errors first (ties by seq), up to the first
             # whose removal would bring the summed error to tol or below,
-            # while the children fit in the budget.
+            # while the children fit in the budget.  A rectangle is split in
+            # four instead when it is the round's only one, or when its axes
+            # nearly tie and its error is above _FOUR_WAY tol, and its
+            # quarters fit in the budget and the round.
             children, removed, target, room = [], 0.0, total_err - tol, max_evals - evals
-            narrow = None
+            narrow, four_way = None, _FOUR_WAY * tol
             while heap and len(children) < 2 * _BATCH_CELLS and removed < target:
                 neg_err, seq = heap[0]
                 row = rows[seq]
                 cost = 2 * _SEGMENT_EVALS if row[2] == row[3] else 2 * _CELL_EVALS
                 if cost > room:
                     break
-                lo, hi, a = list(row), list(row), 2 * cell_axes[seq]
-                mid = 0.5 * (lo[a] + lo[a + 1])
-                if not lo[a] < mid < lo[a + 1]:  # the side is one float spacing wide
+                code = cell_axes[seq]
+                halves = _bisect(row, code & 1)
+                if halves is None:
                     narrow = row
                     break
                 heapq.heappop(heap)
                 room -= cost
                 removed -= neg_err
-                lo[a + 1] = hi[a] = mid
-                children += [lo, hi]
+                if ((code >= _TIE and -neg_err > four_way or not children and (removed >= target or not heap))
+                        and row[2] != row[3] and cost <= room and len(children) + 4 <= 2 * _BATCH_CELLS):
+                    quarters = _quarters(halves, code & 1)
+                    if quarters is not None:
+                        halves = quarters
+                        room -= cost
+                children += halves
             if narrow is not None:
                 out[p] = AccuracyError(
                     f"cell {narrow!r} cannot be bisected: its side is one float spacing wide "

@@ -509,7 +509,9 @@ def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, 
 # stdout captured before the family scans were batched; the sweep's E_err
 # re-captured from the zeta = w^2 kernel, which moved them in the 8th digit,
 # and min_value and E_err again from the energy by Green's identity (every
-# E within the two releases' summed error estimates, min_value by 1.2e-12)
+# E within the two releases' summed error estimates, min_value by 1.2e-12),
+# and once more when quad2d began to split cells in four (E unchanged,
+# min_value by 6e-14; test_pins_moved_by_four_way_splits_agree_within_the_estimates)
 MINIMIZE_SLAB_BYTES = (
     '{\n'
     '  "argmin": 0.5465939960585007,\n'
@@ -519,30 +521,30 @@ MINIMIZE_SLAB_BYTES = (
     '    0.5468565821837293\n'
     '  ],\n'
     '  "classification": "smooth",\n'
-    '  "min_value": 45.07943196633158\n'
+    '  "min_value": 45.07943196633164\n'
     '}\n'
 )
 README_SWEEP_BYTES = (
     's,E,E_err,eps_scaled,lower,upper\n'
-    '0.05,44.0634788916,5.32211203164e-07,44.0634788916,37.6991118431,65.2967771124\n'
-    '0.1,44.0628131075,5.03174143171e-07,44.0628131075,37.6991118431,65.2967771124\n'
-    '0.15,44.0599289527,4.57300140512e-07,44.0599289527,37.6991118431,65.2967771124\n'
-    '0.2,44.0521712624,3.98332347894e-07,44.0521712624,37.6991118431,65.2967771124\n'
-    '0.25,44.0358486519,3.31282873169e-07,44.0358486519,37.6991118431,65.2967771124\n'
-    '0.3,44.0062885629,2.61951993291e-07,44.0062885629,37.6991118431,65.2967771124\n'
-    '0.35,43.9579486587,1.96100590738e-07,43.9579486587,37.6991118431,65.2967771124\n'
-    '0.4,43.8846121285,1.38081163462e-07,43.8846121285,37.6991118431,65.2967771124\n'
-    '0.45,43.779695623,8.80001654324e-08,43.779695623,37.6991118431,65.2967771124\n'
-    '0.5,43.6366950481,2.31748615576e-07,43.6366950481,37.6991118431,65.2967771124\n'
+    '0.05,44.0634788916,5.32162738737e-07,44.0634788916,37.6991118431,65.2967771124\n'
+    '0.1,44.0628131075,5.03057356396e-07,44.0628131075,37.6991118431,65.2967771124\n'
+    '0.15,44.0599289527,4.57043890234e-07,44.0599289527,37.6991118431,65.2967771124\n'
+    '0.2,44.0521712624,3.97816860962e-07,44.0521712624,37.6991118431,65.2967771124\n'
+    '0.25,44.0358486519,3.30300713551e-07,44.0358486519,37.6991118431,65.2967771124\n'
+    '0.3,44.0062885629,2.601661757e-07,44.0062885629,37.6991118431,65.2967771124\n'
+    '0.35,43.9579486587,1.93094705406e-07,43.9579486587,37.6991118431,65.2967771124\n'
+    '0.4,43.8846121285,1.33936174332e-07,43.8846121285,37.6991118431,65.2967771124\n'
+    '0.45,43.779695623,8.5971151656e-08,43.779695623,37.6991118431,65.2967771124\n'
+    '0.5,43.6366950481,5.04216233384e-08,43.6366950481,37.6991118431,65.2967771124\n'
     '0.55,43.449785407,6.73745832819e-07,43.449785407,37.6991118431,65.2967771124\n'
-    '0.6,43.2145773514,2.44876546152e-07,43.2145773514,37.6991118431,65.2967771124\n'
-    '0.65,42.9290196052,2.79004332304e-07,42.9290196052,37.6991118431,65.2967771124\n'
-    '0.7,42.5944323965,3.37736298706e-07,42.5944323965,37.6991118431,65.2967771124\n'
-    '0.75,42.216678481,4.75117263865e-07,42.216678481,37.6991118431,65.2967771124\n'
-    '0.8,41.8075533295,5.5392311793e-07,41.8075533295,37.6991118431,65.2967771124\n'
-    '0.85,41.3866699382,2.15274911453e-07,41.3866699382,37.6991118431,65.2967771124\n'
-    '0.9,40.9846481616,2.74846883586e-07,40.9846481616,37.6991118431,65.2967771124\n'
-    '0.95,40.6503944314,1.58294168662e-07,40.6503944314,37.6991118431,65.2967771124\n'
+    '0.6,43.2145773514,2.43395217731e-08,43.2145773514,37.6991118431,65.2967771124\n'
+    '0.65,42.9290196052,4.6726067543e-08,42.9290196052,37.6991118431,65.2967771124\n'
+    '0.7,42.5944323965,1.02649271153e-07,42.5944323965,37.6991118431,65.2967771124\n'
+    '0.75,42.216678481,2.48064398606e-07,42.216678481,37.6991118431,65.2967771124\n'
+    '0.8,41.8075533295,3.46375926608e-07,41.8075533295,37.6991118431,65.2967771124\n'
+    '0.85,41.3866699382,2.19806665647e-08,41.3866699382,37.6991118431,65.2967771124\n'
+    '0.9,40.9846481616,1.13515266353e-07,40.9846481616,37.6991118431,65.2967771124\n'
+    '0.95,40.6503944314,3.48048079246e-08,40.6503944314,37.6991118431,65.2967771124\n'
 )
 
 
@@ -569,17 +571,18 @@ def _energy_bytes(exact, exact_err, lower, upper):
 # (8.53e-08): each exact within 3e-14 of these.  The last bits of exact_err
 # follow every rounding of the Gauss estimates: with those summed by einsum,
 # rating in blocks of 1, 5, 7, 9, 11 or 15 cells changed at least one of
-# these.  The third id counts the root cells that the face-density energy
-# seeded for that spec; Green's identity starts every spec from 6.
+# these, and so did splitting cells in four.  The third id counts the root
+# cells that the face-density energy seeded for that spec; Green's identity
+# starts every spec from 6.
 ENERGY_BYTES = [
     (
         {"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
-        _energy_bytes("110.27903886664654", "9.471481338119148e-08",
+        _energy_bytes("110.27903886664654", "9.46938905621586e-08",
                       "87.96459430051421", "152.35914659567428"),
     ),
     (
         {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-        _energy_bytes("131.42749567860423", "6.029040977573175e-08",
+        _energy_bytes("131.42749567860423", "5.953717174822515e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
     (
@@ -596,6 +599,38 @@ def test_energy_artifact_bytes_are_pinned(tmp_path, capsys, payload, expected):
     path = write_spec(tmp_path, payload)
     assert run(["energy", "--prism", "1,1,1", "--spec", path, "--tol", "1e-7"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# the pins above as they stood while quad2d bisected every cell: (exact,
+# exact_err) per ENERGY_BYTES spec, the slab's min_value, and (E, E_err) of
+# each README_SWEEP_BYTES row
+_BISECTED_ENERGIES = [(110.27903886664654, 9.471481338119148e-08), (131.42749567860423, 6.029040977573175e-08),
+                      (172.26229985697236, 9.339246632923855e-08)]
+_BISECTED_MIN_VALUE = 45.07943196633158
+_BISECTED_SWEEP = [
+    (44.0634788916, 5.32211203164e-07), (44.0628131075, 5.03174143171e-07), (44.0599289527, 4.57300140512e-07),
+    (44.0521712624, 3.98332347894e-07), (44.0358486519, 3.31282873169e-07), (44.0062885629, 2.61951993291e-07),
+    (43.9579486587, 1.96100590738e-07), (43.8846121285, 1.38081163462e-07), (43.779695623, 8.80001654324e-08),
+    (43.6366950481, 2.31748615576e-07), (43.449785407, 6.73745832819e-07), (43.2145773514, 2.44876546152e-07),
+    (42.9290196052, 2.79004332304e-07), (42.5944323965, 3.37736298706e-07), (42.216678481, 4.75117263865e-07),
+    (41.8075533295, 5.5392311793e-07), (41.3866699382, 2.15274911453e-07), (40.9846481616, 2.74846883586e-07),
+    (40.6503944314, 1.58294168662e-07),
+]
+
+
+def test_pins_moved_by_four_way_splits_agree_within_the_estimates():
+    for (_, expected), (old, old_err) in zip(ENERGY_BYTES, _BISECTED_ENERGIES):
+        new = json.loads(expected)
+        assert abs(new["exact"] - old) <= new["exact_err"] + old_err
+    rows = [line.split(",") for line in README_SWEEP_BYTES.splitlines()[1:]]
+    assert len(rows) == len(_BISECTED_SWEEP)
+    for (_, energy, err, *_), (old, old_err) in zip(rows, _BISECTED_SWEEP):
+        # both printed to 12 digits, within 1e-10 here
+        assert abs(float(energy) - old) <= float(err) + old_err + 1e-10
+    # min_value is a scaled energy of the default quad-tol, each side's
+    # estimate at most that tol over the slab's cube-root volume of 200 ** (1/3)
+    min_value = json.loads(MINIMIZE_SLAB_BYTES)["min_value"]
+    assert abs(min_value - _BISECTED_MIN_VALUE) <= 2.0 * Job.quad_tol / 200.0 ** (1.0 / 3.0)
 
 
 def test_minimize_counts_failed_points_as_inf_and_exits_2(capsys):

@@ -440,11 +440,11 @@ def test_energy_report_gives_the_coalescing_energies(spec, references):
 
 @pytest.mark.parametrize("payload,calls", [
     ({"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
-     [720, 1380, 1830, 1830, 1800, 450, 450]),
+     [720, 1380, 1830, 1830, 1800, 900]),
     ({"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-     [720, 1410, 900, 900, 900, 900, 450]),
+     [720, 1410, 900, 900, 900, 900, 900]),
     ({"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
-     [720, 1440, 2310, 2730, 3600, 3180, 1350]),
+     [720, 1890, 2310, 3600, 30, 3600, 30, 2250]),
 ], ids=["anticonformal-n-3", "degree-9", "19-root-cells"])
 def test_energy_integrand_calls_are_pinned(monkeypatch, payload, calls):
     # the specs whose artifact bytes tests/test_cli.py pins, on the cube at
@@ -524,6 +524,30 @@ def test_long_needle_energy_matches_the_closed_form(length):
     prism = make_prism(length, 1.0, 1.0)
     res = conformal_energy(prism, RationalMapSpec(1, 1), tol=1e-6)
     assert abs(res.value - unwrapped_energy(prism, tol=1e-12)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("spec,length", [
+    *[(RationalMapSpec(1, 1), length) for length in (1e7, 1e8, 1e14, 1e50)],
+    *[(RationalMapSpec(1, 1, imag_factors=((0.5, 1),)), length) for length in (1e7, 1e14)],
+], ids=["identity-1e7", "identity-1e8", "identity-1e14", "identity-1e50", "imag-0.5-1e7", "imag-0.5-1e14"])
+def test_needle_flux_equals_the_trapped_area(spec, length):
+    # whole faces as root cells put no node near the vertex, where the flux
+    # lives: the identity on 1e7 x 1 x 1 gave 2.98e-9 (estimate 2.90e-9)
+    # against pi/2, and imag 0.5 on 1e14 x 1 x 1 gave 4.06 against 3 pi/2
+    res = face_flux(make_prism(length, 1.0, 1.0), spec, tol=1e-8)
+    assert abs(res.value - trapped_area(spec)) <= res.error_estimate
+
+
+def test_needle_faces_are_cut_into_pieces_holding_their_cuts():
+    # as the energy's faces: pieces of the long sides at 64, 256, ... short
+    # sides; each piece keeps only the factor cuts inside it
+    half = NEEDLE.octant.half_lengths
+    rects, splits = nemprism.energy._faces_domain(NEEDLE, RationalMapSpec(1, 1, imag_factors=((0.5, 1),)), half)
+    assert rects == [rect for rect in nemprism.energy._green_domain(half) if rect[2] != rect[3]]
+    assert len(splits) == len(rects)
+    for (u0, u1, v0, v1), (cuts_u, cuts_v) in zip(rects, splits):
+        assert all(u0 <= c <= u1 for c in cuts_u) and all(v0 <= c <= v1 for c in cuts_v)
+    assert any(cuts_u for cuts_u, _ in splits[1:])
 
 
 @pytest.mark.parametrize("spec", [RationalMapSpec(1, 3), RationalMapSpec(1, 1, imag_factors=((0.5, 1),))],

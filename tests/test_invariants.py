@@ -201,4 +201,4 @@ def test_numeric_trapped_area_on_a_close_gap_is_pinned():
         imag_factors=((0.4, 1), (0.4 + g, -1)),
     )
     res = numeric_trapped_area(spec, tol=1e-6)
-    assert (res.value, res.error_estimate, res.evaluations) == (20.42035224832919, 9.89302592756603e-07, 671175)
+    assert (res.value, res.error_estimate, res.evaluations) == (20.42035224832836, 9.892145174317918e-07, 671625)

@@ -17,6 +17,7 @@ from nemprism import (
     quad2d,
     quad2d_many,
 )
+import nemprism.numerics
 from nemprism.numerics import _rate_cells
 
 # frozen reference: 200-node tensor Gauss-Legendre of 1/(1 + a^2 + b^2)
@@ -138,6 +139,64 @@ def test_quad2d_round_of_16_bisections_rates_its_children_in_two_calls():
     # the 16 roots, then one round: 16 bisections, 32 children in two calls
     assert calls == [16 * 225] * 3
     assert exc.value.evaluations == (16 + 32) * 225
+
+
+def test_quad2d_splits_the_lone_cell_of_a_round_in_four():
+    # every round refines one cell, and rates its four quarters in one call
+    a = 0.05
+    counted, calls = _counting(lambda x, y: 1.0 / (a + x + y))
+    res = quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-10)
+    assert calls == [225, 900, 900, 900, 900]
+    assert res.evaluations == 3825
+    exact = (a + 2.0) * math.log(a + 2.0) - 2.0 * (a + 1.0) * math.log(a + 1.0) + a * math.log(a)
+    assert abs(res.value - exact) <= res.error_estimate <= 1e-10
+
+
+def test_quad2d_bisects_when_four_children_would_pass_the_budget(monkeypatch):
+    # the root cell leaves room for two children, not four
+    counted, calls = _counting(lambda x, y: np.sin(300.0 * x) * np.sin(300.0 * y))
+    with pytest.raises(AccuracyError, match="budget of 675 evaluations exhausted") as exc:
+        quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-9, max_evals=675)
+    assert calls == [225, 450] and exc.value.evaluations == 675
+    # near-tie cells far above tol split in four while they fit: every
+    # budget holds, the last round stops within one bisection of it, and no
+    # call rates more than 16 cells
+    cuts = [0.25, 0.5, 0.75]
+    for max_evals in (16 * 225 + 450, 16 * 225 + 1000, 40 * 225, 64 * 225 + 300, 100 * 225 + 4321):
+        counted, calls = _counting(lambda x, y: np.sin(40.0 * x) * np.sin(40.0 * y))
+        with pytest.raises(AccuracyError, match="budget") as exc:
+            quad2d(counted, (0.0, 1.0, 0.0, 1.0), tol=1e-12, max_evals=max_evals, initial_splits=(cuts, cuts))
+        assert exc.value.evaluations == sum(calls) <= max_evals
+        assert max_evals - exc.value.evaluations < 2 * 225
+        assert max(calls) <= 16 * 225
+    # nor the round's limit of 32 children: one bisection along x, then
+    # seven of the near-tie cells in four, leave room for two children only
+    rounds = []
+    rate = nemprism.numerics._rate_tagged
+    monkeypatch.setattr(nemprism.numerics, "_rate_tagged",
+                        lambda f, rows, *args: rounds.append(len(rows)) or rate(f, rows, *args))
+    f = lambda x, y: np.where(x < 1.5, np.sin(40.0 * x) * np.sin(40.0 * y), 5.0 * np.sin(80.0 * x))
+    with pytest.raises(AccuracyError, match="budget"):
+        quad2d(f, [(0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)], tol=1e-12, max_evals=30_000,
+               initial_splits=[(cuts, cuts), None])
+    assert rounds == [17, 32, 32, 32, 20]
+
+
+def test_quad2d_bisects_a_cell_one_float_spacing_wide_instead_of_splitting_it_in_four():
+    # the lone root cell splits in four unless one side is one float
+    # spacing wide: then its other side is bisected, down to the refusal
+    f = lambda x, y: 1.0 / (np.abs(y - 0.5) + 1e-300)
+    counted, calls = _counting(f)
+    with pytest.raises(AccuracyError, match="budget"):
+        quad2d(counted, (0.5, 0.75, 0.0, 1.0), tol=1e-25, max_evals=20_000)
+    assert calls[:2] == [225, 900]
+    narrow = math.nextafter(0.5, 1.0)
+    counted, calls = _counting(f)
+    with pytest.raises(AccuracyError, match="one float spacing wide") as info:
+        quad2d(counted, (0.5, narrow, 0.0, 1.0), tol=1e-25, max_evals=200_000)
+    assert calls[:2] == [225, 450]
+    x0, x1, y0, y1 = ast.literal_eval(str(info.value).split("cell ")[1].split(" cannot")[0])
+    assert (x0, x1) == (0.5, narrow) and y1 == math.nextafter(y0, math.inf) and 0.5 in (y0, y1)
 
 
 def test_cell_ratings_do_not_depend_on_the_cells_sharing_a_call():
@@ -569,7 +628,7 @@ def test_minimize_1d_sets_at_boundary_only_on_an_endpoint():
 
 
 # Refinement trajectories captured before the cells moved to a per-problem
-# heap: (integrand, domain, initial_splits, tol, max_evals), then the outcome
+# heap, and re-captured when lone and near-tie cells began to split in four: (integrand, domain, initial_splits, tol, max_evals), then the outcome
 # (value, error estimate, evaluations; a refusal also names its message) and
 # the integrand call sizes as (points, repeats) runs.
 _CUTS = (-0.5, 0.0, 0.5)
@@ -578,15 +637,13 @@ _TRAJECTORIES = [
     ((lambda x, y: np.cos(9.0 * x) * np.cos(9.0 * y), (-1.0, 1.0, -1.0, 1.0), (_CUTS, _CUTS), 1e-12, 1_000_000),
      (0.00838724177175122, 9.268358683886622e-13, 22050), [(3600, 6), (450, 1)]),
     ((lambda x, y: np.abs(x) * np.abs(y), (-1.0, 1.0, -1.0, 1.0), None, 1e-9, 1_000_000),
-     (1.0, 1.942890293094024e-16, 1575), [(225, 1), (450, 1), (900, 1)]),
+     (1.0, 1.942890293094024e-16, 1125), [(225, 1), (900, 1)]),
     ((lambda x, y: 1.0 / (1e-3 + x * x + y * y), [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0)],
       None, 1e-7, 1_000_000),
-     (16.796424561791447, 7.641415483705671e-08, 18225),
-     [(675, 1), (1350, 1), (2250, 1), (1350, 1), (2700, 1), (1350, 1), (2700, 1), (1350, 1), (1800, 1), (1350, 2)]),
+     (16.796424561791447, 7.641415483705671e-08, 14175), [(675, 1), (2700, 3), (1350, 4)]),
     ((lambda x, y: np.sqrt(np.abs(x - y)), (0.0, 1.0, 0.0, 1.0), None, 1e-10, 2_000_000),
-     ("budget of 2000000 evaluations exhausted", 0.5333333101365771, 8.82161017739272e-08, 1999575),
-     [(225, 1), (450, 1), (900, 1), (1800, 1), (2700, 1), (3600, 1), (900, 1), (3600, 1), (2700, 1), (3600, 550),
-      (2700, 1)]),
+     ("budget of 2000000 evaluations exhausted", 0.5333333101214367, 8.476589246920015e-08, 1999575),
+     [(225, 1), (900, 1), (2700, 1), (3600, 1), (2700, 1), (3600, 552), (2250, 1)]),
 ]
 
 
@@ -635,15 +692,14 @@ def test_quad2d_many_trajectories_are_pinned():
     results = quad2d_many(f, [(domain, splits) for _, domain, splits, _, _ in cases], tol=1e-10, max_evals=2_000_000)
     assert [_trajectory_outcome(r) for r in results] == [
         (0.008387241771751056, 9.919055615932593e-11, 9450),
-        (1.0, 1.942890293094024e-16, 1575),
-        (16.796424561791454, 9.925758825968245e-11, 40725),
-        ("quadrature budget of 2000000 evaluations exhausted (error estimate 8.822e-08 > tol 1.000e-10)",
-         0.5333333101365771, 8.82161017739272e-08, 1999575),
+        (1.0, 1.942890293094024e-16, 1125),
+        (16.796424561791454, 9.925758825968245e-11, 35325),
+        ("quadrature budget of 2000000 evaluations exhausted (error estimate 8.477e-08 > tol 1.000e-10)",
+         0.5333333101214367, 8.476589246920015e-08, 1999575),
     ]
     assert _runs(calls) == [
-        (3600, 1), (1125, 1), (3600, 2), (1800, 1), (3600, 1), (1350, 1), (3600, 4), (2250, 1), (3600, 3),
-        (1800, 1), (3600, 3), (450, 1), (3600, 3), (1800, 1), (3600, 2), (3150, 1), (3600, 3), (900, 1),
-        (3600, 2), (1350, 1), (3600, 2), (2250, 1), (3600, 538), (2700, 1),
+        (3600, 1), (1125, 1), (3600, 1), (2250, 1), (3600, 5), (2700, 1), (3600, 4), (900, 1), (3600, 3),
+        (3150, 1), (3600, 3), (2700, 1), (3600, 2), (1350, 1), (3600, 2), (2250, 1), (3600, 542), (2250, 1),
     ]
 
 
