@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -37,7 +38,7 @@ from .conformal import (
     bracket_offsets,
     factor_scales,
 )
-from .errors import PathResolutionError
+from .errors import AccuracyError, PathResolutionError
 from .numerics import QuadratureResult, quad2d
 
 __all__ = [
@@ -175,7 +176,19 @@ def numeric_trapped_area(
     (``factor_scales``), so mirrored positions give the same cells: a close
     zero/pole pair carries its covering mass in a bump narrow enough to
     slip between the nodes of an unseeded cell.
+
+    A node's w is rounded to about eps, so a bump of relative width delta
+    is sampled with a relative error of about eps / delta, and the sum is
+    biased by up to about 2 eps / delta, a floor the error estimate does
+    not see (near the unit circle delta = (1 - s^2) / s, and s = 1 - 1e-10
+    misses by 2e-6).  A ``tol`` below four times that floor raises
+    AccuracyError before any evaluation.
     """
+    scales = factor_scales(spec)
+    floor = 2.0 * sys.float_info.epsilon / min((delta for _, delta in scales), default=math.inf)
+    if 0.0 < tol < 4.0 * floor:  # a tol that is not positive is quad2d's DomainError
+        raise AccuracyError(f"tolerance {tol:.3e} is below four times the rounding floor {floor:.3e} "
+                            "of the narrowest density bump", math.nan, math.inf, 0)
 
     def integrand(rho, theta):
         w = rho * np.exp(1j * theta)
@@ -184,7 +197,7 @@ def numeric_trapped_area(
     # cut through each bump and bracket it with a geometric ladder so the
     # tail is resolved; cuts on or past the domain edges are dropped
     rho_cuts, theta_cuts = [], []
-    for w0, delta in factor_scales(spec):
+    for w0, delta in scales:
         m, th = abs(w0), cmath.phase(w0)
         rho_cuts.append(m)
         theta_cuts.append(th)

@@ -8,8 +8,9 @@ there is no solver or quadrature dependency:
                       pair per cell, and over segments (line integrals along
                       x) with the 1-D pair; it refines in rounds, bisecting
                       cells or, when one bisection cannot finish a cell,
-                      splitting it in four, rates cells in blocks of 16 per
-                      integrand call, shares one tolerance
+                      splitting it in four, rates each round's cells in
+                      blocks of integrand calls (laid out as quad2d_many
+                      describes), shares one tolerance
                       and one evaluation budget across the rectangles, and
                       refuses a tolerance below the round-off floor as soon
                       as the error estimate reaches that floor, and
@@ -17,10 +18,10 @@ there is no solver or quadrature dependency:
 * quad2d_many         the same refinement loop over many independent
                       problems at once (quad2d is its one-problem case):
                       each problem keeps its own cells, budget and outcome
-                      (its live cells in a heap of (-error, creation number),
-                      so the largest errors are split first and ties go
-                      to the older cell), and the integrand calls are
-                      shared between them,
+                      (each live cell in a heap entry keyed by (-error,
+                      creation number), so the largest errors are split
+                      first and ties go to the older cell), and the
+                      integrand calls are shared between them,
 * appell_f2_restricted  the double integral behind the closed-form box
                       energy, its inner integral in closed form and the
                       outer one on a quad2d segment,
@@ -38,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -139,7 +141,7 @@ _WGG = np.outer(_WG, _WG)
 
 
 # Integrand evaluations per cell (a rectangle) and per segment; the most
-# cells per integrand call, and half the most children per round.
+# rectangles per integrand call, and half the most children per round.
 _CELL_EVALS = 225
 _SEGMENT_EVALS = 15
 _BATCH_CELLS = 16
@@ -164,19 +166,17 @@ def _evals(row) -> int:
     return _SEGMENT_EVALS if row[2] == row[3] else _CELL_EVALS
 
 
-def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[float], List[int]]:
-    """Apply the nested rules to a batch of cells.
+def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float, float, int]]:
+    """Rate one round's cell rows, of any problems, by the nested rules.
 
-    ``cells`` has shape (m, 4) with rows (x0, x1, y0, y1).  A rectangle is
-    rated by the tensor Kronrod-15 rule against its embedded Gauss-7 rule
-    (225 points); a segment, a row with y0 == y1, by the 15-point Kronrod
-    rule against the 7-point Gauss rule on [x0, x1] at y0.  The integrand
-    receives flat coordinate arrays, the points of the rectangles first and
-    then those of the segments, each in cell order, and ``k``, the problem
-    index of each point in that order (so a ``k`` shorter than 225 m tells
-    that segments are present).  Returns, as lists in cell order, the
-    Kronrod values, the |K - G| error estimates and the split axis code
-    per cell: 0 for x or 1 for y, plus ``_TIE`` on a near-tie.
+    A row (x0, x1, y0, y1) is a rectangle, rated by the tensor Kronrod-15
+    rule against its embedded Gauss-7 rule (225 points), or, when
+    y0 == y1, a segment, rated by the 15-point Kronrod rule against the
+    7-point Gauss rule on [x0, x1] at y0.  ``tags`` gives the problem of
+    each row, which ``f`` receives per point.  The integrand calls follow
+    the round layout of ``quad2d_many``.  Returns (Kronrod value, |K - G|
+    error estimate, split axis code) per row, in row order; the code is 0
+    for x or 1 for y, plus ``_TIE`` on a near-tie.
 
     A rectangle's split axis follows the larger total variation of the
     sampled values (ridge features aligned with one axis are then bisected
@@ -184,94 +184,58 @@ def _rate_cells(f, cells: np.ndarray, k: np.ndarray) -> Tuple[List[float], List[
     the other, fall back to the longer side and are reported, so that
     ``quad2d_many`` may split such a cell in four.  A segment is always
     split along x.
-
-    Most calls rate 2 to 6 cells, so their cost is mostly a fixed count of
-    numpy calls: the nodes of all cells come from one (m, 2, 15) array,
-    both total variations of all rectangles from one reduction, and the
-    per-cell products are taken in Python.
-    """
-    m = len(cells)
-    # rectangles, from the points: 225 r + 15 (m - r) = len(k)
-    r = (len(k) - _SEGMENT_EVALS * m) // (_CELL_EVALS - _SEGMENT_EVALS)
-    order = None
-    if r < m:
-        seg = cells[:, 2] == cells[:, 3]
-        if seg[:r].any():  # rate rectangles first, then put the results back in cell order
-            order = np.argsort(seg, kind="stable")
-            cells = cells[order]
-    lo, hi = cells[:, 0::2], cells[:, 1::2]
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)  # (m, 2): centres and half-widths along x and y
-    nodes = c[:, :, None] + h[:, :, None] * _XK  # (m, 2, 15); y + 0 x = y on a segment
-
-    # points of rectangle i at [i, a, b] of a (2, r, 15, 15) grid, x varying
-    # along a and y along b, then the segments' 15 points each
-    points = np.empty((2, len(k)))
-    grid = points[:, :_CELL_EVALS * r].reshape(2, r, 15, 15)
-    grid[0] = nodes[:r, 0, :, None]
-    grid[1] = nodes[:r, 1, None, :]
-    if r < m:
-        points[:, _CELL_EVALS * r:] = nodes[r:].transpose(1, 0, 2).reshape(2, -1)
-    values = np.asarray(f(points[0], points[1], k), dtype=float)
-    vals = values[:_CELL_EVALS * r].reshape(r, 15, 15)
-    widths = h.tolist()
-
-    # per cell, Kronrod and Gauss sums of the sampled values (times the
-    # Jacobian below) and |differences| along x and along y (their sums, the
-    # total variations, pick the split axis), with numpy on all cells at once
-    kron = np.einsum("mij,ij->m", vals, _WKK).tolist()
-    # Gauss-7 on the odd Kronrod nodes, summed term by term in row-major order;
-    # einsum sums a lone cell's strided sub-grid in another order
-    gauss = (vals[:, 1::2, 1::2] * _WGG).reshape(r, 49).cumsum(axis=1)[:, -1].tolist()
-    tv = np.empty((r, 2, 210))
-    np.subtract(vals[:, 1:], vals[:, :-1], out=tv[:, 0].reshape(r, 14, 15))
-    np.subtract(vals[:, :, 1:], vals[:, :, :-1], out=tv[:, 1].reshape(r, 15, 14))
-    tvs = np.add.reduce(np.abs(tv, out=tv), axis=2).tolist()
-    axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else _TIE + (ly > lx) for (tx, ty), (lx, ly) in zip(tvs, widths)]
-    if r < m:
-        line = values[_CELL_EVALS * r:].reshape(m - r, 15)
-        kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
-        gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
-        axes += [0] * (m - r)
-    # a rectangle's Jacobian is hx hy, a segment's hx
-    jacs = [lx * ly for lx, ly in widths[:r]] + [lx for lx, _ in widths[r:]]
-    rated = [[j * s for j, s in zip(jacs, kron)], [abs(j * s - j * g) for j, s, g in zip(jacs, kron, gauss)], axes]
-    if order is not None:
-        back = np.argsort(order).tolist()
-        rated = [[part[i] for i in back] for part in rated]
-    return rated
-
-
-def _rate_tagged(f, rows: List[List[float]], owners: List[int], sizes: List[int]) -> List[list]:
-    """Values, errors and split axes (lists, in cell order) of cells of
-    several problems, rated in blocks of ``_BATCH_CELLS`` cells, one
-    integrand call each; the cell rows come in runs of ``sizes`` cells, one
-    run per problem in ``owners``.  Rectangles are rated before segments, so
-    that at most one block mixes the two kinds (a cell's rating does not
-    depend on the cells sharing its call).
     """
     seg = [row[2] == row[3] for row in rows]
-    if True in seg:
-        tags = [p for p, size in zip(owners, sizes) for _ in range(size)]
-        order = sorted(range(len(rows)), key=seg.__getitem__)
-        rows, seg = [rows[i] for i in order], sorted(seg)
-        r = seg.index(True)
-        k = np.array([tags[i] for i in order]).repeat([_SEGMENT_EVALS if s else _CELL_EVALS for s in seg])
-    else:
-        order, r = None, len(rows)
-        k = np.array(owners).repeat([_CELL_EVALS * size for size in sizes])
+    order = sorted(range(len(rows)), key=seg.__getitem__)  # rectangles, then segments
+    m, r = len(rows), seg.count(False)
+    cells = np.array(rows)[order]
+    k = np.array(tags)[order].repeat([_CELL_EVALS] * r + [_SEGMENT_EVALS] * (m - r))
+    rated = [None] * m
+    starts = list(range(0, r, _BATCH_CELLS)) or [0]
+    first = 0  # the block's first point
+    for a, b in zip(starts, starts[1:] + [m]):
+        n = min(b, r) - a  # rectangles in the block, then b - a - n segments
+        last = first + _CELL_EVALS * n + _SEGMENT_EVALS * (b - a - n)
+        lo, hi = cells[a:b, 0::2], cells[a:b, 1::2]
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)  # (b - a, 2): centres and half-widths along x and y
+        nodes = c[:, :, None] + h[:, :, None] * _XK  # (b - a, 2, 15); y + 0 x = y on a segment
+        widths = h.tolist()
+        # points of rectangle i at [i, p, q] of a (2, n, 15, 15) grid, x
+        # varying along p and y along q, then the segments' 15 points each
+        points = np.empty((2, last - first))
+        grid = points[:, :_CELL_EVALS * n].reshape(2, n, 15, 15)
+        grid[0] = nodes[:n, 0, :, None]
+        grid[1] = nodes[:n, 1, None, :]
+        if n < b - a:
+            points[:, _CELL_EVALS * n:] = nodes[n:].transpose(1, 0, 2).reshape(2, -1)
+        values = np.asarray(f(points[0], points[1], k[first:last]), dtype=float)
+        first = last
 
-    def offset(n):  # points of the first n cells
-        return _CELL_EVALS * min(n, r) + _SEGMENT_EVALS * max(n - r, 0)
-
-    cells = np.array(rows)
-    blocks = [_rate_cells(f, cells[i:i + _BATCH_CELLS], k[offset(i):offset(i + _BATCH_CELLS)])
-              for i in range(0, len(rows), _BATCH_CELLS)]
-    rated = blocks[0] if len(blocks) == 1 else [[x for block in blocks for x in block[n]] for n in range(3)]
-    if order is not None:
-        back = [0] * len(order)
-        for n, i in enumerate(order):
-            back[i] = n
-        rated = [[part[n] for n in back] for part in rated]
+        # per rectangle, Kronrod and Gauss sums of the sampled values (times
+        # the Jacobian below) and |differences| along x and along y (their
+        # sums, the total variations, pick the split axis), with numpy on
+        # all rectangles of the block at once
+        vals = values[:_CELL_EVALS * n].reshape(n, 15, 15)
+        kron = np.einsum("mij,ij->m", vals, _WKK).tolist()
+        # Gauss-7 on the odd Kronrod nodes, summed term by term in row-major
+        # order; einsum sums a lone cell's strided sub-grid in another order
+        gauss = (vals[:, 1::2, 1::2] * _WGG).reshape(n, 49).cumsum(axis=1)[:, -1].tolist()
+        tv = np.empty((n, 2, 210))
+        np.subtract(vals[:, 1:], vals[:, :-1], out=tv[:, 0].reshape(n, 14, 15))
+        np.subtract(vals[:, :, 1:], vals[:, :, :-1], out=tv[:, 1].reshape(n, 15, 14))
+        tvs = np.add.reduce(np.abs(tv, out=tv), axis=2).tolist()
+        axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else _TIE + (ly > lx)
+                for (tx, ty), (lx, ly) in zip(tvs, widths)]
+        # a rectangle's Jacobian is hx hy
+        jacs = [lx * ly for lx, ly in widths[:n]]
+        if n < b - a:
+            line = values[_CELL_EVALS * n:].reshape(b - a - n, 15)
+            kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
+            gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
+            axes += [0] * (b - a - n)
+            jacs += [lx for lx, _ in widths[n:]]  # a segment's is hx
+        for i, j, s, g, code in zip(order[a:b], jacs, kron, gauss, axes):
+            rated[i] = (j * s, abs(j * s - j * g), code)
     return rated
 
 
@@ -370,16 +334,10 @@ def quad2d(
     one bisection can cut a Gauss-7 estimate, of order h^14, on an analytic
     cell; the error along the other axis stays).  If the four children
     would pass the budget or the round's limit, or a side is one float
-    spacing wide, the cell is bisected.  A round makes at most 32 children
-    and one integrand call rates a block of at most 16 cells (3600 points),
-    root cells too; larger calls page-fault their freed temporaries back in
-    on every call.  A round rates the rectangles before the segments, so
-    each call holds the points of its rectangles first and then those of
-    its segments.  Most rounds rate 2 to 6 cells, so a round costs mostly
-    its fixed numpy and Python work, not its points: the nodes of a block
-    come from one array, both total variations of its rectangles from one
-    reduction, and the per-cell sums are finished in Python.
-    Refinement order and summation order are deterministic for fixed inputs.
+    spacing wide, the cell is bisected.  A round makes at most 32 children;
+    ``quad2d_many`` describes how a round's cells are laid out in integrand
+    calls.  Refinement order and summation order are deterministic for
+    fixed inputs.
 
     ``initial_splits`` places cell boundaries at known feature locations:
     one (x cuts, y cuts) pair for a single rectangle, or a sequence of such
@@ -441,20 +399,34 @@ def quad2d_many(
     Every problem keeps its own cells and runs the rounds of ``quad2d`` on
     them: its own root-cell refusal, budget, round-off floor, split rule,
     limit of 32 children per round and tie order, so its cells, value,
-    error estimate and evaluation count are those of a solo call.  Its live cells are a
-    ``heapq`` of (-error, seq), seq the creation number, beside plain lists
-    of the rows, values and split axes of all its cells, indexed by seq;
-    numpy only rates cells.  A round's bookkeeping is a few list and heap
-    operations per new or split cell, two sums over the live cells
-    and, while the error is above ``tol``, a third for the round-off floor.
+    error estimate and evaluation count are those of a solo call.  Each of
+    its live cells is one ``heapq`` entry (-error, seq, row, value, split
+    axis code), seq the cell's number from one creation counter shared by
+    all problems, so ties go to the older cell; numpy only rates cells.  A
+    round's bookkeeping is a few heap operations per new or split cell, two
+    sums over the live cells and, while the error is above ``tol``, a third
+    for the round-off floor.
     The sums (``math.fsum``) are correctly rounded, so they do not depend
-    on the heap's order.  Only the integrand calls
-    are shared: each still rates at most 16 cells, drawn from any problems
-    still refining, and a problem leaves the loop when it converges or
-    fails.  Many shallow problems (a family scan) then take few, full
-    integrand calls instead of many small ones (QUADPACK and Berntsen,
-    Espelid & Genz, ACM TOMS 17, 1991, keep their subregions in such an
-    error-ordered heap; the latter refine many integrals this way).
+    on the heap's order.
+
+    Only the integrand calls are shared.  A round rates the new cells of
+    every problem still refining in one pass, rectangles first and then
+    segments: blocks of at most 16 rectangles (3600 points), one integrand
+    call each, with all the round's segments (15 points each) at the end
+    of the last block, so a call holds the points of its rectangles first
+    and then those of its segments, and rates segments alone only in a
+    round without rectangles.  Root cells are blocked the same way, since
+    larger calls page-fault their freed temporaries back in on every call.
+    Most rounds rate 2 to 6 cells, so a round costs mostly its fixed numpy
+    and Python work, not its points: the round's cell array and point tags
+    are built once, the nodes of a block come from one array, both total
+    variations of its rectangles from one reduction, and the per-cell sums
+    are finished in Python.
+    A problem leaves the loop when it converges or fails.  Many shallow
+    problems (a family scan) then take few, full integrand calls instead
+    of many small ones (QUADPACK and Berntsen, Espelid & Genz, ACM TOMS 17,
+    1991, keep their subregions in such an error-ordered heap; the latter
+    refine many integrals this way).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
@@ -477,30 +449,17 @@ def quad2d_many(
         else:
             new[p] = roots
             spent[p] = need
-    # per refining problem: the heap of its live cells, and the rows, values
-    # and split axes of all its cells, indexed by seq; and, in spent, its
-    # evaluations once the cells in new are rated
-    state = {}
+    # per refining problem: the heap of its live cells, each entry (-error,
+    # seq, row, value, split axis code), seq the creation number; and, in
+    # spent, its evaluations once the cells in new are rated
+    heaps, seq = {p: [] for p in new}, count()
     while new:
-        owners = list(new)
-        vals, errs, axes = _rate_tagged(
-            f, new[owners[0]] if len(owners) == 1 else [row for cells in new.values() for row in cells],
-            owners, [len(c) for c in new.values()]
-        )
-        start = 0
-        for p, cells in new.items():
-            if p not in state:
-                state[p] = ([], [], [], [])
-            heap, rows, cell_vals, cell_axes = state[p]
-            stop = start + len(cells)
-            for seq, err in enumerate(errs[start:stop], len(rows)):
-                heapq.heappush(heap, (-err, seq))
-            rows += cells
-            cell_vals += vals[start:stop]
-            cell_axes += axes[start:stop]
-            start = stop
+        tags = [p for p, cells in new.items() for _ in cells]
+        rows = [row for cells in new.values() for row in cells]
+        for p, row, (val, err, code) in zip(tags, rows, _rate_cells(f, rows, tags)):
+            heapq.heappush(heaps[p], (-err, next(seq), row, val, code))
         new = {}
-        for p, (heap, rows, cell_vals, cell_axes) in state.items():
+        for p, heap in heaps.items():
             evals = spent[p]
             # fsum is correctly rounded, so the sum of the -errors is -(that of
             # the errors); 0.0 - keeps a zero sum +0.0
@@ -509,7 +468,7 @@ def quad2d_many(
                 out[p] = AccuracyError(f"non-finite integrand values or cell sums (error estimate "
                                        f"{total_err} after {evals} evaluations)", math.nan, total_err, evals)
                 continue
-            live_vals = list(map(cell_vals.__getitem__, map(itemgetter(1), heap)))
+            live_vals = list(map(itemgetter(3), heap))
             if total_err <= tol:
                 out[p] = QuadratureResult(math.fsum(live_vals), total_err, evals)
                 continue
@@ -532,12 +491,10 @@ def quad2d_many(
             children, removed, target, room = [], 0.0, total_err - tol, max_evals - evals
             narrow, four_way = None, _FOUR_WAY * tol
             while heap and len(children) < 2 * _BATCH_CELLS and removed < target:
-                neg_err, seq = heap[0]
-                row = rows[seq]
+                neg_err, _, row, _, code = heap[0]
                 cost = 2 * _SEGMENT_EVALS if row[2] == row[3] else 2 * _CELL_EVALS
                 if cost > room:
                     break
-                code = cell_axes[seq]
                 halves = _bisect(row, code & 1)
                 if halves is None:
                     narrow = row
@@ -572,8 +529,8 @@ def quad2d_many(
                 continue
             new[p] = children
             spent[p] = max_evals - room
-        if len(new) < len(state):  # some problems finished
-            state = {p: state[p] for p in new}
+        if len(new) < len(heaps):  # some problems finished
+            heaps = {p: heaps[p] for p in new}
     return out
 
 

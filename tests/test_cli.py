@@ -200,6 +200,14 @@ def test_exit_code_2_on_accuracy_failure(tmp_path, capsys):
     assert "best estimate" in err
 
 
+def test_invariants_near_the_unit_circle_exits_2(tmp_path, capsys):
+    # the trapped-area oracle gave 4.7122876 (true 3 pi / 2 = 4.7123890)
+    near = write_spec(tmp_path, {"epsilon": 1, "n": 1, "imag": [[0.999999999998, 1]]}, "near.json")
+    assert run(["invariants", "--spec", near]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("nemprism: accuracy failure: tolerance") and "Traceback" not in err
+
+
 def test_sweep_writes_every_row_and_exits_2_on_failed_rows(capsys):
     code = run(["sweep", "--family", "imag1", "--prism", "1,1,1", "--steps", "2",
                 "--range", "0.3:0.5", "--tol", "1e-16"])

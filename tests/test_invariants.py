@@ -6,6 +6,7 @@ import pytest
 from helpers import random_spec
 
 from nemprism import (
+    AccuracyError,
     RationalMapSpec,
     TopologicalInvariants,
     director,
@@ -202,3 +203,23 @@ def test_numeric_trapped_area_on_a_close_gap_is_pinned():
     )
     res = numeric_trapped_area(spec, tol=1e-6)
     assert (res.value, res.error_estimate, res.evaluations) == (20.42035224832836, 9.892145174317918e-07, 671625)
+
+
+@pytest.mark.parametrize("kind,gap,tol", [
+    ("imag", 1e-10, 1e-6), ("imag", 1e-11, 1e-6), ("imag", 2e-12, 1e-6), ("real", 2e-12, 1e-6),
+    ("imag", 1e-9, 1e-7), ("imag", 1e-9, 1e-6), ("imag", 1e-8, 1e-6),
+])
+def test_trapped_area_near_the_unit_circle_refuses_or_holds_its_estimate(kind, gap, tol):
+    # a factor at s = 1 - gap has a bump of relative width delta = (1 - s^2) / s,
+    # sampled with a relative rounding error of about eps / delta; these rows
+    # returned values off by 2e-6 to 1e-4 with estimates near tol, and must
+    # refuse, while s = 1 - 1e-9 and 1 - 1e-8 at tol 1e-6 still answer
+    spec = RationalMapSpec(1, 1, **{f"{kind}_factors": ((1.0 - gap, 1),)})
+    try:
+        res = numeric_trapped_area(spec, tol=tol)
+    except AccuracyError as exc:
+        assert gap <= 1e-10 or tol < 1e-6
+        assert "rounding floor" in str(exc) and exc.evaluations == 0
+    else:
+        assert gap >= 1e-9 and tol == 1e-6
+        assert abs(res.value - trapped_area(spec)) <= res.error_estimate <= tol

@@ -172,9 +172,9 @@ def test_quad2d_bisects_when_four_children_would_pass_the_budget(monkeypatch):
     # nor the round's limit of 32 children: one bisection along x, then
     # seven of the near-tie cells in four, leave room for two children only
     rounds = []
-    rate = nemprism.numerics._rate_tagged
-    monkeypatch.setattr(nemprism.numerics, "_rate_tagged",
-                        lambda f, rows, *args: rounds.append(len(rows)) or rate(f, rows, *args))
+    rate = nemprism.numerics._rate_cells
+    monkeypatch.setattr(nemprism.numerics, "_rate_cells",
+                        lambda f, rows, tags: rounds.append(len(rows)) or rate(f, rows, tags))
     f = lambda x, y: np.where(x < 1.5, np.sin(40.0 * x) * np.sin(40.0 * y), 5.0 * np.sin(80.0 * x))
     with pytest.raises(AccuracyError, match="budget"):
         quad2d(f, [(0.0, 1.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)], tol=1e-12, max_evals=30_000,
@@ -202,14 +202,11 @@ def test_quad2d_bisects_a_cell_one_float_spacing_wide_instead_of_splitting_it_in
 def test_cell_ratings_do_not_depend_on_the_cells_sharing_a_call():
     rng = np.random.default_rng(3)
     x0, y0 = rng.uniform(0.0, 1.0, (2, 17))
-    cells = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1)
+    rows = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1).tolist()
     f = lambda x, y, k: np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) / (0.1 + x * y)
-    k = np.zeros(225 * len(cells), dtype=int)
-    together = _rate_cells(f, cells, k)
-    for i in range(len(cells)):
-        alone = _rate_cells(f, cells[i:i + 1], k[:225])
-        for part, single in zip(together, alone):
-            assert part[i] == single[0]
+    together = _rate_cells(f, rows, [0] * len(rows))
+    for i, row in enumerate(rows):
+        assert together[i] == _rate_cells(f, [row], [0])[0]
 
 
 def test_quad2d_repeat_calls_are_bit_identical():
@@ -708,7 +705,7 @@ def test_quad2d_bisects_every_cell_when_their_sum_stays_above_the_target():
     # their correctly rounded total minus tol: the round bisects all of them.
     f = lambda x, y: np.cos(32.0 * x) * np.exp(y)
     rects = [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
-    _, errs, _ = _rate_cells(lambda x, y, k: f(x, y), np.array(rects), np.zeros(3 * 225, dtype=int))
+    errs = [err for _, err, _ in _rate_cells(lambda x, y, k: f(x, y), rects, [0, 0, 0])]
     assert sum(sorted(errs, reverse=True)) < math.fsum(errs) - 1e-300
     counted, calls = _counting(f)
     with pytest.raises(AccuracyError, match="budget of 2025 evaluations exhausted") as exc:
@@ -780,15 +777,40 @@ def test_segment_ratings_do_not_depend_on_the_cells_sharing_a_call():
     x0, y0 = rng.uniform(0.0, 1.0, (2, 9))
     cells = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1)
     cells[::2, 3] = cells[::2, 2]  # every other cell a segment
+    rows = cells.tolist()
     f = lambda x, y, k: np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) / (0.1 + x * y)
-    seg = cells[:, 2] == cells[:, 3]
-    k = np.zeros(225 * int(np.count_nonzero(~seg)) + 15 * int(np.count_nonzero(seg)), dtype=int)
-    together = _rate_cells(f, cells, k)
-    for i in range(len(cells)):
-        alone = _rate_cells(f, cells[i:i + 1], k[:15 if seg[i] else 225])
-        for part, single in zip(together, alone):
-            assert part[i] == single[0]
-    assert [together[2][i] for i in np.flatnonzero(seg)] == [0] * int(np.count_nonzero(seg))
+    together = _rate_cells(f, rows, [0] * len(rows))
+    for i, row in enumerate(rows):
+        assert together[i] == _rate_cells(f, [row], [0])[0]
+    assert [together[i][2] for i in range(0, len(rows), 2)] == [0] * 5
+
+
+def test_a_round_of_many_rectangles_rates_its_segments_in_its_last_block():
+    # 20 rectangles and 3 segments, interleaved: two integrand calls, the
+    # second the last 4 rectangles and then the segments, tagged per point;
+    # the ratings come back in row order
+    rng = np.random.default_rng(7)
+    x0, y0 = rng.uniform(0.0, 1.0, (2, 23))
+    cells = np.stack([x0, x0 + 0.3, y0, y0 + 0.2], axis=1)
+    cells[[3, 11, 19], 3] = cells[[3, 11, 19], 2]
+    rows, tags = cells.tolist(), [i % 2 for i in range(23)]
+    seen = []
+
+    def f(x, y, k):
+        seen.append((x.size, k.copy()))
+        return np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) + k
+
+    rated = _rate_cells(f, rows, tags)
+    assert [size for size, _ in seen] == [16 * 225, 4 * 225 + 3 * 15]
+    rects = [i for i in range(23) if i not in (3, 11, 19)]
+    expected = np.repeat([tags[i] for i in rects + [3, 11, 19]], [225] * 20 + [15] * 3)
+    assert np.array_equal(np.concatenate([k for _, k in seen]), expected)
+    for i, row in enumerate(rows):
+        assert rated[i] == _rate_cells(f, [row], [tags[i]])[0]
+    # through quad2d_many: 18 root rectangles and 2 root segments, no call of segments alone
+    seen.clear()
+    quad2d_many(f, [([row for i, row in enumerate(rows[:21]) if i != 11], None)], tol=1.0)
+    assert [size for size, _ in seen] == [16 * 225, 2 * 225 + 2 * 15]
 
 
 def test_segments_count_their_evaluations_against_the_budget():
