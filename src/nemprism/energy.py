@@ -328,7 +328,7 @@ def _faces_domain(
     cuts = []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
         i, j = [m for m in range(3) if m != k]
-        cuts_u, cuts_v = _face_cuts(spec, k, values[k], (i, j), (half[i], half[j])) if values[k] > 0.0 else ([], [])
+        cuts_u, cuts_v = _face_cuts(spec, k, values[k], (i, j), (half[i], half[j]))
         cuts.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
     rects, splits = [], []
     for k, (u0, u1, v0, v1) in _face_pieces(half):
@@ -568,13 +568,18 @@ def face_flux(
     an exterior face the integrand vanishes identically.  One adaptive
     quadrature covers the three faces, sharing the absolute tolerance
     ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations; as in
-    ``conformal_energy``, every face side at least 64 times the face's
-    other side is cut into root rectangles at 64, 256, 1024, ... of it.
+    ``conformal_energy``, every interior face side at least 64 times the
+    face's other side is cut into root rectangles at 64, 256, 1024, ... of
+    it.  Each exterior face is one root rectangle.
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
-    values = prism.octant.half_lengths if which == "interior" else (0.0, 0.0, 0.0)
-    rects, splits = _faces_domain(prism, spec, values)
+    if which == "interior":
+        values = prism.octant.half_lengths
+        rects, splits = _faces_domain(prism, spec, values)
+    else:  # whole faces, in their quadrants of _FACE_SIGNS: the integrand is 0
+        values, (hx, hy, hz) = (0.0, 0.0, 0.0), prism.octant.half_lengths
+        rects, splits = [(0.0, hy, 0.0, hz), (-hx, 0.0, 0.0, hz), (-hx, 0.0, -hy, 0.0)], None
     return quad2d(
         lambda u, v: _faces_density(spec, values, u, v),
         rects, tol=tol, max_evals=3 * max_evals_per_face, initial_splits=splits,

@@ -135,9 +135,13 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-# Tensor weight grids, built once.
-_WKK = np.outer(_WK, _WK)
-_WGG = np.outer(_WG, _WG)
+# Rating weights, one row per tensor rule over a rectangle's 225 values (x
+# along the rows of the 15 x 15 grid): K x K, G x G (Gauss-7 on the odd
+# Kronrod nodes), G(x) x K(y) and K(x) x G(y); rows, so that each sum runs
+# over contiguous memory.
+_WG15 = np.zeros(15)
+_WG15[1::2] = _WG
+_W = np.stack([np.outer(a, b).ravel() for a, b in ((_WK, _WK), (_WG15, _WG15), (_WG15, _WK), (_WK, _WG15))])
 
 
 # Integrand evaluations per cell (a rectangle) and per segment; the most
@@ -152,7 +156,7 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 # A rectangle's split axis code, from _rate_cells: 0 (x) or 1 (y) when the
-# sampled variation along that axis dominates, _TIE + the longer side's
+# Gauss-Kronrod error along that axis dominates, _TIE + the longer side's
 # axis on a near-tie; code & 1 is the axis.
 _TIE = 2
 # A near-tie cell with an error estimate above _FOUR_WAY tol is split in four:
@@ -178,12 +182,14 @@ def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float
     error estimate, split axis code) per row, in row order; the code is 0
     for x or 1 for y, plus ``_TIE`` on a near-tie.
 
-    A rectangle's split axis follows the larger total variation of the
-    sampled values (ridge features aligned with one axis are then bisected
-    across the ridge, not along it); near-ties, neither variation 1.5 times
-    the other, fall back to the longer side and are reported, so that
-    ``quad2d_many`` may split such a cell in four.  A segment is always
-    split along x.
+    One einsum with ``_W`` gives a rectangle's K x K value, its error
+    estimate |K x K - G x G| and its errors along x, |K x K - G(x) x K(y)|,
+    and along y, |K x K - K(x) x G(y)|; it is split along the larger (Genz
+    & Malik, J. Comput. Appl. Math. 6, 1980), so a feature the rules do not
+    resolve along one axis outweighs a trend both resolve along the other.
+    Near-ties, neither error 1.5 times the other, fall back to the longer
+    side and are reported, so that ``quad2d_many`` may split such a cell in
+    four.  A segment is always split along x.
     """
     seg = [row[2] == row[3] for row in rows]
     order = sorted(range(len(rows)), key=seg.__getitem__)  # rectangles, then segments
@@ -211,21 +217,15 @@ def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float
         values = np.asarray(f(points[0], points[1], k[first:last]), dtype=float)
         first = last
 
-        # per rectangle, Kronrod and Gauss sums of the sampled values (times
-        # the Jacobian below) and |differences| along x and along y (their
-        # sums, the total variations, pick the split axis), with numpy on
-        # all rectangles of the block at once
-        vals = values[:_CELL_EVALS * n].reshape(n, 15, 15)
-        kron = np.einsum("mij,ij->m", vals, _WKK).tolist()
-        # Gauss-7 on the odd Kronrod nodes, summed term by term in row-major
-        # order; einsum sums a lone cell's strided sub-grid in another order
-        gauss = (vals[:, 1::2, 1::2] * _WGG).reshape(n, 49).cumsum(axis=1)[:, -1].tolist()
-        tv = np.empty((n, 2, 210))
-        np.subtract(vals[:, 1:], vals[:, :-1], out=tv[:, 0].reshape(n, 14, 15))
-        np.subtract(vals[:, :, 1:], vals[:, :, :-1], out=tv[:, 1].reshape(n, 15, 14))
-        tvs = np.add.reduce(np.abs(tv, out=tv), axis=2).tolist()
-        axes = [0 if tx > 1.5 * ty else 1 if ty > 1.5 * tx else _TIE + (ly > lx)
-                for (tx, ty), (lx, ly) in zip(tvs, widths)]
+        # per rectangle, the four rule sums of the sampled values (times the
+        # Jacobian below) from one einsum over the block, which sums each
+        # rectangle alike whatever the block; a BLAS matmul does not
+        vals = values[:_CELL_EVALS * n].reshape(n, _CELL_EVALS)
+        kron, gauss, gauss_x, gauss_y = np.einsum("mp,qp->qm", vals, _W).tolist()
+        axes = []
+        for s, gx, gy, (lx, ly) in zip(kron, gauss_x, gauss_y, widths):
+            ex, ey = abs(s - gx), abs(s - gy)  # the errors along x and along y
+            axes.append(0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else _TIE + (ly > lx))
         # a rectangle's Jacobian is hx hy
         jacs = [lx * ly for lx, ly in widths[:n]]
         if n < b - a:
@@ -325,13 +325,15 @@ def quad2d(
     at once.  The live cells sit in a heap keyed by (-error estimate,
     creation number), so each round pops them largest error first, ties in
     creation order, and splits the shortest run whose removal would bring
-    the summed error to ``tol`` or below, each cell across the dominant
-    variation of its sampled values.  A rectangle is split in four at both
-    midpoints instead when one bisection cannot finish it: when it is the
-    only cell the round would bisect (a round then costs one integrand call
-    of four cells, not two rounds of two), or when its two total variations
-    nearly tie and its error estimate exceeds 2^14 ``tol`` (the most that
-    one bisection can cut a Gauss-7 estimate, of order h^14, on an analytic
+    the summed error to ``tol`` or below, each rectangle along the axis
+    with the larger error: Kronrod-15 against Gauss-7 along x, the other
+    axis kept at Kronrod-15, against the same along y.  A rectangle is
+    split in four at both midpoints instead when one bisection cannot
+    finish it: when it is the only cell the round would bisect (a round
+    then costs one integrand call of four cells, not two rounds of two), or
+    when its two per-axis errors nearly tie, neither 1.5 times the other,
+    and its error estimate exceeds 2^14 ``tol`` (the most that one
+    bisection can cut a Gauss-7 estimate, of order h^14, on an analytic
     cell; the error along the other axis stays).  If the four children
     would pass the budget or the round's limit, or a side is one float
     spacing wide, the cell is bisected.  A round makes at most 32 children;
@@ -397,9 +399,11 @@ def quad2d_many(
     ``f`` is called.
 
     Every problem keeps its own cells and runs the rounds of ``quad2d`` on
-    them: its own root-cell refusal, budget, round-off floor, split rule,
-    limit of 32 children per round and tie order, so its cells, value,
-    error estimate and evaluation count are those of a solo call.  Each of
+    them: its own root-cell refusal, budget, round-off floor, split rule
+    (the axis of the larger per-axis error, or four quarters when one
+    bisection cannot finish a cell), limit of 32 children per round and
+    tie order, so its cells, value, error estimate and evaluation count
+    are those of a solo call.  Each of
     its live cells is one ``heapq`` entry (-error, seq, row, value, split
     axis code), seq the cell's number from one creation counter shared by
     all problems, so ties go to the older cell; numpy only rates cells.  A
@@ -419,9 +423,10 @@ def quad2d_many(
     larger calls page-fault their freed temporaries back in on every call.
     Most rounds rate 2 to 6 cells, so a round costs mostly its fixed numpy
     and Python work, not its points: the round's cell array and point tags
-    are built once, the nodes of a block come from one array, both total
-    variations of its rectangles from one reduction, and the per-cell sums
-    are finished in Python.
+    are built once, the nodes of a block come from one array, the four rule
+    sums of its rectangles (value, error estimate and both split-axis
+    errors) from one weight contraction, and the per-cell results are
+    finished in Python.
     A problem leaves the loop when it converges or fails.  Many shallow
     problems (a family scan) then take few, full integrand calls instead
     of many small ones (QUADPACK and Berntsen, Espelid & Genz, ACM TOMS 17,
@@ -485,9 +490,9 @@ def quad2d_many(
             # Bisect the largest errors first (ties by seq), up to the first
             # whose removal would bring the summed error to tol or below,
             # while the children fit in the budget.  A rectangle is split in
-            # four instead when it is the round's only one, or when its axes
-            # nearly tie and its error is above _FOUR_WAY tol, and its
-            # quarters fit in the budget and the round.
+            # four instead when it is the round's only one, or when its
+            # per-axis errors nearly tie and its error is above _FOUR_WAY
+            # tol, and its quarters fit in the budget and the round.
             children, removed, target, room = [], 0.0, total_err - tol, max_evals - evals
             narrow, four_way = None, _FOUR_WAY * tol
             while heap and len(children) < 2 * _BATCH_CELLS and removed < target:

@@ -519,7 +519,10 @@ def test_bounds_refuses_numbers_it_cannot_print_before_the_lp(tmp_path, capsys, 
 # and min_value and E_err again from the energy by Green's identity (every
 # E within the two releases' summed error estimates, min_value by 1.2e-12),
 # and once more when quad2d began to split cells in four (E unchanged,
-# min_value by 6e-14; test_pins_moved_by_four_way_splits_agree_within_the_estimates)
+# min_value by 6e-14; test_pins_moved_by_four_way_splits_agree_within_the_estimates),
+# and the sweep's E_err when cells began to split along the axis with the
+# larger Gauss-Kronrod error (E unchanged;
+# test_pins_moved_by_the_error_split_axis_agree_within_the_estimates)
 MINIMIZE_SLAB_BYTES = (
     '{\n'
     '  "argmin": 0.5465939960585007,\n'
@@ -534,25 +537,25 @@ MINIMIZE_SLAB_BYTES = (
 )
 README_SWEEP_BYTES = (
     's,E,E_err,eps_scaled,lower,upper\n'
-    '0.05,44.0634788916,5.32162738737e-07,44.0634788916,37.6991118431,65.2967771124\n'
-    '0.1,44.0628131075,5.03057356396e-07,44.0628131075,37.6991118431,65.2967771124\n'
-    '0.15,44.0599289527,4.57043890234e-07,44.0599289527,37.6991118431,65.2967771124\n'
-    '0.2,44.0521712624,3.97816860962e-07,44.0521712624,37.6991118431,65.2967771124\n'
-    '0.25,44.0358486519,3.30300713551e-07,44.0358486519,37.6991118431,65.2967771124\n'
-    '0.3,44.0062885629,2.601661757e-07,44.0062885629,37.6991118431,65.2967771124\n'
-    '0.35,43.9579486587,1.93094705406e-07,43.9579486587,37.6991118431,65.2967771124\n'
-    '0.4,43.8846121285,1.33936174332e-07,43.8846121285,37.6991118431,65.2967771124\n'
-    '0.45,43.779695623,8.5971151656e-08,43.779695623,37.6991118431,65.2967771124\n'
-    '0.5,43.6366950481,5.04216233384e-08,43.6366950481,37.6991118431,65.2967771124\n'
-    '0.55,43.449785407,6.73745832819e-07,43.449785407,37.6991118431,65.2967771124\n'
-    '0.6,43.2145773514,2.43395217731e-08,43.2145773514,37.6991118431,65.2967771124\n'
-    '0.65,42.9290196052,4.6726067543e-08,42.9290196052,37.6991118431,65.2967771124\n'
-    '0.7,42.5944323965,1.02649271153e-07,42.5944323965,37.6991118431,65.2967771124\n'
-    '0.75,42.216678481,2.48064398606e-07,42.216678481,37.6991118431,65.2967771124\n'
-    '0.8,41.8075533295,3.46375926608e-07,41.8075533295,37.6991118431,65.2967771124\n'
-    '0.85,41.3866699382,2.19806665647e-08,41.3866699382,37.6991118431,65.2967771124\n'
-    '0.9,40.9846481616,1.13515266353e-07,40.9846481616,37.6991118431,65.2967771124\n'
-    '0.95,40.6503944314,3.48048079246e-08,40.6503944314,37.6991118431,65.2967771124\n'
+    '0.05,44.0634788916,5.3216273966e-07,44.0634788916,37.6991118431,65.2967771124\n'
+    '0.1,44.0628131075,5.03057356369e-07,44.0628131075,37.6991118431,65.2967771124\n'
+    '0.15,44.0599289527,4.57043889797e-07,44.0599289527,37.6991118431,65.2967771124\n'
+    '0.2,44.0521712624,3.97816861624e-07,44.0521712624,37.6991118431,65.2967771124\n'
+    '0.25,44.0358486519,3.30300713912e-07,44.0358486519,37.6991118431,65.2967771124\n'
+    '0.3,44.0062885629,2.60166175686e-07,44.0062885629,37.6991118431,65.2967771124\n'
+    '0.35,43.9579486587,1.93094705656e-07,43.9579486587,37.6991118431,65.2967771124\n'
+    '0.4,43.8846121285,1.33936174353e-07,43.8846121285,37.6991118431,65.2967771124\n'
+    '0.45,43.779695623,8.59711527523e-08,43.779695623,37.6991118431,65.2967771124\n'
+    '0.5,43.6366950481,5.04216224294e-08,43.6366950481,37.6991118431,65.2967771124\n'
+    '0.55,43.449785407,6.73745832347e-07,43.449785407,37.6991118431,65.2967771124\n'
+    '0.6,43.2145773514,2.43395216343e-08,43.2145773514,37.6991118431,65.2967771124\n'
+    '0.65,42.9290196052,4.67260676471e-08,42.9290196052,37.6991118431,65.2967771124\n'
+    '0.7,42.5944323965,1.02649272818e-07,42.5944323965,37.6991118431,65.2967771124\n'
+    '0.75,42.216678481,2.48064398745e-07,42.216678481,37.6991118431,65.2967771124\n'
+    '0.8,41.8075533295,3.46375928495e-07,41.8075533295,37.6991118431,65.2967771124\n'
+    '0.85,41.3866699382,2.19806646218e-08,41.3866699382,37.6991118431,65.2967771124\n'
+    '0.9,40.9846481616,1.13515264577e-07,40.9846481616,37.6991118431,65.2967771124\n'
+    '0.95,40.6503944314,3.48048058707e-08,40.6503944314,37.6991118431,65.2967771124\n'
 )
 
 
@@ -579,23 +582,24 @@ def _energy_bytes(exact, exact_err, lower, upper):
 # (8.53e-08): each exact within 3e-14 of these.  The last bits of exact_err
 # follow every rounding of the Gauss estimates: with those summed by einsum,
 # rating in blocks of 1, 5, 7, 9, 11 or 15 cells changed at least one of
-# these, and so did splitting cells in four.  The third id counts the root
+# these, and so did splitting cells in four, and the axis of the larger
+# Gauss-Kronrod error moved all three.  The third id counts the root
 # cells that the face-density energy seeded for that spec; Green's identity
 # starts every spec from 6.
 ENERGY_BYTES = [
     (
         {"epsilon": 1, "n": -3, "real": [[0.4, 1]], "imag": [[0.7, -1]], "orientation": "anticonformal"},
-        _energy_bytes("110.27903886664654", "9.46938905621586e-08",
+        _energy_bytes("110.27903886664656", "8.021116681966589e-08",
                       "87.96459430051421", "152.35914659567428"),
     ),
     (
         {"epsilon": -1, "n": 1, "real": [[0.3, 1]], "imag": [[0.6, -1]], "complex": [[0.4, 0.5, 1]]},
-        _energy_bytes("131.42749567860423", "5.953717174822515e-08",
+        _energy_bytes("131.42749567860423", "5.244893802602846e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
     (
         {"epsilon": 1, "n": 1, "complex": [[0.35, 0.35, 1], [0.3, 0.4, -1]]},
-        _energy_bytes("172.26229985697236", "9.339246632923855e-08",
+        _energy_bytes("172.26229985697233", "8.541737206435585e-08",
                       "113.09733552923255", "195.89033133729552"),
     ),
 ]
@@ -641,9 +645,34 @@ def test_pins_moved_by_four_way_splits_agree_within_the_estimates():
     assert abs(min_value - _BISECTED_MIN_VALUE) <= 2.0 * Job.quad_tol / 200.0 ** (1.0 / 3.0)
 
 
+# the pins above as they stood while quad2d split cells across the larger
+# total variation of their sampled values: (exact, exact_err) per
+# ENERGY_BYTES spec, and E_err of each README_SWEEP_BYTES row (E unchanged
+# since _BISECTED_SWEEP, which the test reads it from)
+_VARIATION_SPLIT_ENERGIES = [(110.27903886664654, 9.46938905621586e-08), (131.42749567860423, 5.953717174822515e-08),
+                             (172.26229985697236, 9.339246632923855e-08)]
+_VARIATION_SPLIT_SWEEP_ERRS = [
+    5.32162738737e-07, 5.03057356396e-07, 4.57043890234e-07, 3.97816860962e-07, 3.30300713551e-07,
+    2.601661757e-07, 1.93094705406e-07, 1.33936174332e-07, 8.5971151656e-08, 5.04216233384e-08,
+    6.73745832819e-07, 2.43395217731e-08, 4.6726067543e-08, 1.02649271153e-07, 2.48064398606e-07,
+    3.46375926608e-07, 2.19806665647e-08, 1.13515266353e-07, 3.48048079246e-08,
+]
+
+
+def test_pins_moved_by_the_error_split_axis_agree_within_the_estimates():
+    for (_, expected), (old, old_err) in zip(ENERGY_BYTES, _VARIATION_SPLIT_ENERGIES):
+        new = json.loads(expected)
+        assert abs(new["exact"] - old) <= new["exact_err"] + old_err
+    rows = [line.split(",") for line in README_SWEEP_BYTES.splitlines()[1:]]
+    assert len(rows) == len(_VARIATION_SPLIT_SWEEP_ERRS)
+    for (_, energy, err, *_), old_err, (old, _) in zip(rows, _VARIATION_SPLIT_SWEEP_ERRS, _BISECTED_SWEEP):
+        # both printed to 12 digits, within 1e-10 here
+        assert abs(float(energy) - old) <= float(err) + old_err + 1e-10
+
+
 def test_minimize_counts_failed_points_as_inf_and_exits_2(capsys):
-    # at quad-tol 3e-14 most scan points reach the round-off floor first
-    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "3e-14"])
+    # at quad-tol 1e-14 most scan points reach the round-off floor first
+    code = run(["minimize", "--family", "imag1", "--prism", "1,1,1", "--quad-tol", "1e-14"])
     assert code == 2
     captured = capsys.readouterr()
     payload = json.loads(captured.out)

@@ -195,14 +195,18 @@ def test_invariants_report_numeric_fields():
 def test_numeric_trapped_area_on_a_close_gap_is_pinned():
     # the cube gap probe of the benchmark at g = 1e-4: 2,923 seeded root
     # cells rated in one round, then refinement; value, error estimate and
-    # evaluations are pinned bit for bit
+    # evaluations are pinned bit for bit.  While cells were split across
+    # the larger total variation of their sampled values, they were
+    # (20.42035224832836, 9.892145174317918e-07, 671625): within the two
+    # estimates summed
     g = 1e-4
     spec = RationalMapSpec(
         1, 1, real_factors=((0.5, 1), (0.5 + g, -1), (0.3, 1), (0.3 + g, -1)),
         imag_factors=((0.4, 1), (0.4 + g, -1)),
     )
     res = numeric_trapped_area(spec, tol=1e-6)
-    assert (res.value, res.error_estimate, res.evaluations) == (20.42035224832836, 9.892145174317918e-07, 671625)
+    assert (res.value, res.error_estimate, res.evaluations) == (20.420352248332204, 9.878991520218236e-07, 671175)
+    assert abs(res.value - 20.42035224832836) <= res.error_estimate + 9.892145174317918e-07
 
 
 @pytest.mark.parametrize("kind,gap,tol", [

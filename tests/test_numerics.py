@@ -209,6 +209,45 @@ def test_cell_ratings_do_not_depend_on_the_cells_sharing_a_call():
         assert together[i] == _rate_cells(f, [row], [0])[0]
 
 
+def test_cell_ratings_match_the_tensor_rules():
+    # value K x K, estimate |K x K - G x G| and the axis of the larger of
+    # the errors |K x K - G(x) x K(y)| and |K x K - K(x) x G(y)|, each sum
+    # taken term by term with math.fsum, against the one einsum of a block
+    xk, wk = nemprism.numerics._XK, nemprism.numerics._WK
+    wg = np.zeros(15)
+    wg[1::2] = nemprism.numerics._WG
+    f = lambda x, y: np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) / (0.1 + x * y)
+    cells = np.random.default_rng(11).uniform(0.3, 1.0, (16, 4))
+    rated = _rate_cells(lambda x, y, k: f(x, y), [[x0, x0 + wx, y0, y0 + wy] for x0, wx, y0, wy in cells], [0] * 16)
+    codes = []
+    for (x0, wx, y0, wy), (value, err, code) in zip(cells, rated):
+        hx, hy = 0.5 * wx, 0.5 * wy
+        vals = f(x0 + hx + hx * xk[:, None], y0 + hy + hy * xk[None, :])
+        kk, gg, gk, kg = (hx * hy * math.fsum((vals * np.outer(a, b)).ravel())
+                          for a, b in ((wk, wk), (wg, wg), (wg, wk), (wk, wg)))
+        assert value == pytest.approx(kk, rel=1e-14)
+        assert err == pytest.approx(abs(kk - gg), abs=1e-14 * abs(kk))
+        ex, ey = abs(kk - gk), abs(kk - kg)
+        # both errors above round-off, and their ratio clear of the tie at 1.5
+        assert min(ex, ey) > 1e-12 * abs(kk) and abs(abs(math.log(ex / ey)) - math.log(1.5)) > 0.01
+        assert code == (0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else nemprism.numerics._TIE + (hy > hx))
+        codes.append(code)
+    assert {0, 1} < set(codes)  # both axes, and a near-tie
+
+
+def test_quad2d_splits_across_a_feature_the_rules_do_not_resolve():
+    # a slope along y, which both rules integrate exactly, and a narrow
+    # Lorentzian across x: split across the larger total variation, the
+    # cells were halved along y for ever, and the 1,000,000-evaluation
+    # budget ran out with an estimate of 1.5e-9
+    f = lambda x, y: 50.0 * y + 1.0 / (1.0 + ((x - 0.3) / 0.02) ** 2)
+    ((_, _, code),) = _rate_cells(lambda x, y, k: f(x, y), [[0.0, 1.0, 0.0, 1.0]], [0])
+    assert code & 1 == 0
+    res = quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-9)
+    assert abs(res.value - (25.0 + 0.02 * (math.atan(35.0) + math.atan(15.0)))) <= res.error_estimate
+    assert res.evaluations <= 20_000
+
+
 def test_quad2d_repeat_calls_are_bit_identical():
     f = lambda x, y: 1.0 / (1e-3 + (x - 0.31) ** 2 + (y - 0.77) ** 2)
     runs = [quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-8) for _ in range(2)]
@@ -625,21 +664,24 @@ def test_minimize_1d_sets_at_boundary_only_on_an_endpoint():
 
 
 # Refinement trajectories captured before the cells moved to a per-problem
-# heap, and re-captured when lone and near-tie cells began to split in four: (integrand, domain, initial_splits, tol, max_evals), then the outcome
+# heap, re-captured when lone and near-tie cells began to split in four, and
+# again when the split axis became the one with the larger Gauss-Kronrod
+# error (test_pins_moved_by_the_error_split_axis_agree_within_the_estimates):
+# (integrand, domain, initial_splits, tol, max_evals), then the outcome
 # (value, error estimate, evaluations; a refusal also names its message) and
 # the integrand call sizes as (points, repeats) runs.
 _CUTS = (-0.5, 0.0, 0.5)
 _TRAJECTORIES = [
     # exact ties between the mirror-image cells
     ((lambda x, y: np.cos(9.0 * x) * np.cos(9.0 * y), (-1.0, 1.0, -1.0, 1.0), (_CUTS, _CUTS), 1e-12, 1_000_000),
-     (0.00838724177175122, 9.268358683886622e-13, 22050), [(3600, 6), (450, 1)]),
+     (0.008387241771751222, 9.268761668281607e-13, 22050), [(3600, 6), (450, 1)]),
     ((lambda x, y: np.abs(x) * np.abs(y), (-1.0, 1.0, -1.0, 1.0), None, 1e-9, 1_000_000),
-     (1.0, 1.942890293094024e-16, 1125), [(225, 1), (900, 1)]),
+     (1.0, 1.6653345369377348e-16, 1125), [(225, 1), (900, 1)]),
     ((lambda x, y: 1.0 / (1e-3 + x * x + y * y), [(0.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, -1.0, 0.0)],
       None, 1e-7, 1_000_000),
-     (16.796424561791447, 7.641415483705671e-08, 14175), [(675, 1), (2700, 3), (1350, 4)]),
+     (16.796424561791447, 7.641415467052326e-08, 14175), [(675, 1), (2700, 3), (1350, 4)]),
     ((lambda x, y: np.sqrt(np.abs(x - y)), (0.0, 1.0, 0.0, 1.0), None, 1e-10, 2_000_000),
-     ("budget of 2000000 evaluations exhausted", 0.5333333101214367, 8.476589246920015e-08, 1999575),
+     ("budget of 2000000 evaluations exhausted", 0.5333333400925218, 4.392935092338464e-08, 1999575),
      [(225, 1), (900, 1), (2700, 1), (3600, 1), (2700, 1), (3600, 552), (2250, 1)]),
 ]
 
@@ -675,6 +717,15 @@ def test_quad2d_trajectories_are_pinned(case, outcome, runs):
     assert _runs(calls) == runs
 
 
+_MANY_OUTCOMES = [
+    (0.008387241771751071, 9.882845751615563e-11, 7650),
+    (1.0, 1.6653345369377348e-16, 1125),
+    (16.796424561791454, 9.795340927265528e-11, 33075),
+    ("quadrature budget of 2000000 evaluations exhausted (error estimate 4.393e-08 > tol 1.000e-10)",
+     0.5333333400925218, 4.392935092338464e-08, 1999575),
+]
+
+
 def test_quad2d_many_trajectories_are_pinned():
     cases = [case for case, _, _ in _TRAJECTORIES]
     calls = []
@@ -687,23 +738,19 @@ def test_quad2d_many_trajectories_are_pinned():
         return out
 
     results = quad2d_many(f, [(domain, splits) for _, domain, splits, _, _ in cases], tol=1e-10, max_evals=2_000_000)
-    assert [_trajectory_outcome(r) for r in results] == [
-        (0.008387241771751056, 9.919055615932593e-11, 9450),
-        (1.0, 1.942890293094024e-16, 1125),
-        (16.796424561791454, 9.925758825968245e-11, 35325),
-        ("quadrature budget of 2000000 evaluations exhausted (error estimate 8.477e-08 > tol 1.000e-10)",
-         0.5333333101214367, 8.476589246920015e-08, 1999575),
-    ]
+    assert [_trajectory_outcome(r) for r in results] == _MANY_OUTCOMES
     assert _runs(calls) == [
         (3600, 1), (1125, 1), (3600, 1), (2250, 1), (3600, 5), (2700, 1), (3600, 4), (900, 1), (3600, 3),
-        (3150, 1), (3600, 3), (2700, 1), (3600, 2), (1350, 1), (3600, 2), (2250, 1), (3600, 542), (2250, 1),
+        (2250, 1), (3600, 2), (2700, 1), (3600, 2), (1350, 1), (3600, 2), (2700, 1), (3600, 542), (2250, 1),
     ]
 
 
 def test_quad2d_bisects_every_cell_when_their_sum_stays_above_the_target():
     # Three root cells whose errors, added largest first, sum to less than
     # their correctly rounded total minus tol: the round bisects all of them.
-    f = lambda x, y: np.cos(32.0 * x) * np.exp(y)
+    # The errors of cos(32 x) e^y lost that property when the split axis
+    # became the one with the larger Gauss-Kronrod error; cos(29 x) e^y has it.
+    f = lambda x, y: np.cos(29.0 * x) * np.exp(y)
     rects = [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0), (2.0, 3.0, 0.0, 1.0)]
     errs = [err for _, err, _ in _rate_cells(lambda x, y, k: f(x, y), rects, [0, 0, 0])]
     assert sum(sorted(errs, reverse=True)) < math.fsum(errs) - 1e-300
@@ -712,8 +759,27 @@ def test_quad2d_bisects_every_cell_when_their_sum_stays_above_the_target():
         quad2d(counted, rects, tol=1e-300, max_evals=3 * 225 + 6 * 225)
     assert calls == [675, 1350]
     assert (exc.value.value, exc.value.error_estimate, exc.value.evaluations) == (
-        0.05281502968194329, 0.00583800032887094, 2025
+        -0.04869360879312494, 0.0015975750829988616, 2025
     )
+    assert abs(exc.value.value - math.sin(87.0) / 29.0 * (math.e - 1.0)) <= exc.value.error_estimate
+
+
+# (value, error estimate) of the pins above as they stood while cells were
+# split across the larger total variation of their sampled values: the
+# _TRAJECTORIES outcomes, then _MANY_OUTCOMES
+_SPLIT_BY_VARIATION = [
+    (0.00838724177175122, 9.268358683886622e-13), (1.0, 1.942890293094024e-16),
+    (16.796424561791447, 7.641415483705671e-08), (0.5333333101214367, 8.476589246920015e-08),
+    (0.008387241771751056, 9.919055615932593e-11), (1.0, 1.942890293094024e-16),
+    (16.796424561791454, 9.925758825968245e-11), (0.5333333101214367, 8.476589246920015e-08),
+]
+
+
+def test_pins_moved_by_the_error_split_axis_agree_within_the_estimates():
+    outcomes = [outcome[-3:-1] for _, outcome, _ in _TRAJECTORIES] + [outcome[-3:-1] for outcome in _MANY_OUTCOMES]
+    assert len(outcomes) == len(_SPLIT_BY_VARIATION)
+    for (new, new_err), (old, old_err) in zip(outcomes, _SPLIT_BY_VARIATION):
+        assert abs(new - old) <= new_err + old_err
 
 
 @pytest.mark.parametrize("max_evals", [math.nan, math.inf, 1.5, True, -1], ids=["nan", "inf", "1.5", "True", "-1"])

@@ -138,9 +138,9 @@ def test_coarse_tol_keeps_an_interior_minimum_smooth():
 
 
 def test_minimize_family_lists_failed_points_on_its_result():
-    # at quad-tol 3e-14 most scan points reach the round-off floor first
+    # at quad-tol 1e-14 most scan points reach the round-off floor first
     res, _ = minimize_family(
-        builtin_family("imag1"), make_prism(1.0, 1.0, 1.0), quad_tol=3e-14
+        builtin_family("imag1"), make_prism(1.0, 1.0, 1.0), quad_tol=1e-14
     )
     assert len(res.failures) >= 90
     assert all(
