@@ -587,21 +587,41 @@ def factor_scales(spec: RationalMapSpec) -> List[Tuple[complex, float]]:
     return out
 
 
-def bracket_offsets(delta: float, span: float) -> List[float]:
-    """Geometric ladder of bracket distances from a bump of relative size
-    delta out to a quarter of the cell span.
+def ladder(first: float, stop: float) -> List[float]:
+    """first, 4 first, 16 first, ... below stop: the one geometric ladder of
+    root cuts, on long box sides and around density bumps alike."""
+    out: List[float] = []
+    while first < stop:
+        out.append(first)
+        first *= 4.0
+    return out
+
+
+def bracket(center: float, delta: float, span: float) -> List[float]:
+    """Cuts through a bump of width delta at ``center`` and bracketing it:
+    center, center +- 2 delta and center +- ``ladder(8 delta, span)``.
 
     The mass of a tight zero/pole pair decays like a fourth-power tail, so
     a single bracket at the bump scale leaves annuli wider than any node
     gap; the ladder keeps each annulus comparable to its inner radius.
     """
-    out: List[float] = []
-    d = 2.0 * delta
-    while True:
-        out.append(d)
-        if d >= 0.25 * span:
-            return out
-        d *= 4.0
+    out = [center]
+    for off in [2.0 * delta] + ladder(8.0 * delta, span):
+        out.extend((center - off, center + off))
+    return out
+
+
+def origin_radius(spec: RationalMapSpec) -> float:
+    """Radius b, capped at 1, of the circle near w = 0 on which |f| crosses 1.
+
+    There f ~ eps C w^n with C = prod r^(2 rho) prod s^(2 sigma) prod
+    |t|^(4 tau), so b = |C|^(-1/n), taken from a sum of logs so that small
+    factors cannot underflow C; a factor of the sign opposite to w^n near
+    the origin puts b far inside it, unseen by seeds at the factors.
+    """
+    log_c = math.fsum([2.0 * sg * math.log(r) for r, sg in spec.real_factors + spec.imag_factors]
+                      + [4.0 * sg * math.log(abs(t)) for t, sg in spec.complex_factors])
+    return math.exp(min(-log_c / spec.n, 0.0))
 
 
 def flux_field(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:

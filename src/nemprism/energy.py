@@ -79,8 +79,9 @@ from .conformal import (
     _log_norm_gradient,
     _project,
     _spec_points,
-    bracket_offsets,
+    bracket,
     factor_scales,
+    ladder,
     sphere_density,
 )
 from .errors import AccuracyError, DomainError, SumRuleError
@@ -262,18 +263,18 @@ def prism_lp_certificate(
 # Exact energy by Green's identity, flux by face quadrature
 # ----------------------------------------------------------------------
 
-def _face_cuts(
-    spec: RationalMapSpec, k: int, value: float, free, limits
-) -> Tuple[List[float], List[float]]:
-    """Face coordinates of the rays through the factor directions.
+def _face_cuts(spec: RationalMapSpec, k: int, half) -> Tuple[List[float], List[float]]:
+    """Cuts on face k (at x_k = h_k, ``half`` the half sides) through and
+    around the rays of the factor directions, in the face's own (u, v).
 
     The sphere density peaks around the factor positions; where such a ray
     pierces the face, the flux integrand carries a bump that can be narrower
     than the node spacing of a large quadrature cell, so cell boundaries are
-    seeded there.  A ray on the face's edge (a factor on an axis, whose
-    direction lies in a coordinate plane) is seeded too: its bump is half
-    inside the face.
+    seeded there (``bracket``).  A ray on the face's edge (a factor on an
+    axis, whose direction lies in a coordinate plane) is seeded too: its
+    bump is half inside the face.
     """
+    i, j = [m for m in range(3) if m != k]
     cuts_u: List[float] = []
     cuts_v: List[float] = []
     for w0, delta in factor_scales(spec):
@@ -281,16 +282,13 @@ def _face_cuts(
         d = (2.0 * w0.real / (1.0 + a), 2.0 * w0.imag / (1.0 + a), (1.0 - a) / (1.0 + a))
         if d[k] <= 1e-12:
             continue
-        t = value / d[k]
-        u0, v0 = t * d[free[0]], t * d[free[1]]
-        if 0.0 <= u0 < limits[0] and 0.0 <= v0 < limits[1]:
+        t = half[k] / d[k]
+        u0, v0 = t * d[i], t * d[j]
+        if 0.0 <= u0 < half[i] and 0.0 <= v0 < half[j]:
             # the spot subtends an angle ~delta seen from the vertex, so
             # its footprint at distance t has radius ~delta * t
-            cuts_u.append(u0)
-            cuts_v.append(v0)
-            for off in bracket_offsets(delta * t, max(limits)):
-                cuts_u.extend((u0 - off, u0 + off))
-                cuts_v.extend((v0 - off, v0 + off))
+            cuts_u += bracket(u0, delta * t, max(half[i], half[j]))
+            cuts_v += bracket(v0, delta * t, max(half[i], half[j]))
     return cuts_u, cuts_v
 
 
@@ -303,37 +301,29 @@ def _face_cuts(
 # L = 1 + h_x + h_y + h_z lies below every point of face z.
 _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 
-
-def _face_pieces(half: Tuple[float, float, float]) -> List[Tuple[int, Tuple[float, float, float, float]]]:
-    """(k, rectangle) of each piece of the three octant faces, face k in its
-    quadrant of ``_FACE_SIGNS``, each face side cut into ``_pieces``
-    against the face's other side."""
-    pieces = []
-    for k, (su, sv) in enumerate(_FACE_SIGNS):
-        i, j = [m for m in range(3) if m != k]
-        pieces += [(k, (u0, u1, v0, v1)) for u0, u1 in _pieces(half[i], half[j], su)
-                   for v0, v1 in _pieces(half[j], half[i], sv)]
-    return pieces
+# A face side or edge at least _LONG times its short side gets root cuts at
+# _LONG, 4 _LONG, 16 _LONG, ... times the short side (``ladder``).  phi
+# varies on the scale of the short side near the vertex end (u = 0) and is
+# nearly constant beyond it; a long root cell puts no node there, so its
+# error estimate misses that variation and the quadrature can converge to
+# a wrong value.  Cells that grow by 4 from 64 short sides keep an aspect
+# ratio of at most 64 near the vertex.
+_LONG = 64.0
 
 
-def _faces_domain(
-    prism: Prism, spec: RationalMapSpec, values: Tuple[float, float, float]
-) -> Tuple[List[Tuple[float, float, float, float]], list]:
-    """The pieces of the three octant faces (``_face_pieces``, as in the
-    energy: on a needle the flux lives near the vertex, where a whole-face
-    root cell has no node) as quadrature rectangles, each with the cuts
-    that fall inside it; face k lies in the plane where coordinate k equals
-    ``values[k]``."""
-    half = prism.octant.half_lengths
-    cuts = []
-    for k, (su, sv) in enumerate(_FACE_SIGNS):
-        i, j = [m for m in range(3) if m != k]
-        cuts_u, cuts_v = _face_cuts(spec, k, values[k], (i, j), (half[i], half[j]))
-        cuts.append(([su * c for c in cuts_u], [sv * c for c in cuts_v]))
+def _faces_domain(half: Tuple[float, float, float], spec: Optional[RationalMapSpec] = None):
+    """(rectangles, initial splits) of the three octant faces, face k
+    spanning half sides i along u and j along v in its quadrant of
+    ``_FACE_SIGNS``: each side cut at ``ladder(64 * the other side, side)``
+    and, given ``spec``, at the ``_face_cuts`` of its factors."""
     rects, splits = [], []
-    for k, (u0, u1, v0, v1) in _face_pieces(half):
-        rects.append((u0, u1, v0, v1))
-        splits.append(([c for c in cuts[k][0] if u0 <= c <= u1], [c for c in cuts[k][1] if v0 <= c <= v1]))
+    for k, (su, sv) in enumerate(_FACE_SIGNS):
+        i, j = [m for m in range(3) if m != k]
+        u, v = su * half[i], sv * half[j]
+        cuts_u, cuts_v = ([], []) if spec is None else _face_cuts(spec, k, half)
+        rects.append((min(0.0, u), max(0.0, u), min(0.0, v), max(0.0, v)))
+        splits.append(([su * c for c in ladder(_LONG * half[j], half[i]) + cuts_u],
+                       [sv * c for c in ladder(_LONG * half[i], half[j]) + cuts_v]))
     return rects, splits
 
 
@@ -379,49 +369,17 @@ def _edge_level(half: Tuple[float, float, float]) -> float:
     return 1.0 + sum(half)
 
 
-def _green_domain(half: Tuple[float, float, float]) -> List[Tuple[float, float, float, float]]:
-    """The face rectangles and, as segments, the far box edges, each face
-    side and edge cut into pieces at ``_long_cuts``: a face side against
-    the face's other side, an edge against the shorter of the other two
-    half sides.  The pieces are rectangles of their own rather than
-    ``initial_splits``, which drop cuts within 1e-12 of a side's length of
-    its ends: on 1e50 x 1 x 1 that is every cut near the vertex."""
+def _green_domain(half: Tuple[float, float, float]):
+    """(rectangles, initial splits) of the face rectangles of
+    ``_faces_domain`` and, as segments, the far box edges, each edge cut at
+    ``ladder(64 * the shorter of the other two half sides, edge)``."""
     level = _edge_level(half)
-    rects = [rect for _, rect in _face_pieces(half)]
+    rects, splits = _faces_domain(half)
     for m, h in enumerate(half):
         y = -(m + 1) * level
-        rects += [(u0, u1, y, y) for u0, u1 in _pieces(h, min(half[n] for n in range(3) if n != m), 1.0)]
-    return rects
-
-
-# A face side or edge at least _LONG times its short side gets root cuts at
-# _LONG, 4 _LONG, 16 _LONG, ... times the short side.
-_LONG = 64.0
-
-
-def _long_cuts(length: float, short: float) -> List[float]:
-    """Root cuts along a side of ``length`` whose short side is ``short``.
-
-    phi varies on the scale of the short side near the vertex end (u = 0)
-    and is nearly constant beyond it; a long root cell puts no node there,
-    so its error estimate misses that variation and the quadrature can
-    converge to a wrong value.  Cells that grow by 4 from 64 short sides
-    keep an aspect ratio of at most 64 near the vertex."""
-    cuts = []
-    cut = _LONG * short
-    while cut < length:
-        cuts.append(cut)
-        cut *= 4.0
-    return cuts
-
-
-def _pieces(length: float, short: float, sign: float) -> List[Tuple[float, float]]:
-    """The pieces (lo, hi), in increasing order, of the side from 0 to
-    sign * length cut at ``_long_cuts(length, short)``."""
-    ends = [0.0] + _long_cuts(length, short) + [length]
-    if sign < 0:
-        ends = [-e for e in ends[:0:-1]] + [0.0]
-    return list(zip(ends, ends[1:]))
+        rects.append((0.0, h, y, y))
+        splits.append((ladder(_LONG * min(half[n] for n in range(3) if n != m), h), None))
+    return rects, splits
 
 
 def _slope_faces(half: Tuple[float, float, float]) -> Tuple[bool, bool, bool]:
@@ -498,7 +456,7 @@ def conformal_energy(
     term would cancel against their edges take the slope form of the module
     docstring, and every face side or edge at least 64 times its short
     side gets root cuts at 64, 256, 1024, ... short sides from the vertex
-    end (``_long_cuts``), where phi varies.  Raises AccuracyError if the
+    end (``ladder``), where phi varies.  Raises AccuracyError if the
     quadrature cannot reach ``tol`` within the budget, or at once when
     ``tol`` lies below the round-off floor (see ``quad2d``); a budget that
     is not a non-negative integer (nan included) raises DomainError.  This
@@ -538,7 +496,7 @@ def conformal_energies(
     density = _green_density(half, weight)
     results = quad2d_many(
         lambda u, v, k: density(at(k), u, v),
-        [(_green_domain(half), None)] * len(specs),
+        [_green_domain(half)] * len(specs),
         tol=tol,
         max_evals=3 * max_evals_per_face,
     )
@@ -555,34 +513,35 @@ def conformal_energies(
     return out
 
 
+_FLUX_EVALS = 3_000_000  # the budget of face_flux, shared by its three faces
+
+
 def face_flux(
     prism: Prism,
     spec: RationalMapSpec,
     which: str = "interior",
     tol: float = 1e-8,
-    max_evals_per_face: int = 1_000_000,
 ) -> QuadratureResult:
     """Signed flux of D through the interior (or exterior) octant faces.
 
     Over the interior faces the total equals the trapped solid angle; over
     an exterior face the integrand vanishes identically.  One adaptive
     quadrature covers the three faces, sharing the absolute tolerance
-    ``tol`` and a budget of 3 * ``max_evals_per_face`` evaluations; as in
+    ``tol`` and a budget of 3,000,000 evaluations; as in
     ``conformal_energy``, every interior face side at least 64 times the
-    face's other side is cut into root rectangles at 64, 256, 1024, ... of
-    it.  Each exterior face is one root rectangle.
+    face's other side gets root cuts at 64, 256, 1024, ... of it, and the
+    factor bumps are cut and bracketed (``_face_cuts``).  Each exterior
+    face is one root rectangle.
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
-    if which == "interior":
-        values = prism.octant.half_lengths
-        rects, splits = _faces_domain(prism, spec, values)
-    else:  # whole faces, in their quadrants of _FACE_SIGNS: the integrand is 0
-        values, (hx, hy, hz) = (0.0, 0.0, 0.0), prism.octant.half_lengths
-        rects, splits = [(0.0, hy, 0.0, hz), (-hx, 0.0, 0.0, hz), (-hx, 0.0, -hy, 0.0)], None
+    values = prism.octant.half_lengths
+    rects, splits = _faces_domain(values, spec)
+    if which == "exterior":  # whole faces: the integrand is 0
+        values, splits = (0.0, 0.0, 0.0), None
     return quad2d(
         lambda u, v: _faces_density(spec, values, u, v),
-        rects, tol=tol, max_evals=3 * max_evals_per_face, initial_splits=splits,
+        rects, tol=tol, max_evals=_FLUX_EVALS, initial_splits=splits,
     )
 
 

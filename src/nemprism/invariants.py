@@ -35,8 +35,9 @@ from .conformal import (
     _lift,
     _parts,
     area_density,
-    bracket_offsets,
+    bracket,
     factor_scales,
+    origin_radius,
 )
 from .errors import AccuracyError, PathResolutionError
 from .numerics import QuadratureResult, quad2d
@@ -164,18 +165,21 @@ def invariants_report(spec: RationalMapSpec, tol: float = 1e-6) -> dict:
 # Quadrature oracle for the trapped solid angle
 # ----------------------------------------------------------------------
 
-def numeric_trapped_area(
-    spec: RationalMapSpec, tol: float = 1e-6, max_evals: int = 1_000_000
-) -> QuadratureResult:
+_TRAPPED_EVALS = 1_000_000  # the budget of numeric_trapped_area
+
+
+def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> QuadratureResult:
     """Trapped solid angle by quadrature of the area density.
 
     Integrates the pulled-back density over the quarter disc in polar
     coordinates (Jacobian rho); the orientation sign is structural (the
     anticonformal map reverses the sphere orientation).  Cell boundaries are
     seeded at the radius and angle of each factor's first-quadrant point
-    (``factor_scales``), so mirrored positions give the same cells: a close
+    (``factor_scales``) and bracket it (``bracket``, the radius in units of
+    the modulus), so mirrored positions give the same cells: a close
     zero/pole pair carries its covering mass in a bump narrow enough to
-    slip between the nodes of an unseeded cell.
+    slip between the nodes of an unseeded cell.  The budget is 1,000,000
+    evaluations.
 
     A node's w is rounded to about eps, so a bump of relative width delta
     is sampled with a relative error of about eps / delta, and the sum is
@@ -194,21 +198,17 @@ def numeric_trapped_area(
         w = rho * np.exp(1j * theta)
         return area_density(spec, w) * rho
 
-    # cut through each bump and bracket it with a geometric ladder so the
-    # tail is resolved; cuts on or past the domain edges are dropped
+    # cuts on or past the domain edges are dropped
     rho_cuts, theta_cuts = [], []
     for w0, delta in scales:
-        m, th = abs(w0), cmath.phase(w0)
-        rho_cuts.append(m)
-        theta_cuts.append(th)
-        for off in bracket_offsets(delta, 0.5 * math.pi):
-            rho_cuts.extend((m * (1.0 - off), m * (1.0 + off)))
-            theta_cuts.extend((th - off, th + off))
+        m = abs(w0)
+        rho_cuts += [m * c for c in bracket(1.0, delta, 0.5 * math.pi)]
+        theta_cuts += bracket(cmath.phase(w0), delta, 0.5 * math.pi)
     res = quad2d(
         integrand,
         (0.0, 1.0, 0.0, 0.5 * math.pi),
         tol=tol,
-        max_evals=max_evals,
+        max_evals=_TRAPPED_EVALS,
         initial_splits=(rho_cuts, theta_cuts),
     )
     sign = -1.0 if spec.is_anticonformal else 1.0
@@ -295,8 +295,10 @@ def _track_winding(
 
 
 def _axis_start(spec: RationalMapSpec, positions) -> float:
-    """Path start offset: small, and below every on-path factor position."""
-    lo = 1e-6
+    """Path start offset: small, below every on-path factor position, and
+    inside the origin bubble (below ``origin_radius`` / 64), whose crossing
+    of |f| = 1 a path starting outside it would miss."""
+    lo = min(1e-6, origin_radius(spec) / 64.0)
     if positions:
         lo = min(lo, 0.5 * min(positions))
     return lo
@@ -306,8 +308,8 @@ def numeric_kink_x(spec: RationalMapSpec) -> int:
     """k_x from the director winding along the imaginary segment [0, i].
 
     On the x = 0 face the director lies in the (y, z) plane; the path runs
-    from just off the z edge to the y edge, starting 1e-6 (or half the
-    nearest on-path factor position) away from the vertex direction.
+    from just off the z edge to the y edge, starting ``_axis_start`` away
+    from the vertex direction.
     """
     positions = [s for s, _ in spec.imag_factors]
     t0 = _axis_start(spec, positions)
@@ -326,12 +328,12 @@ def numeric_kink_y(spec: RationalMapSpec) -> int:
 def numeric_kink_z(spec: RationalMapSpec) -> int:
     """k_z from the director winding along the arc w = exp(i theta).
 
-    Factors approaching the unit circle pinch the arc; their angular
-    positions (0 for real, pi/2 for imaginary, arg t for complex) seed the
-    sampling ladders.
+    Factors approaching the unit circle pinch the arc; the angles of their
+    first-quadrant points (``factor_scales``: 0 for real, pi/2 for
+    imaginary, the first-quadrant arg t for complex) seed the sampling
+    ladders.
     """
-    foci = [0.0] * spec.a + [0.5 * math.pi] * spec.b
-    foci += [abs(cmath.phase(t)) for t, _ in spec.complex_factors]
+    foci = [cmath.phase(w0) for w0, _ in factor_scales(spec)]
     return _track_winding(
         spec, lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, (1, 0), foci
     )

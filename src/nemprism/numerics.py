@@ -260,16 +260,21 @@ def _quarters(halves: List[List[float]], axis: int) -> Optional[List[List[float]
 
 
 def _breakpoints(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[float]:
-    """Breakpoints lo..hi with interior cuts deduplicated and clipped."""
-    if not cuts:
+    """Breakpoints lo..hi with the cuts strictly between them, sorted; a cut
+    within 1e-12 min(hi - lo, 1e6 max(|cut|, |neighbour|)) of the breakpoint
+    before it merges into it, and one that close to hi into hi: near-duplicates
+    merge on any side, and cuts near 0 on a long one (a needle's at
+    64 * 4^k on 1e50) survive."""
+    if not cuts or lo == hi:  # a segment's y side
         return [lo, hi]
     eps = 1e-12 * (hi - lo)
-    inner = sorted({float(v) for v in cuts if lo + eps < float(v) < hi - eps})
     out = [lo]
-    for c in inner:
-        if c - out[-1] > eps:
+    for c in sorted({v for v in map(float, cuts) if lo < v < hi}) + [hi]:
+        d = c - out[-1]
+        if d > eps or d > 1e-6 * max(abs(c), abs(out[-1])):
             out.append(c)
-    out.append(hi)
+        elif c == hi:
+            out[-1] = hi
     return out
 
 
@@ -346,7 +351,9 @@ def quad2d(
     pairs (or None), one per rectangle (a segment reads its x cuts only).
     A narrow integrand bump lying between the nodes of a large cell is
     invisible to the error estimate; a cut through the bump puts clustered
-    near-edge nodes right on top of it.
+    near-edge nodes right on top of it.  Cuts at or beyond a side's ends
+    are dropped, and two cuts merge within 1e-12 min(side, 1e6 |cut|)
+    (``_breakpoints``), so those near 0 survive on a side of any length.
 
     The budget is checked before every integrand call, so ``evaluations``
     never exceeds ``max_evals``: a round splits no cell whose children

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nemprism.energy
+from nemprism.numerics import _root_cells
 from helpers import random_prism, random_spec
 
 from nemprism import (
@@ -424,6 +425,18 @@ def test_face_flux_equals_the_trapped_area_at_the_gaps(spec):
     assert abs(res.value - trapped_area(spec)) <= res.error_estimate
 
 
+@pytest.mark.parametrize("prism,spec,tol,pinned", [
+    (make_prism(1e50, 1.0, 1.0), RationalMapSpec(1, 1), 1e-8, (1.5707963267949123, 9.363321700365582e-09, 42525)),
+    (CUBE, _gap(1e-4), 1e-6, (20.42035224833563, 9.262825904473136e-07, 372825)),
+], ids=["needle-1e50", "gap-1e-4"])
+def test_face_flux_is_pinned(prism, spec, tol, pinned):
+    # value, error estimate and evaluations, bit for bit: the same root
+    # cells whether the needle's long sides are cut into separate
+    # rectangles or carry their cuts as initial splits
+    res = face_flux(prism, spec, "interior", tol=tol)
+    assert (res.value, res.error_estimate, res.evaluations) == pinned
+
+
 @pytest.mark.parametrize("spec,references", [
     (_gap(1e-8), [(207.8024459411647, 9.780861867542975e-07)]),
     (RationalMapSpec(1, 1, imag_factors=((1.0 - 1e-8, 1),)), [(40.480989750375166, 8.263586859765847e-07)]),
@@ -519,8 +532,8 @@ def test_needle_energies_match_the_closed_forms():
 def test_long_needle_energy_matches_the_closed_form(length):
     # a root cell as long as the needle has no node near the vertex, where
     # phi varies: 1e6 x 1 x 1 gave 20.1314 (estimate 5.9e-7) against 22.1513;
-    # cuts passed as initial_splits still gave 20.1314 on 1e50 x 1 x 1, as
-    # those within 1e-12 of the side's length of its ends are dropped
+    # cuts passed as initial_splits still gave 20.1314 on 1e50 x 1 x 1 while
+    # _breakpoints dropped those within 1e-12 of the side's length of its ends
     prism = make_prism(length, 1.0, 1.0)
     res = conformal_energy(prism, RationalMapSpec(1, 1), tol=1e-6)
     assert abs(res.value - unwrapped_energy(prism, tol=1e-12)) <= res.error_estimate
@@ -539,15 +552,17 @@ def test_needle_flux_equals_the_trapped_area(spec, length):
 
 
 def test_needle_faces_are_cut_into_pieces_holding_their_cuts():
-    # as the energy's faces: pieces of the long sides at 64, 256, ... short
-    # sides; each piece keeps only the factor cuts inside it
+    # as the energy's faces: root cells of the long sides at 64, 256, ...
+    # short sides, each cut further at the factor cuts inside it
     half = NEEDLE.octant.half_lengths
-    rects, splits = nemprism.energy._faces_domain(NEEDLE, RationalMapSpec(1, 1, imag_factors=((0.5, 1),)), half)
-    assert rects == [rect for rect in nemprism.energy._green_domain(half) if rect[2] != rect[3]]
-    assert len(splits) == len(rects)
-    for (u0, u1, v0, v1), (cuts_u, cuts_v) in zip(rects, splits):
-        assert all(u0 <= c <= u1 for c in cuts_u) and all(v0 <= c <= v1 for c in cuts_v)
-    assert any(cuts_u for cuts_u, _ in splits[1:])
+    cells = _root_cells(*nemprism.energy._faces_domain(half, RationalMapSpec(1, 1, imag_factors=((0.5, 1),))))
+    faces = [cell for cell in _root_cells(*nemprism.energy._green_domain(half)) if cell[2] != cell[3]]
+    holders = [[f for f in faces if f[0] <= c[0] and c[1] <= f[1] and f[2] <= c[2] and c[3] <= f[3]]
+               for c in cells]
+    assert all(len(h) == 1 for h in holders)
+    assert sorted({tuple(h[0]) for h in holders}) == sorted(map(tuple, faces))
+    # faces y and z, in the u < 0 quadrants, hold factor cuts
+    assert len([c for c in cells if c[1] <= 0.0]) > len([f for f in faces if f[1] <= 0.0])
 
 
 def test_exterior_flux_takes_one_root_rectangle_per_face():
@@ -581,19 +596,19 @@ def test_boxes_of_aspect_below_64_get_no_root_cuts(sides):
     # the cuts on long sides leave every benchmark box and the slab as they
     # were: three face rectangles and three edge segments
     half = make_prism(*sides).octant.half_lengths
-    domain = nemprism.energy._green_domain(half)
-    assert len(domain) == 6
-    assert [y0 == y1 for _, _, y0, y1 in domain] == [False] * 3 + [True] * 3
+    cells = _root_cells(*nemprism.energy._green_domain(half))
+    assert len(cells) == 6
+    assert [y0 == y1 for _, _, y0, y1 in cells] == [False] * 3 + [True] * 3
 
 
 def test_needle_root_cuts_grow_by_four_from_64_short_sides():
-    domain = nemprism.energy._green_domain(make_prism(1e4, 1.0, 1.0).octant.half_lengths)
+    cells = _root_cells(*nemprism.energy._green_domain(make_prism(1e4, 1.0, 1.0).octant.half_lengths))
     ends = [0.0, 32.0, 128.0, 512.0, 2048.0, 5000.0]  # 64, 256, ... half sides of 0.5, below 5000
     mirrored = [(-b, -a) for a, b in zip(ends, ends[1:])][::-1]
     level = 1.0 + 5000.0 + 0.5 + 0.5
     # face x, then faces y and z (x along u, mirrored into the u < 0
     # quadrants), then the edges; only the edge along x is long
-    assert domain == (
+    assert [tuple(cell) for cell in cells] == (
         [(0.0, 0.5, 0.0, 0.5)]
         + [(u0, u1, 0.0, 0.5) for u0, u1 in mirrored]
         + [(u0, u1, -0.5, 0.0) for u0, u1 in mirrored]

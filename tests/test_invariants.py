@@ -21,6 +21,7 @@ from nemprism import (
     omega_min,
     trapped_area,
 )
+from nemprism.conformal import origin_radius
 
 
 def test_unwrapped_invariants():
@@ -165,6 +166,31 @@ def test_trapped_area_oracle_same_for_mirrored_complex_factor():
         for t in (0.3 + 0.4j, -0.3 + 0.4j, 0.3 - 0.4j, -0.3 - 0.4j)
     ]
     assert all(res == results[0] for res in results)
+
+
+def test_kink_oracles_same_for_mirrored_complex_factors():
+    # a zero/pole pair near the unit circle at arg 0.3; the arc's sampling
+    # was seeded at |arg t|, pi - 0.3 for the second- and third-quadrant
+    # mirrors, outside [0, pi/2], and kz_numeric was -1 there against kz 0
+    t1 = complex(0.9552409554766934, 0.2954906546406734)
+    t2 = complex(0.9549449872508633, 0.2964457476916283)
+    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        mirror = [complex(sx * t.real, sy * t.imag) for t in (t1, t2)]
+        spec = RationalMapSpec(1, 1, complex_factors=((mirror[0], 1), (mirror[1], -1)))
+        assert (numeric_kink_x(spec), numeric_kink_y(spec), numeric_kink_z(spec)) == kink_numbers(spec)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (RationalMapSpec(1, 1, real_factors=((1e-6, -1),)), 1e-12),
+    (RationalMapSpec(1, -1, imag_factors=((1e-3, 1),)), 1e-6),
+    (RationalMapSpec(1, 1, real_factors=((1e-3, -1),)), 1e-6),
+], ids=["real-1e-6", "imag-1e-3-n-1", "real-1e-3"])
+def test_kink_paths_start_inside_the_origin_bubble(spec, radius):
+    # |f| crosses 1 on the circle |w| = origin_radius near w = 0, s^2 for
+    # one factor at s; paths that started at 1e-6, outside it, gave
+    # ky_numeric (kx_numeric for n = -1) 0 against -1
+    assert origin_radius(spec) == pytest.approx(radius, rel=1e-12)
+    assert (numeric_kink_x(spec), numeric_kink_y(spec), numeric_kink_z(spec)) == kink_numbers(spec)
 
 
 def test_invariants_dict_round_trip():

@@ -18,7 +18,7 @@ from nemprism import (
     quad2d_many,
 )
 import nemprism.numerics
-from nemprism.numerics import _rate_cells
+from nemprism.numerics import _breakpoints, _rate_cells
 
 # frozen reference: 200-node tensor Gauss-Legendre of 1/(1 + a^2 + b^2)
 F2_1_1 = 0.6395103518703111
@@ -64,6 +64,27 @@ def test_quad2d_initial_splits_catch_narrow_ridge():
     exact = w * (math.atan((1.0 - c) / w) + math.atan(c / w))
     res = quad2d(f, (0.0, 1.0, 0.0, 1.0), tol=1e-9, initial_splits=([c], []))
     assert res.value == pytest.approx(exact, abs=1e-8)
+
+
+def test_breakpoints_keep_a_ladder_from_0_on_any_side():
+    # cuts at 32 * 4^k, a needle's 64 short sides and up at half side 0.5,
+    # lay within 1e-12 of the side's length of its end u = 0 on 5e49 and
+    # were dropped
+    ladder = [32.0 * 4.0 ** k for k in range(80) if 32.0 * 4.0 ** k < 5e49]
+    assert _breakpoints(0.0, 5e49, ladder) == [0.0] + ladder + [5e49]
+    mirrored = [-c for c in reversed(ladder)]
+    assert _breakpoints(-5e49, 0.0, mirrored) == [-5e49] + mirrored + [0.0]
+
+
+def test_breakpoints_merge_near_duplicates_and_drop_the_ends():
+    # two factors' angle ladders put cuts 8e-15 apart near 4e-7 on [0, pi/2]
+    c = 4e-7 - 8e-15
+    assert _breakpoints(0.0, 0.5 * math.pi, [4e-7, c, 0.1]) == [0.0, c, 0.1, 0.5 * math.pi]
+    assert _breakpoints(0.0, 1.0, [-1.0, 0.0, 0.5, 1.0, 2.0]) == [0.0, 0.5, 1.0]
+    assert _breakpoints(-2.0, 0.0, [-3.0, -2.0, -1.0, 0.0, 1.0]) == [-2.0, -1.0, 0.0]
+    assert _breakpoints(1.0, 1.0, [1.0]) == [1.0, 1.0]  # a segment given y cuts keeps its one cell
+    # a cut within reach of hi merges into hi
+    assert _breakpoints(0.0, 1.0, [0.5, 1.0 - 1e-13]) == [0.0, 0.5, 1.0]
 
 
 def test_quad2d_budget_failure_carries_best_estimate():
