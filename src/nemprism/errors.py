@@ -66,9 +66,10 @@ class AccuracyError(RuntimeError):
     """Adaptive quadrature could not certify the requested tolerance.
 
     Raised when the evaluation budget runs out before the tolerance is met,
-    when the root cells alone would exceed the budget, or when the
-    tolerance lies below the round-off floor (about
-    ``50 * eps * sum(|cell values|)``) that the error estimate has reached.
+    when the root cells alone would exceed the budget (refused before any
+    cell is built), or when the tolerance lies below the round-off floor
+    (about ``50 * eps * sum(|cell values|)``) that the error estimate has
+    reached.
 
     Attributes
     ----------

@@ -165,11 +165,6 @@ _TIE = 2
 _FOUR_WAY = 2.0 ** 14
 
 
-def _evals(row) -> int:
-    """Integrand evaluations of one cell row (x0, x1, y0, y1); y0 == y1 is a segment."""
-    return _SEGMENT_EVALS if row[2] == row[3] else _CELL_EVALS
-
-
 def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float, float, int]]:
     """Rate one round's cell rows, of any problems, by the nested rules.
 
@@ -278,8 +273,9 @@ def _breakpoints(lo: float, hi: float, cuts: Optional[Sequence[float]]) -> List[
     return out
 
 
-def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[List[float]]:
-    """Root cells [x0, x1, y0, y1] of one rectangle or segment, or of several."""
+def _root_grids(domain: Sequence, initial_splits: Optional[Sequence]) -> List[Tuple[list, list]]:
+    """Breakpoints (xs, ys) of the root cells of one rectangle or segment, or
+    of several, one pair per rectangle; a segment's ys is [y0, y0]."""
     rects = np.asarray(domain, dtype=float)
     if rects.ndim not in (1, 2) or rects.shape[-1] != 4 or rects.size == 0:
         raise DomainError(f"domain must be (x0, x1, y0, y1) or a sequence of them, got {domain!r}")
@@ -292,19 +288,28 @@ def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[Li
         raise DomainError(
             f"initial_splits has {len(splits)} entries for {len(rects)} rectangles"
         )
-    cells = []
+    grids = []
     for (x0, x1, y0, y1), split in zip(rects.tolist(), splits):
         if not (x1 > x0 and y1 >= y0):
             raise DomainError(f"empty integration domain {domain!r}")
         sx, sy = (None, None) if split is None else split
-        xs = _breakpoints(x0, x1, sx)
-        ys = _breakpoints(y0, y1, sy)
-        cells.extend(
-            [xs[i], xs[i + 1], ys[j], ys[j + 1]]
-            for i in range(len(xs) - 1)
-            for j in range(len(ys) - 1)
-        )
-    return cells
+        grids.append((_breakpoints(x0, x1, sx), _breakpoints(y0, y1, sy)))
+    return grids
+
+
+def _grid_cells(grids: List[Tuple[list, list]]) -> List[List[float]]:
+    """Cell rows [x0, x1, y0, y1] of breakpoint grids, grid by grid, x major."""
+    return [
+        [xs[i], xs[i + 1], ys[j], ys[j + 1]]
+        for xs, ys in grids
+        for i in range(len(xs) - 1)
+        for j in range(len(ys) - 1)
+    ]
+
+
+def _root_cells(domain: Sequence, initial_splits: Optional[Sequence]) -> List[List[float]]:
+    """Root cells [x0, x1, y0, y1] of one rectangle or segment, or of several."""
+    return _grid_cells(_root_grids(domain, initial_splits))
 
 
 def quad2d(
@@ -358,14 +363,14 @@ def quad2d(
     The budget is checked before every integrand call, so ``evaluations``
     never exceeds ``max_evals``: a round splits no cell whose children
     would pass it.  Raises AccuracyError when the root cells alone would
-    exceed it (before any evaluation, with value nan), or when the budget
-    runs out before the tolerance is met (carrying the best estimate), or
-    when the next cell to bisect is one float spacing wide along its split
-    axis, so that its midpoint is one of its ends (carrying the best
-    estimate; a zero-width child would be taken for a segment or count as
-    nothing), or at once, with value nan, when an integrand value or a
-    cell's sum is not finite (its nan or infinite error is never bisected
-    away).
+    exceed it (counted from the cuts, before any cell is built, with value
+    nan and 0 evaluations), or when the budget runs out before the
+    tolerance is met (carrying the best estimate), or when the next cell to
+    bisect is one float spacing wide along its split axis, so that its
+    midpoint is one of its ends (carrying the best estimate; a zero-width
+    child would be taken for a segment or count as nothing), or at once,
+    with value nan, when an integrand value or a cell's sum is not finite
+    (its nan or infinite error is never bisected away).
 
     A summed error estimate at or below the round-off floor
     ``50 * eps * sum(|cell values|)`` cannot be trusted to fall further, so
@@ -406,15 +411,15 @@ def quad2d_many(
     ``f`` is called.
 
     Every problem keeps its own cells and runs the rounds of ``quad2d`` on
-    them: its own root-cell refusal, budget, round-off floor, split rule
-    (the axis of the larger per-axis error, or four quarters when one
-    bisection cannot finish a cell), limit of 32 children per round and
-    tie order, so its cells, value, error estimate and evaluation count
-    are those of a solo call.  Each of
-    its live cells is one ``heapq`` entry (-error, seq, row, value, split
-    axis code), seq the cell's number from one creation counter shared by
-    all problems, so ties go to the older cell; numpy only rates cells.  A
-    round's bookkeeping is a few heap operations per new or split cell, two
+    them: its own root-cell refusal (counted from its cuts, before any cell
+    is built), budget, round-off floor, split rule (the axis of the larger
+    per-axis error, or four quarters when one bisection cannot finish a
+    cell), limit of 32 children per round and tie order, so its cells,
+    value, error estimate and evaluation count are those of a solo call.
+    Each of its live cells is one ``heapq`` entry (-error, seq, row, value,
+    split axis code), seq the cell's number from one creation counter
+    shared by all problems, so ties go to the older cell; numpy only rates
+    cells.  A round's bookkeeping is a few heap operations per new or split cell, two
     sums over the live cells and, while the error is above ``tol``, a third
     for the round-off floor.
     The sums (``math.fsum``) are correctly rounded, so they do not depend
@@ -448,18 +453,21 @@ def quad2d_many(
     # per problem: the rows of the cells to rate this round, roots first
     new, spent = {}, {}
     for p, (domain, splits) in enumerate(problems):
-        roots = _root_cells(domain, splits)
-        need = sum(map(_evals, roots))
+        # the budget is checked from the cut counts, before any cell row exists
+        grids = _root_grids(domain, splits)
+        cells = [(len(xs) - 1) * (len(ys) - 1) for xs, ys in grids]
+        need = sum(n * (_SEGMENT_EVALS if ys[0] == ys[-1] else _CELL_EVALS)
+                   for n, (_, ys) in zip(cells, grids))
         if need > max_evals:
             out[p] = AccuracyError(
-                f"{len(roots)} root cells need {need} evaluations, "
+                f"{sum(cells)} root cells need {need} evaluations, "
                 f"above the quadrature budget of {max_evals}",
                 math.nan,
                 math.inf,
                 0,
             )
         else:
-            new[p] = roots
+            new[p] = _grid_cells(grids)
             spent[p] = need
     # per refining problem: the heap of its live cells, each entry (-error,
     # seq, row, value, split axis code), seq the creation number; and, in

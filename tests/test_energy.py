@@ -641,3 +641,16 @@ def test_slope_form_agrees_with_the_potential_form(monkeypatch, prism, spec):
         forms.append(conformal_energy(prism, spec, tol=1e-8))
     slope, potential = forms
     assert abs(slope.value - potential.value) <= slope.error_estimate + potential.error_estimate
+
+
+def test_energy_of_a_close_imag_pair_lies_within_its_estimate():
+    # the close imag pair of benchmark energy op 60 (seed 5) at tol 1e-7,
+    # against its value at tol 1e-10; a 3 x 3 pre-split of its face roots
+    # returned 220.97638277558488 (estimate 6.5e-8), 2.44e-6 off and still
+    # inside the bounds [113.1, 739.3], so only this reference catches it
+    spec = RationalMapSpec.from_dict({
+        "epsilon": -1, "n": -3, "orientation": "anticonformal",
+        "imag": [[0.6903250706428383, -1], [0.2694447996007459, 1], [0.25167395314445073, -1]],
+    })
+    res = conformal_energy(make_prism(6.258439655406666, 1.6012005055646197, 1.0), spec, tol=1e-7)
+    assert abs(res.value - 220.97638033382395) <= res.error_estimate <= 1e-7

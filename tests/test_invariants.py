@@ -235,6 +235,23 @@ def test_numeric_trapped_area_on_a_close_gap_is_pinned():
     assert abs(res.value - 20.42035224832836) <= res.error_estimate + 9.892145174317918e-07
 
 
+@pytest.mark.parametrize("g,cells,evaluations", [
+    (1e-6, 6903, 1553175), (1e-7, 8340, 1876500), (1e-8, 9982, 2245950),
+])
+def test_numeric_trapped_area_refuses_the_close_gaps_from_their_cut_counts(g, cells, evaluations):
+    # the benchmark's cube gap probes below 1e-4: the bracketed root grid
+    # outgrows the budget of 1,000,000 evaluations, and the refusal names the
+    # cells and evaluations of the merged cuts (those of _breakpoints)
+    spec = RationalMapSpec(
+        1, 1, real_factors=((0.5, 1), (0.5 + g, -1), (0.3, 1), (0.3 + g, -1)),
+        imag_factors=((0.4, 1), (0.4 + g, -1)),
+    )
+    with pytest.raises(AccuracyError, match=f"^{cells} root cells need {evaluations} evaluations, "
+                                            "above the quadrature budget of 1000000$") as exc:
+        numeric_trapped_area(spec, tol=1e-6)
+    assert exc.value.evaluations == 0 and math.isnan(exc.value.value)
+
+
 @pytest.mark.parametrize("kind,gap,tol", [
     ("imag", 1e-10, 1e-6), ("imag", 1e-11, 1e-6), ("imag", 2e-12, 1e-6), ("real", 2e-12, 1e-6),
     ("imag", 1e-9, 1e-7), ("imag", 1e-9, 1e-6), ("imag", 1e-8, 1e-6),

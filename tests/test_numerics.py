@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ def test_quad2d_root_cells_over_budget_refuse_before_evaluating():
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.evaluations == sum(calls) == 400 * 225
     assert len(calls) == 25 and max(calls) == 16 * 225
+    # 500 x 500 cuts are refused from their counts, before any cell row is
+    # built: the 251,001 rows, at about 100 bytes each, would take 24 MB
+    cuts = list(np.linspace(0.001, 0.999, 500))
+    calls.clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(AccuracyError, match="251001 root cells need 56475225 evaluations") as exc:
+            quad2d(counted, (0.0, 1.0, 0.0, 1.0), max_evals=1_000_000, initial_splits=(cuts, cuts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and exc.value.evaluations == 0
+    assert peak < 5_000_000
 
 
 def test_quad2d_round_of_16_bisections_rates_its_children_in_two_calls():
