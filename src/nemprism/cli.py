@@ -217,11 +217,10 @@ class _PartialArtifact(Exception):
 # f"{x:.12g}" give the same text for every float (-0, nan and inf included)
 _FLOAT_FORMAT = "%.12g"
 
-# one row of the field CSV: x, y, z and the director nx, ny, nz; _run_field
-# writes x, y and z from strings formatted once per grid value, and fills
-# the director triples of a block of rows with one %
+# the director nx, ny, nz ending a row of the field CSV (x, y, z, nx, ny,
+# nz); _run_field writes x, y and z from strings formatted once per grid
+# value, and fills the director triples of a block of rows with one %
 _FIELD_TRIPLE = ",".join([_FLOAT_FORMAT] * 3) + "\n"
-_FIELD_ROW = ",".join([_FLOAT_FORMAT] * 3) + "," + _FIELD_TRIPLE
 
 # field rows formatted per block: bounds the Python floats and strings alive
 # at once, so the peak memory is the text's, not the table's as Python floats

@@ -438,31 +438,32 @@ def _check_modulus(K: float) -> None:
         raise DomainError(f"K must be positive and finite, got {K!r}")
 
 
+_ENERGY_EVALS = 3_000_000  # the budget of each spec's energy, shared by its faces and edges
+
+
 def conformal_energy(
     prism: Prism,
     spec: RationalMapSpec,
     K: float = 1.0,
     tol: float = 1e-6,
-    max_evals_per_face: int = 1_000_000,
 ) -> QuadratureResult:
     """Exact elastic energy of the configuration over the whole box.
 
     By Green's second identity (see the module docstring) the energy is
     16 K d A in closed form plus one adaptive quadrature of the potential
     phi over the three interior octant faces and the three far box edges:
-    the absolute tolerance ``tol`` and a budget of 3 * ``max_evals_per_face``
-    evaluations are shared by the faces and edges, so refinement goes
-    wherever the error is.  On a flat box or a needle the faces whose phi
-    term would cancel against their edges take the slope form of the module
+    the absolute tolerance ``tol`` and a budget of 3,000,000 evaluations
+    are shared by the faces and edges, so refinement goes wherever the
+    error is.  On a flat box or a needle the faces whose phi term would
+    cancel against their edges take the slope form of the module
     docstring, and every face side or edge at least 64 times its short
     side gets root cuts at 64, 256, 1024, ... short sides from the vertex
     end (``ladder``), where phi varies.  Raises AccuracyError if the
     quadrature cannot reach ``tol`` within the budget, or at once when
-    ``tol`` lies below the round-off floor (see ``quad2d``); a budget that
-    is not a non-negative integer (nan included) raises DomainError.  This
-    is the one-spec case of ``conformal_energies``.
+    ``tol`` lies below the round-off floor (see ``quad2d``).  This is the
+    one-spec case of ``conformal_energies``.
     """
-    (result,) = conformal_energies(prism, [spec], K, tol, max_evals_per_face)
+    (result,) = conformal_energies(prism, [spec], K, tol)
     if isinstance(result, AccuracyError):
         raise result
     return result
@@ -473,7 +474,6 @@ def conformal_energies(
     specs: Sequence[RationalMapSpec],
     K: float = 1.0,
     tol: float = 1e-6,
-    max_evals_per_face: int = 1_000_000,
 ) -> List[Union[QuadratureResult, AccuracyError]]:
     """``conformal_energy`` of many specs in one batched quadrature.
 
@@ -498,7 +498,7 @@ def conformal_energies(
         lambda u, v, k: density(at(k), u, v),
         [_green_domain(half)] * len(specs),
         tol=tol,
-        max_evals=3 * max_evals_per_face,
+        max_evals=_ENERGY_EVALS,
     )
     hx, hy, _ = half
     area = hx * math.asinh(hy / hx) + hy * math.asinh(hx / hy)

@@ -221,7 +221,6 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
 
 _INITIAL_SAMPLES = 2048
 _MAX_PATH_SAMPLES = 1 << 21
-_LADDER_DECADES = 48
 
 
 def _wrap(delta):
@@ -229,25 +228,14 @@ def _wrap(delta):
     return np.angle(np.exp(1j * np.asarray(delta)))
 
 
-def _ladder(center: float, t0: float, t1: float, span: float):
-    """Geometric sample ladder closing in on one parameter value."""
-    out = [center]
-    for k in range(1, _LADDER_DECADES + 1):
-        d = span * 2.0 ** (-k)
-        out.append(center - d)
-        out.append(center + d)
-    return [t for t in out if t0 <= t <= t1]
-
-
-def _track_winding(
-    spec: RationalMapSpec, path, t0: float, t1: float, comps, foci=()
-) -> int:
+def _track_winding(spec: RationalMapSpec, path, t0: float, t1: float, comps, seeds) -> int:
     """Count extra full turns of the director along a parametrized path.
 
     ``path`` maps parameter arrays to w values; ``comps`` picks the two
     director components spanning the face plane, angle = atan2(first,
-    second).  Sampling starts uniform (plus geometric ladders around the
-    ``foci`` parameter values, where factors touch or approach the path) and
+    second).  Sampling starts uniform, plus ``bracket(center, width, t1 -
+    t0)`` for each (center, width) of ``seeds``, the parameter value and
+    width of a factor's bump on the path (``factor_scales``), and
     midpoint-refines any interval whose wrapped angle step reaches pi/2.
 
     A wrapped step alone can hide a full turn: a near-cancelling zero/pole
@@ -255,12 +243,12 @@ def _track_winding(
     window.  The director moves along a great circle, so its angular speed
     is exactly sqrt(area density) |dw/dt|; intervals whose estimated swept
     arc reaches pi/2 are refined as well, which makes such sweeps visible.
+    An interval to refine that is one float spacing wide, so that its
+    midpoint is one of its ends, raises PathResolutionError at once.
     """
     i, j = comps
-    params = np.linspace(t0, t1, _INITIAL_SAMPLES + 1)
-    seeds = [t for c in foci for t in _ladder(c, t0, t1, t1 - t0)]
-    if seeds:
-        params = np.unique(np.concatenate([params, seeds]))
+    cuts = [t for c, width in seeds for t in bracket(c, width, t1 - t0) if t0 <= t <= t1]
+    params = np.unique(np.concatenate([np.linspace(t0, t1, _INITIAL_SAMPLES + 1), cuts]))
 
     def sample(ts):
         w = path(ts)
@@ -280,7 +268,14 @@ def _track_winding(
                 f"could not resolve the winding path within "
                 f"{_MAX_PATH_SAMPLES} samples (step or arc >= pi/2 persists)"
             )
-        mids = 0.5 * (params[:-1][bad] + params[1:][bad])
+        lo, hi = params[:-1][bad], params[1:][bad]
+        mids = 0.5 * (lo + hi)
+        narrow = (mids <= lo) | (mids >= hi)
+        if narrow.any():
+            raise PathResolutionError(
+                f"winding path interval [{float(lo[narrow][0])!r}, {float(hi[narrow][0])!r}] cannot be "
+                f"bisected: it is one float spacing wide (step or arc >= pi/2 persists)"
+            )
         params = np.sort(np.concatenate([params, mids]))
         alpha, speed, w = sample(params)
 
@@ -294,46 +289,47 @@ def _track_winding(
     return -int(round(raw))
 
 
-def _axis_start(spec: RationalMapSpec, positions) -> float:
-    """Path start offset: small, below every on-path factor position, and
+def _segment_winding(spec: RationalMapSpec, path, axis: int, comps) -> int:
+    """Winding along the real (``axis`` 0) or imaginary (1) unit segment.
+
+    Each factor point of ``factor_scales`` off the other axis seeds the
+    sampling at its modulus |w0|, with width delta |w0|.  The path starts
+    at most 1e-6 from the vertex direction, below half of every on-path
+    position (|w0| of a point on this axis, the position itself) and
     inside the origin bubble (below ``origin_radius`` / 64), whose crossing
-    of |f| = 1 a path starting outside it would miss."""
-    lo = min(1e-6, origin_radius(spec) / 64.0)
-    if positions:
-        lo = min(lo, 0.5 * min(positions))
-    return lo
+    of |f| = 1 a path starting outside it would miss.
+    """
+    t0, seeds = min(1e-6, origin_radius(spec) / 64.0), []
+    for w0, delta in factor_scales(spec):
+        if (w0.real, w0.imag)[axis]:
+            m = abs(w0)
+            seeds.append((m, delta * m))
+            if not (w0.imag, w0.real)[axis]:
+                t0 = min(t0, 0.5 * m)
+    return _track_winding(spec, path, t0, 1.0, comps, seeds)
 
 
 def numeric_kink_x(spec: RationalMapSpec) -> int:
     """k_x from the director winding along the imaginary segment [0, i].
 
     On the x = 0 face the director lies in the (y, z) plane; the path runs
-    from just off the z edge to the y edge, starting ``_axis_start`` away
-    from the vertex direction.
+    from just off the z edge (``_segment_winding``) to the y edge.
     """
-    positions = [s for s, _ in spec.imag_factors]
-    t0 = _axis_start(spec, positions)
-    foci = positions + [abs(t) for t, _ in spec.complex_factors]
-    return _track_winding(spec, lambda t: 1j * t, t0, 1.0, (1, 2), foci)
+    return _segment_winding(spec, lambda t: 1j * t, 1, (1, 2))
 
 
 def numeric_kink_y(spec: RationalMapSpec) -> int:
     """k_y from the director winding along the real segment [0, 1]."""
-    positions = [r for r, _ in spec.real_factors]
-    t0 = _axis_start(spec, positions)
-    foci = positions + [abs(t) for t, _ in spec.complex_factors]
-    return _track_winding(spec, lambda t: t + 0.0j, t0, 1.0, (0, 2), foci)
+    return _segment_winding(spec, lambda t: t + 0.0j, 0, (0, 2))
 
 
 def numeric_kink_z(spec: RationalMapSpec) -> int:
     """k_z from the director winding along the arc w = exp(i theta).
 
-    Factors approaching the unit circle pinch the arc; the angles of their
-    first-quadrant points (``factor_scales``: 0 for real, pi/2 for
-    imaginary, the first-quadrant arg t for complex) seed the sampling
-    ladders.
+    Factors approaching the unit circle pinch the arc; each first-quadrant
+    point of ``factor_scales`` (angle 0 for real, pi/2 for imaginary, the
+    first-quadrant arg t for complex) seeds the sampling at its angle, with
+    its width delta.
     """
-    foci = [cmath.phase(w0) for w0, _ in factor_scales(spec)]
-    return _track_winding(
-        spec, lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, (1, 0), foci
-    )
+    seeds = [(cmath.phase(w0), delta) for w0, delta in factor_scales(spec)]
+    return _track_winding(spec, lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, (1, 0), seeds)

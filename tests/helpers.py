@@ -48,6 +48,50 @@ def random_spec(rng, max_degree=9):
             continue
 
 
+def near_spec(rng):
+    """Draw a spec whose factors crowd 0, 1 and each other, or None when the
+    validator refuses the draw.
+
+    Each position is uniform in (0.01, 0.99), 10^U(-8, -1) or
+    1 - 10^U(-9, -1).  Up to 3 real and up to 3 imaginary factors each get,
+    with probability 0.4, an opposite-sign partner at relative distance
+    10^U(-9, -2); up to 2 complex factors each get one at relative modulus
+    distance 10^U(-7, -2), on the same ray.
+    """
+    def position():
+        kind = rng.integers(3)
+        if kind == 0:
+            return float(rng.uniform(0.01, 0.99))
+        if kind == 1:
+            return float(10.0 ** rng.uniform(-8, -1))
+        return float(1.0 - 10.0 ** rng.uniform(-9, -1))
+
+    def sign():
+        return int(rng.choice([-1, 1]))
+
+    def axis():
+        out = []
+        for _ in range(rng.integers(4)):
+            pos, sg = position(), sign()
+            out.append((pos, sg))
+            if rng.random() < 0.4:
+                out.append((pos * (1.0 + sign() * 10.0 ** rng.uniform(-9, -2)), -sg))
+        return tuple(out)
+
+    n, eps = int(rng.choice([-3, -1, 1, 3, 5])), sign()
+    orientation = "anticonformal" if rng.random() < 0.5 else "conformal"
+    real, imag, comp = axis(), axis(), []
+    for _ in range(rng.integers(3)):
+        th = rng.uniform(0.05, 0.5 * math.pi - 0.05)
+        ray = complex(math.cos(th), math.sin(th))
+        m, sg = position(), sign()
+        comp += [(m * ray, sg), (m * (1.0 + sign() * 10.0 ** rng.uniform(-7, -2)) * ray, -sg)]
+    try:
+        return RationalMapSpec(eps, n, real, imag, tuple(comp), orientation)
+    except InvalidSpecError:
+        return None
+
+
 def random_prism(rng, lo=0.5, hi=4.0):
     d = np.sort(rng.uniform(lo, hi, size=3))[::-1]
     return make_prism(float(d[0]), float(d[1]), float(d[2]))

@@ -8,7 +8,7 @@ import pytest
 
 import nemprism.energy
 from nemprism import QuadratureResult, invariants_report, RationalMapSpec
-from nemprism.cli import _COMMANDS, _FIELD_ROW, Job, _build_parser, _fmt, run
+from nemprism.cli import _COMMANDS, _FIELD_TRIPLE, Job, _build_parser, _fmt, run
 
 SPEC = {"epsilon": 1, "n": 1, "imag": [[0.5, 1]]}
 
@@ -309,7 +309,7 @@ def test_field_bytes_are_pinned(tmp_path, capsys, payload, digest):
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3, math.nan, -math.inf])
 def test_field_row_template_formats_like_fmt(x):
-    assert _FIELD_ROW % ((x,) * 6) == ",".join([_fmt(x)] * 6) + "\n"
+    assert _FIELD_TRIPLE % ((x,) * 3) == ",".join([_fmt(x)] * 3) + "\n"
     assert _fmt(x) == f"{x:.12g}"
 
 

@@ -208,12 +208,11 @@ def test_sandwich_random_pairs():
         assert res.value - res.error_estimate <= upper_bound_prism(prism, omega)
 
 
-def test_conformal_energy_budget_failure():
+def test_conformal_energy_budget_failure(monkeypatch):
+    monkeypatch.setattr(nemprism.energy, "_ENERGY_EVALS", 60_000)
     spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
     with pytest.raises(AccuracyError) as exc:
-        conformal_energy(
-            make_prism(1.0, 1.0, 1.0), spec, tol=1e-14, max_evals_per_face=20000
-        )
+        conformal_energy(make_prism(1.0, 1.0, 1.0), spec, tol=1e-14)
     assert math.isfinite(exc.value.value)
     assert exc.value.error_estimate > 0.0
 
@@ -227,12 +226,11 @@ def test_fused_faces_match_unwrapped_within_tol():
             assert abs(res.value - e0) <= tol
 
 
-def test_faces_share_one_budget():
+def test_faces_share_one_budget(monkeypatch):
+    monkeypatch.setattr(nemprism.energy, "_ENERGY_EVALS", 60_000)
     spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
     with pytest.raises(AccuracyError) as exc:
-        conformal_energy(
-            make_prism(1.0, 1.0, 1.0), spec, tol=1e-14, max_evals_per_face=20000
-        )
+        conformal_energy(make_prism(1.0, 1.0, 1.0), spec, tol=1e-14)
     assert 0 < exc.value.evaluations <= 3 * 20000
 
 
@@ -305,11 +303,12 @@ def test_conformal_energies_equal_the_serial_energies_exactly(prism, specs, tol)
     assert not any(isinstance(res, AccuracyError) for res in batched)
 
 
-def test_conformal_energies_return_each_failure_in_place():
+def test_conformal_energies_return_each_failure_in_place(monkeypatch):
+    monkeypatch.setattr(nemprism.energy, "_ENERGY_EVALS", 60_000)
     cube = make_prism(1.0, 1.0, 1.0)
     specs = [IMAG1.instantiate(s) for s in (0.2, 0.5, 0.8)]
-    batched = conformal_energies(cube, specs, tol=1e-14, max_evals_per_face=20000)
-    serial = [_serial_energy(cube, spec, tol=1e-14, max_evals_per_face=20000) for spec in specs]
+    batched = conformal_energies(cube, specs, tol=1e-14)
+    serial = [_serial_energy(cube, spec, tol=1e-14) for spec in specs]
     assert [_batched_entry(res) for res in batched] == serial
     assert all(entry[0] == "refused" and entry[4] <= 3 * 20000 for entry in serial)
 
@@ -482,12 +481,6 @@ def test_energy_report_refuses_an_energy_outside_its_bounds(monkeypatch, value):
     with pytest.raises(AccuracyError, match="outside the bounds") as exc:
         energy_report(CUBE, RationalMapSpec(1, 1), tol=1e-6)
     assert (exc.value.value, exc.value.error_estimate, exc.value.evaluations) == (value, 1e-6, 225)
-
-
-def test_conformal_energy_refuses_a_budget_that_is_not_an_int():
-    spec = RationalMapSpec(1, 1, imag_factors=((0.5, 1),))
-    with pytest.raises(DomainError, match="max_evals must be a non-negative integer"):
-        conformal_energy(make_prism(1.0, 1.0, 1.0), spec, tol=1e-6, max_evals_per_face=math.nan)
 
 
 FLAT = make_prism(1e4, 1e4, 1.0)

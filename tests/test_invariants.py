@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_spec
+from helpers import near_spec, random_spec
 
 from nemprism import (
     AccuracyError,
+    PathResolutionError,
     RationalMapSpec,
     TopologicalInvariants,
     director,
@@ -191,6 +192,41 @@ def test_kink_paths_start_inside_the_origin_bubble(spec, radius):
     # ky_numeric (kx_numeric for n = -1) 0 against -1
     assert origin_radius(spec) == pytest.approx(radius, rel=1e-12)
     assert (numeric_kink_x(spec), numeric_kink_y(spec), numeric_kink_z(spec)) == kink_numbers(spec)
+
+
+def test_kink_path_one_float_spacing_wide_is_refused_at_once():
+    # |f| crosses 1 within about 1e-49 of the pole at r on the real path,
+    # far below r's float spacing of 1.3e-23: the interval ending at r
+    # steps by pi, and its midpoint is one of its ends; refining it again
+    # and again ran for more than a minute before the sample cap
+    spec = RationalMapSpec(
+        -1, 5, real_factors=((9.118870564684855e-08, -1), (9.118871005658221e-08, 1)),
+        orientation="anticonformal",
+    )
+    assert kink_numbers(spec) == (0, 1, 1)
+    with pytest.raises(PathResolutionError, match="one float spacing wide"):
+        numeric_kink_y(spec)
+
+
+def test_kink_oracles_near_0_near_1_and_near_each_other_answer_or_refuse():
+    # factors down to 1e-8 from 0, 1e-9 from 1 and a relative 1e-9 from
+    # each other: every numeric kink equals its closed form or raises
+    # PathResolutionError
+    rng = np.random.default_rng(24)
+    specs = [spec for spec in (near_spec(rng) for _ in range(48)) if spec is not None]
+    answered = refused = 0
+    for spec in specs:
+        got = []
+        for oracle in (numeric_kink_x, numeric_kink_y, numeric_kink_z):
+            try:
+                got.append(oracle(spec))
+            except PathResolutionError:
+                got.append(None)
+        closed = kink_numbers(spec)
+        assert all(g is None or g == k for g, k in zip(got, closed)), (spec, got, closed)
+        answered += None not in got
+        refused += None in got
+    assert refused >= 1 and 2 * answered >= len(specs), (answered, refused, len(specs))
 
 
 def test_invariants_dict_round_trip():
