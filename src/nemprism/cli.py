@@ -8,7 +8,8 @@ success, 1 invalid input (the message names the offending flag or field), 2
 numerical-accuracy failure.  A ``sweep`` with failed rows still writes
 every row, names each failed ``s`` on stderr and exits 2; so does a
 ``minimize`` with failed points, unless every point of its scan failed
-(then it writes nothing).
+(then it writes nothing), and an ``invariants`` whose numeric cross-checks
+disagree with the closed forms (a kink number, or omega0 beyond ``tol``).
 """
 from __future__ import annotations
 
@@ -244,7 +245,19 @@ def _prism(job: Job):
 
 def _run_invariants(job: Job) -> str:
     spec = RationalMapSpec.from_dict(job.spec)
-    return _emit_json(invariants_report(spec, tol=job.tol))
+    report = invariants_report(spec, tol=job.tol)
+    payload = _emit_json(report)
+    problems = [
+        f"{k}_numeric {report[k + '_numeric']} != {k} {report[k]}"
+        for k in ("kx", "ky", "kz") if report[k + "_numeric"] != report[k]
+    ]
+    miss = abs(report["omega0_numeric"] - report["omega0"])
+    if not miss <= job.tol:
+        problems.append(f"omega0_numeric {report['omega0_numeric']!r} misses omega0 "
+                        f"{report['omega0']!r} by {miss:.3e} > tol {job.tol:.3e}")
+    if problems:
+        raise _PartialArtifact(payload, problems)
+    return payload
 
 
 def _run_bounds(job: Job) -> str:

@@ -37,6 +37,7 @@ from .conformal import (
     area_density,
     bracket,
     factor_scales,
+    ladder,
     origin_radius,
 )
 from .errors import AccuracyError, PathResolutionError
@@ -151,7 +152,7 @@ def invariants_report(spec: RationalMapSpec, tol: float = 1e-6) -> dict:
 
     The numeric fields recompute omega0 by quadrature and the kink numbers
     by phase tracking, so disagreement with the closed forms is visible in
-    the serialized output.
+    the serialized output (``nemprism invariants`` exits 2 on it).
     """
     data = invariants_of(spec).to_dict()
     data["omega0_numeric"] = numeric_trapped_area(spec, tol=tol).value
@@ -178,8 +179,11 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
     (``factor_scales``) and bracket it (``bracket``, the radius in units of
     the modulus), so mirrored positions give the same cells: a close
     zero/pole pair carries its covering mass in a bump narrow enough to
-    slip between the nodes of an unseeded cell.  The budget is 1,000,000
-    evaluations.
+    slip between the nodes of an unseeded cell.  The origin bubble, the
+    circle of radius b = ``origin_radius`` near w = 0 on which |f| crosses
+    1, gets a radius cut at b when b < 1, and ``ladder(b / 64, 0.5)`` as
+    well when b lies below a quarter of the nearest factor's modulus, where
+    no factor cut comes close to it.  The budget is 1,000,000 evaluations.
 
     A node's w is rounded to about eps, so a bump of relative width delta
     is sampled with a relative error of about eps / delta, and the sum is
@@ -204,6 +208,11 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
         m = abs(w0)
         rho_cuts += [m * c for c in bracket(1.0, delta, 0.5 * math.pi)]
         theta_cuts += bracket(cmath.phase(w0), delta, 0.5 * math.pi)
+    b = origin_radius(spec)
+    if b < 1.0:
+        rho_cuts.append(b)
+        if b < 0.25 * min(abs(w0) for w0, _ in scales):
+            rho_cuts += ladder(b / 64.0, 0.5)
     res = quad2d(
         integrand,
         (0.0, 1.0, 0.0, 0.5 * math.pi),
@@ -219,7 +228,7 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
 # Winding oracles for the kink numbers
 # ----------------------------------------------------------------------
 
-_INITIAL_SAMPLES = 2048
+_INITIAL_SAMPLES = 512
 _MAX_PATH_SAMPLES = 1 << 21
 
 
@@ -233,10 +242,13 @@ def _track_winding(spec: RationalMapSpec, path, t0: float, t1: float, comps, see
 
     ``path`` maps parameter arrays to w values; ``comps`` picks the two
     director components spanning the face plane, angle = atan2(first,
-    second).  Sampling starts uniform, plus ``bracket(center, width, t1 -
-    t0)`` for each (center, width) of ``seeds``, the parameter value and
-    width of a factor's bump on the path (``factor_scales``), and
-    midpoint-refines any interval whose wrapped angle step reaches pi/2.
+    second).  Sampling starts on a floor of 512 uniform intervals, plus
+    ``bracket(center, width, t1 - t0)`` for each (center, width) of
+    ``seeds``, the parameter value and width of a factor's bump on the path
+    (``factor_scales``), and midpoint-refines any interval whose wrapped
+    angle step reaches pi/2.  Each round samples only its new midpoints and
+    splices them in, so every parameter reaches ``path`` once; the kernel
+    is pointwise, so the result is the one of re-sampling every point.
 
     A wrapped step alone can hide a full turn: a near-cancelling zero/pole
     pair sweeps the angle by almost 2 pi inside an arbitrarily narrow
@@ -276,8 +288,9 @@ def _track_winding(spec: RationalMapSpec, path, t0: float, t1: float, comps, see
                 f"winding path interval [{float(lo[narrow][0])!r}, {float(hi[narrow][0])!r}] cannot be "
                 f"bisected: it is one float spacing wide (step or arc >= pi/2 persists)"
             )
-        params = np.sort(np.concatenate([params, mids]))
-        alpha, speed, w = sample(params)
+        at = np.flatnonzero(bad) + 1
+        params = np.insert(params, at, mids)
+        alpha, speed, w = (np.insert(old, at, new) for old, new in zip((alpha, speed, w), sample(mids)))
 
     total = float(steps.sum())
     shortest = float(_wrap(alpha[-1] - alpha[0]))

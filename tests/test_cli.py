@@ -7,6 +7,7 @@ import time
 import pytest
 
 import nemprism.energy
+import nemprism.invariants
 from nemprism import QuadratureResult, invariants_report, RationalMapSpec
 from nemprism.cli import _COMMANDS, _FIELD_TRIPLE, Job, _build_parser, _fmt, run
 
@@ -206,6 +207,22 @@ def test_invariants_near_the_unit_circle_exits_2(tmp_path, capsys):
     assert run(["invariants", "--spec", near]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("nemprism: accuracy failure: tolerance") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("oracle,value,named", [
+    ("numeric_kink_y", 1, "ky_numeric 1 != ky 0"),
+    ("numeric_trapped_area", QuadratureResult(math.pi / 2 + 2e-6, 1e-7, 450),
+     "omega0_numeric 1.5707983267948966 misses omega0 1.5707963267948966 by 2.000e-06 > tol 1.000e-06"),
+], ids=["kink", "omega0"])
+def test_invariants_exits_2_when_a_cross_check_disagrees(oracle, value, named, tmp_path, capsys, monkeypatch):
+    # the artifact is written as it stands, and the mismatch is named on stderr
+    identity = write_spec(tmp_path, {"epsilon": 1, "n": 1})
+    monkeypatch.setattr(nemprism.invariants, oracle, lambda *args, **kwargs: value)
+    expected = json.dumps(invariants_report(RationalMapSpec(1, 1)), indent=2, sort_keys=True) + "\n"
+    assert run(["invariants", "--spec", identity]) == 2
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err == f"nemprism: accuracy failure: {named}\n"
 
 
 def test_sweep_writes_every_row_and_exits_2_on_failed_rows(capsys):

@@ -1,7 +1,11 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+
+import nemprism.invariants
 
 from helpers import near_spec, random_spec
 
@@ -22,6 +26,7 @@ from nemprism import (
     omega_min,
     trapped_area,
 )
+from nemprism.cli import run
 from nemprism.conformal import origin_radius
 
 
@@ -192,6 +197,83 @@ def test_kink_paths_start_inside_the_origin_bubble(spec, radius):
     # ky_numeric (kx_numeric for n = -1) 0 against -1
     assert origin_radius(spec) == pytest.approx(radius, rel=1e-12)
     assert (numeric_kink_x(spec), numeric_kink_y(spec), numeric_kink_z(spec)) == kink_numbers(spec)
+
+
+def test_winding_tracker_samples_each_parameter_once(monkeypatch):
+    # the real path of n = -3 with a zero at 1e-4 refines in 19 rounds;
+    # each round samples only its new midpoints
+    spec = RationalMapSpec(1, -3, real_factors=((1e-4, 1),))
+    calls = []
+    track = nemprism.invariants._track_winding
+
+    def counting(spec, path, *args):
+        def sampled(ts):
+            calls.append(np.array(ts))
+            return path(ts)
+        return track(spec, sampled, *args)
+
+    monkeypatch.setattr(nemprism.invariants, "_track_winding", counting)
+    assert numeric_kink_y(spec) == kink_numbers(spec)[1]
+    ts = np.concatenate(calls)
+    assert len(calls) == 20 and calls[0].size == 514
+    assert np.unique(ts).size == ts.size == 548
+
+
+def _origin_rows(kind):
+    # one factor at 1e-k (complex: on the ray of 0.6 + 0.8 i), of either
+    # sign and either orientation, alone or beside an opposite-sign factor
+    # at 0.5 on an axis; of the sign opposite to w^n, it puts the origin
+    # radius at (1e-k)^(2/|n|)
+    for k in range(1, 10):
+        r = 10.0 ** -k
+        for n, sg, orientation, paired in itertools.product(
+            (1, -1, 3, -3), (1, -1), ("conformal", "anticonformal"), (False, True)
+        ):
+            factors = {"complex_factors": ((complex(0.6 * r, 0.8 * r), sg),)} if kind == "complex" \
+                else {f"{kind}_factors": ((r, sg),)}
+            if paired:
+                other = "imag_factors" if kind == "real" else "real_factors"
+                factors[other] = factors.get(other, ()) + ((0.5, -sg),)
+            yield RationalMapSpec(1, n, orientation=orientation, **factors)
+
+
+@pytest.mark.parametrize("kind", ["real", "imag", "complex"])
+def test_kink_oracles_answer_or_refuse_on_factors_crowding_the_origin(kind):
+    # at the floor of 512 uniform intervals, every kink equals its closed
+    # form or raises PathResolutionError
+    assert nemprism.invariants._INITIAL_SAMPLES == 512
+    for spec in _origin_rows(kind):
+        for oracle, closed in zip((numeric_kink_x, numeric_kink_y, numeric_kink_z), kink_numbers(spec)):
+            try:
+                assert oracle(spec) == closed, (spec, oracle.__name__)
+            except PathResolutionError:
+                pass
+
+
+ORIGIN_BUBBLES = [
+    {"epsilon": 1, "n": 1, "real": [[1e-6, -1]]},
+    {"epsilon": 1, "n": -1, "imag": [[1e-3, 1]]},
+    {"epsilon": 1, "n": 1, "real": [[1e-3, -1]]},
+    {"epsilon": 1, "n": -3, "real": [[1e-4, 1]]},
+    {"epsilon": 1, "n": 3, "complex": [[0.40831210882990704, 0.1758644288019021, -1]]},
+]
+
+
+@pytest.mark.parametrize("payload", ORIGIN_BUBBLES, ids=["real-1e-6", "imag-1e-3-n-1", "real-1e-3",
+                                                         "real-1e-4-n-3", "complex-n-3"])
+def test_trapped_area_oracle_seeds_the_origin_bubble(payload, tmp_path, capsys):
+    # no radius cut lay at origin_radius (1e-12, 1e-6, 1e-6, 2.2e-3 and
+    # 0.339): omega0_numeric missed by 3.1, 2.6e-6, 2.6e-6, 3.1 and 2.2e-6
+    # at tol 1e-6
+    spec = RationalMapSpec.from_dict(payload)
+    assert origin_radius(spec) < 1.0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    assert run(["invariants", "--spec", str(path)]) == 0
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert abs(rep["omega0_numeric"] - trapped_area(spec)) <= 1e-6 and err == ""
+    assert (rep["kx_numeric"], rep["ky_numeric"], rep["kz_numeric"]) == kink_numbers(spec)
 
 
 def test_kink_path_one_float_spacing_wide_is_refused_at_once():
