@@ -40,14 +40,16 @@ own spec (a batched family scan).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._json import check, layout
-from .errors import DomainError, InvalidSpecError, NormalizationError, UndefinedAtVertexError
+from .errors import AccuracyError, DomainError, InvalidSpecError, NormalizationError, UndefinedAtVertexError
 
 __all__ = [
     "RationalMapSpec",
@@ -238,6 +240,24 @@ def _power(x, k: int):
     return out
 
 
+def _factors(spec: RationalMapSpec, zeta, derivatives: bool = True):
+    """(num, num', den, den', sign) of each zero factor at zeta = w^2, in the
+    order real, imaginary, complex, with num' and den' the zeta-derivatives:
+    None is a derivative 1, and without ``derivatives`` a quartic's are None."""
+    for r, sign in spec.real_factors:
+        r2 = r * r
+        yield zeta - r2, None, r2 * zeta - 1.0, r2, sign
+    for s, sign in spec.imag_factors:
+        s2 = s * s
+        yield zeta + s2, None, s2 * zeta + 1.0, s2, sign
+    for u, v, sign in spec.quartics:
+        z2, uz = zeta * zeta, u * zeta
+        if derivatives:
+            yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
+        else:
+            yield z2 - uz + v, None, v * z2 - uz + 1.0, None, sign
+
+
 def _accumulate(spec: RationalMapSpec, w, derivatives: bool = True) -> tuple:
     """(w, zeta, Pt, dPt, Qt, dQt) at finite w (scalar or ndarray): f(w) =
     eps w^n Pt(zeta)/Qt(zeta), zeta = w^2, with Pt, Qt the products of the
@@ -249,23 +269,8 @@ def _accumulate(spec: RationalMapSpec, w, derivatives: bool = True) -> tuple:
         # asarray keeps a 0-d input an array: numpy scalars round differently
         w = np.asarray(np.conj(w))
     zeta = w * w
-
-    def factors():  # (num, num', den, den', sign) of each zero factor; None is a derivative 1
-        for r, sign in spec.real_factors:
-            r2 = r * r
-            yield zeta - r2, None, r2 * zeta - 1.0, r2, sign
-        for s, sign in spec.imag_factors:
-            s2 = s * s
-            yield zeta + s2, None, s2 * zeta + 1.0, s2, sign
-        for u, v, sign in spec.quartics:
-            z2, uz = zeta * zeta, u * zeta
-            if derivatives:
-                yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
-            else:
-                yield z2 - uz + v, None, v * z2 - uz + 1.0, None, sign
-
     parts = None
-    for num, dnum, den, dden, sign in factors():
+    for num, dnum, den, dden, sign in _factors(spec, zeta, derivatives):
         if sign < 0:
             num, dnum, den, dden = den, dden, num, dnum
         if parts is None:
@@ -560,8 +565,11 @@ def sphere_density(spec: RationalMapSpec, w) -> Union[float, np.ndarray]:
     return float(density) if scalar else density
 
 
-def factor_scales(spec: RationalMapSpec) -> List[Tuple[complex, float]]:
-    """First-quadrant factor points with the relative width of their bump.
+@lru_cache(maxsize=16)
+def factor_scales(spec: RationalMapSpec) -> Tuple[Tuple[complex, float], ...]:
+    """The scale of every density bump: each first-quadrant factor point w0
+    with the relative width delta of its bump, then, when it is a bump of
+    its own, w = 0 with its radius b.
 
     Each factor concentrates its share of the covering mass near its
     position.  The concentration scale is the distance from the factor's
@@ -570,21 +578,58 @@ def factor_scales(spec: RationalMapSpec) -> List[Tuple[complex, float]]:
     Quadratures seed cell boundaries bracketing these spots; without the
     bracket a tight zero/pole pair hides its mass between the nodes of a
     large cell.
+
+    Near a point w0, f ~ C (w - w0)^k with k the factor's sign (n at
+    w = 0), so |f| crosses 1 at the radius rho0 = |C|^(-1/k), inside which
+    the point's bump lies.  log |C| is a sum of logs, so that small factors
+    cannot underflow C: n log |w0| (none at w = 0), plus sg log |num / den|
+    of every factor at w0, the point's own num taken by its derivative.  A
+    factor's width narrows to rho0 / |w0| when that lies below delta / 64,
+    so far inside delta that no partner sits within rho0 to spoil the
+    linear form (below delta / 1024 only, the bubble of a crowded pair at a
+    hundredth of its gap went unseeded and unseen by the rounding floor);
+    it stays at least eps, below which the float spacing of w hides any
+    bump.  w = 0 is listed when b = rho0 lies below the modulus of every
+    factor (and below 1, where |f| = 1 on the unit circle); a factor of the
+    sign opposite to w^n near the origin puts it there, unseen by seeds at
+    the factors.  The scales of a spec are cached: each of its oracles
+    reads them.
     """
-    points: List[Tuple[complex, int]] = (
-        [(complex(r, 0.0), sg) for r, sg in spec.real_factors]
-        + [(complex(0.0, s), sg) for s, sg in spec.imag_factors]
-        + [(complex(abs(t.real), abs(t.imag)), sg) for t, sg in spec.complex_factors]
-    )
-    out: List[Tuple[complex, float]] = []
-    for i, (w0, sg) in enumerate(points):
-        m = abs(w0)
-        delta = (1.0 - m * m) / m
-        for j, (w1, sg1) in enumerate(points):
-            if j != i and sg1 == -sg:
-                delta = min(delta, abs(w0 - w1) / m)
-        out.append((w0, delta))
-    return out
+    w = np.array([complex(r, 0.0) for r, _ in spec.real_factors] + [complex(0.0, s) for s, _ in spec.imag_factors]
+                 + [complex(abs(t.real), abs(t.imag)) for t, _ in spec.complex_factors] + [0j])
+    sg = np.array([sign for _, sign in spec.real_factors + spec.imag_factors + spec.complex_factors])
+    # moduli by hypot, which rounds as abs of a Python complex does and np.abs does not
+    diff, m = w[:-1, None] - w[:-1], np.hypot(w.real[:-1], w.imag[:-1])
+    gaps = np.where(sg[:, None] == -sg, np.hypot(diff.real, diff.imag), np.inf)  # to the opposite-sign factors
+    delta = np.minimum((1.0 - m * m) / m, gaps.min(axis=1, initial=np.inf) / m)
+    factors = list(_factors(spec, w * w))
+    for i, (num, dnum, *_) in enumerate(factors):  # w - w0 carries the own factor's num'(w0) = 2 w0 dnum/dzeta
+        num[i] = 2.0 * w[i] * (1.0 if dnum is None else dnum[i])
+    with np.errstate(all="ignore"):  # log 0 where factors coincide, exp overflow where no width narrows
+        log_c = sum((sign * np.log(np.abs(num / den)) for num, _, den, _, sign in factors), np.zeros(w.shape))
+        log_width = -sg * (log_c[:-1] + spec.n * np.log(m)) - np.log(m)  # log (rho0 / |w0|)
+        narrow = np.maximum(np.exp(log_width), sys.float_info.epsilon)
+        delta = np.where(log_width < np.log(delta / 64.0), narrow, delta)
+    out = tuple(zip(w[:-1].tolist(), delta.tolist()))
+    log_b = max(-log_c[-1] / spec.n, math.log(sys.float_info.min))  # b a normal float, so that b / 64 > 0
+    return out + ((0j, math.exp(log_b)),) if log_b < math.log(min(m, default=1.0)) else out
+
+
+def check_rounding_floor(scales: Sequence[Tuple[complex, float]], tol: float) -> None:
+    """Raise AccuracyError when ``tol`` lies below four times the rounding
+    floor of the narrowest factor bump of ``scales`` (``factor_scales``).
+
+    A node's w is rounded to about eps relative to |w|, so a bump of
+    relative width delta is sampled with a relative error of about
+    eps / delta, and a density quadrature is biased by up to about
+    2 eps / delta, which its error estimate does not see.  The origin bubble
+    has no such floor: w is as fine near 0 as b.  A ``tol`` that is not
+    positive is left to the quadrature's DomainError.
+    """
+    floor = 2.0 * sys.float_info.epsilon / min((delta for w0, delta in scales if w0), default=math.inf)
+    if 0.0 < tol < 4.0 * floor:
+        raise AccuracyError(f"tolerance {tol:.3e} is below four times the rounding floor {floor:.3e} "
+                            "of the narrowest density bump", math.nan, math.inf, 0)
 
 
 def ladder(first: float, stop: float) -> List[float]:
@@ -609,19 +654,6 @@ def bracket(center: float, delta: float, span: float) -> List[float]:
     for off in [2.0 * delta] + ladder(8.0 * delta, span):
         out.extend((center - off, center + off))
     return out
-
-
-def origin_radius(spec: RationalMapSpec) -> float:
-    """Radius b, capped at 1, of the circle near w = 0 on which |f| crosses 1.
-
-    There f ~ eps C w^n with C = prod r^(2 rho) prod s^(2 sigma) prod
-    |t|^(4 tau), so b = |C|^(-1/n), taken from a sum of logs so that small
-    factors cannot underflow C; a factor of the sign opposite to w^n near
-    the origin puts b far inside it, unseen by seeds at the factors.
-    """
-    log_c = math.fsum([2.0 * sg * math.log(r) for r, sg in spec.real_factors + spec.imag_factors]
-                      + [4.0 * sg * math.log(abs(t)) for t, sg in spec.complex_factors])
-    return math.exp(min(-log_c / spec.n, 0.0))
 
 
 def flux_field(spec: RationalMapSpec, r: Sequence[float]) -> np.ndarray:

@@ -80,9 +80,11 @@ from .conformal import (
     _project,
     _spec_points,
     bracket,
+    check_rounding_floor,
     factor_scales,
     ladder,
     sphere_density,
+    stereo_lift,
 )
 from .errors import AccuracyError, DomainError, SumRuleError
 from .geometry import Prism, edge_length
@@ -263,32 +265,36 @@ def prism_lp_certificate(
 # Exact energy by Green's identity, flux by face quadrature
 # ----------------------------------------------------------------------
 
-def _face_cuts(spec: RationalMapSpec, k: int, half) -> Tuple[List[float], List[float]]:
+def _face_cuts(scales, k: int, half) -> Tuple[List[float], List[float]]:
     """Cuts on face k (at x_k = h_k, ``half`` the half sides) through and
-    around the rays of the factor directions, in the face's own (u, v).
+    around the rays of the bumps of ``scales`` (``factor_scales``), in the
+    face's own (u, v).
 
-    The sphere density peaks around the factor positions; where such a ray
-    pierces the face, the flux integrand carries a bump that can be narrower
-    than the node spacing of a large quadrature cell, so cell boundaries are
-    seeded there (``bracket``).  A ray on the face's edge (a factor on an
-    axis, whose direction lies in a coordinate plane) is seeded too: its
-    bump is half inside the face.
+    The sphere density peaks around the factor positions and, when listed,
+    in the origin bubble; where such a ray pierces the face, the flux
+    integrand carries a bump that can be narrower than the node spacing of
+    a large quadrature cell, so cell boundaries are seeded there
+    (``bracket``).  A ray on the face's edge (a factor on an axis, whose
+    direction lies in a coordinate plane) is seeded too: its bump is half
+    inside the face.  The origin bubble's ray is face z's corner u = v = 0,
+    and its bracket is a ladder toward that corner.
     """
     i, j = [m for m in range(3) if m != k]
-    cuts_u: List[float] = []
-    cuts_v: List[float] = []
-    for w0, delta in factor_scales(spec):
-        a = abs(w0) ** 2
-        d = (2.0 * w0.real / (1.0 + a), 2.0 * w0.imag / (1.0 + a), (1.0 - a) / (1.0 + a))
+    cuts_u, cuts_v = [], []
+    for w0, delta in scales:
+        d = stereo_lift(w0)
         if d[k] <= 1e-12:
             continue
         t = half[k] / d[k]
         u0, v0 = t * d[i], t * d[j]
         if 0.0 <= u0 < half[i] and 0.0 <= v0 < half[j]:
-            # the spot subtends an angle ~delta seen from the vertex, so
-            # its footprint at distance t has radius ~delta * t
-            cuts_u += bracket(u0, delta * t, max(half[i], half[j]))
-            cuts_v += bracket(v0, delta * t, max(half[i], half[j]))
+            # a bump of radius delta |w0| in w (delta at w = 0) subtends
+            # 2 / (1 + |w0|^2) = 1 + d_z times that angle seen from the
+            # vertex, so its footprint at distance t has at least that
+            # angle times t
+            width = (1.0 + d[2]) * (delta * abs(w0) if w0 else delta) * t
+            cuts_u += bracket(u0, width, max(half[i], half[j]))
+            cuts_v += bracket(v0, width, max(half[i], half[j]))
     return cuts_u, cuts_v
 
 
@@ -311,16 +317,16 @@ _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 _LONG = 64.0
 
 
-def _faces_domain(half: Tuple[float, float, float], spec: Optional[RationalMapSpec] = None):
+def _faces_domain(half: Tuple[float, float, float], scales=()):
     """(rectangles, initial splits) of the three octant faces, face k
     spanning half sides i along u and j along v in its quadrant of
     ``_FACE_SIGNS``: each side cut at ``ladder(64 * the other side, side)``
-    and, given ``spec``, at the ``_face_cuts`` of its factors."""
+    and at the ``_face_cuts`` of the bumps of ``scales``."""
     rects, splits = [], []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
         i, j = [m for m in range(3) if m != k]
         u, v = su * half[i], sv * half[j]
-        cuts_u, cuts_v = ([], []) if spec is None else _face_cuts(spec, k, half)
+        cuts_u, cuts_v = _face_cuts(scales, k, half)
         rects.append((min(0.0, u), max(0.0, u), min(0.0, v), max(0.0, v)))
         splits.append(([su * c for c in ladder(_LONG * half[j], half[i]) + cuts_u],
                        [sv * c for c in ladder(_LONG * half[i], half[j]) + cuts_v]))
@@ -530,13 +536,18 @@ def face_flux(
     ``tol`` and a budget of 3,000,000 evaluations; as in
     ``conformal_energy``, every interior face side at least 64 times the
     face's other side gets root cuts at 64, 256, 1024, ... of it, and the
-    factor bumps are cut and bracketed (``_face_cuts``).  Each exterior
-    face is one root rectangle.
+    bumps of ``factor_scales``, the origin bubble included, are cut and
+    bracketed (``_face_cuts``).  An interior ``tol`` below four times the
+    rounding floor of the narrowest bump raises AccuracyError before any
+    evaluation (``check_rounding_floor``), as in ``numeric_trapped_area``.
+    Each exterior face is one root rectangle.
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
     values = prism.octant.half_lengths
-    rects, splits = _faces_domain(values, spec)
+    scales = factor_scales(spec) if which == "interior" else []
+    check_rounding_floor(scales, tol)
+    rects, splits = _faces_domain(values, scales)
     if which == "exterior":  # whole faces: the integrand is 0
         values, splits = (0.0, 0.0, 0.0), None
     return quad2d(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -36,11 +35,11 @@ from .conformal import (
     _parts,
     area_density,
     bracket,
+    check_rounding_floor,
     factor_scales,
     ladder,
-    origin_radius,
 )
-from .errors import AccuracyError, PathResolutionError
+from .errors import PathResolutionError
 from .numerics import QuadratureResult, quad2d
 
 __all__ = [
@@ -175,28 +174,22 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
     Integrates the pulled-back density over the quarter disc in polar
     coordinates (Jacobian rho); the orientation sign is structural (the
     anticonformal map reverses the sphere orientation).  Cell boundaries are
-    seeded at the radius and angle of each factor's first-quadrant point
-    (``factor_scales``) and bracket it (``bracket``, the radius in units of
-    the modulus), so mirrored positions give the same cells: a close
-    zero/pole pair carries its covering mass in a bump narrow enough to
-    slip between the nodes of an unseeded cell.  The origin bubble, the
-    circle of radius b = ``origin_radius`` near w = 0 on which |f| crosses
-    1, gets a radius cut at b when b < 1, and ``ladder(b / 64, 0.5)`` as
-    well when b lies below a quarter of the nearest factor's modulus, where
-    no factor cut comes close to it.  The budget is 1,000,000 evaluations.
+    seeded from ``factor_scales``, the one source of bump scales: at the
+    radius and angle of each factor's first-quadrant point, bracketing it
+    (``bracket``, the radius in units of the modulus), so mirrored
+    positions give the same cells, since a close zero/pole pair or a
+    factor's own |f| = 1 bubble carries its covering mass in a bump narrow
+    enough to slip between the nodes of an unseeded cell; and, when listed,
+    at the radius b of the origin bubble and ``ladder(4 b, 0.5)`` beyond it,
+    where its tail decays.  The budget is 1,000,000 evaluations.
 
-    A node's w is rounded to about eps, so a bump of relative width delta
-    is sampled with a relative error of about eps / delta, and the sum is
-    biased by up to about 2 eps / delta, a floor the error estimate does
-    not see (near the unit circle delta = (1 - s^2) / s, and s = 1 - 1e-10
-    misses by 2e-6).  A ``tol`` below four times that floor raises
-    AccuracyError before any evaluation.
+    A ``tol`` below four times the rounding floor of the narrowest bump
+    raises AccuracyError before any evaluation (``check_rounding_floor``;
+    near the unit circle delta = (1 - s^2) / s, and s = 1 - 1e-10 missed by
+    2e-6).
     """
     scales = factor_scales(spec)
-    floor = 2.0 * sys.float_info.epsilon / min((delta for _, delta in scales), default=math.inf)
-    if 0.0 < tol < 4.0 * floor:  # a tol that is not positive is quad2d's DomainError
-        raise AccuracyError(f"tolerance {tol:.3e} is below four times the rounding floor {floor:.3e} "
-                            "of the narrowest density bump", math.nan, math.inf, 0)
+    check_rounding_floor(scales, tol)
 
     def integrand(rho, theta):
         w = rho * np.exp(1j * theta)
@@ -205,14 +198,11 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
     # cuts on or past the domain edges are dropped
     rho_cuts, theta_cuts = [], []
     for w0, delta in scales:
-        m = abs(w0)
-        rho_cuts += [m * c for c in bracket(1.0, delta, 0.5 * math.pi)]
-        theta_cuts += bracket(cmath.phase(w0), delta, 0.5 * math.pi)
-    b = origin_radius(spec)
-    if b < 1.0:
-        rho_cuts.append(b)
-        if b < 0.25 * min(abs(w0) for w0, _ in scales):
-            rho_cuts += ladder(b / 64.0, 0.5)
+        if w0:
+            rho_cuts += [abs(w0) * c for c in bracket(1.0, delta, 0.5 * math.pi)]
+            theta_cuts += bracket(cmath.phase(w0), delta, 0.5 * math.pi)
+        else:  # the origin bubble, of radius delta
+            rho_cuts += [delta] + ladder(4.0 * delta, 0.5)
     res = quad2d(
         integrand,
         (0.0, 1.0, 0.0, 0.5 * math.pi),
@@ -308,17 +298,14 @@ def _segment_winding(spec: RationalMapSpec, path, axis: int, comps) -> int:
     Each factor point of ``factor_scales`` off the other axis seeds the
     sampling at its modulus |w0|, with width delta |w0|.  The path starts
     at most 1e-6 from the vertex direction, below half of every on-path
-    position (|w0| of a point on this axis, the position itself) and
-    inside the origin bubble (below ``origin_radius`` / 64), whose crossing
-    of |f| = 1 a path starting outside it would miss.
+    position (|w0| of a point on this axis, the position itself) and, when
+    ``factor_scales`` lists the origin bubble, inside it (below b / 64):
+    a path starting outside it would miss its crossing of |f| = 1.
     """
-    t0, seeds = min(1e-6, origin_radius(spec) / 64.0), []
-    for w0, delta in factor_scales(spec):
-        if (w0.real, w0.imag)[axis]:
-            m = abs(w0)
-            seeds.append((m, delta * m))
-            if not (w0.imag, w0.real)[axis]:
-                t0 = min(t0, 0.5 * m)
+    scales = factor_scales(spec)
+    seeds = [(abs(w0), delta * abs(w0)) for w0, delta in scales if (w0.real, w0.imag)[axis]]
+    # the points on this path, and w = 0
+    t0 = min([1e-6] + [0.5 * abs(w0) if w0 else delta / 64.0 for w0, delta in scales if not (w0.imag, w0.real)[axis]])
     return _track_winding(spec, path, t0, 1.0, comps, seeds)
 
 
@@ -344,5 +331,5 @@ def numeric_kink_z(spec: RationalMapSpec) -> int:
     first-quadrant arg t for complex) seeds the sampling at its angle, with
     its width delta.
     """
-    seeds = [(cmath.phase(w0), delta) for w0, delta in factor_scales(spec)]
+    seeds = [(cmath.phase(w0), delta) for w0, delta in factor_scales(spec) if w0]
     return _track_winding(spec, lambda t: np.exp(1j * t), 0.0, 0.5 * math.pi, (1, 0), seeds)

@@ -16,9 +16,12 @@ from nemprism import (
     TopologicalInvariants,
     director,
     edge_orientations,
+    eval_f,
+    face_flux,
     invariants_of,
     invariants_report,
     kink_numbers,
+    make_prism,
     numeric_kink_x,
     numeric_kink_y,
     numeric_kink_z,
@@ -27,7 +30,7 @@ from nemprism import (
     trapped_area,
 )
 from nemprism.cli import run
-from nemprism.conformal import origin_radius
+from nemprism.conformal import factor_scales
 
 
 def test_unwrapped_invariants():
@@ -192,17 +195,21 @@ def test_kink_oracles_same_for_mirrored_complex_factors():
     (RationalMapSpec(1, 1, real_factors=((1e-3, -1),)), 1e-6),
 ], ids=["real-1e-6", "imag-1e-3-n-1", "real-1e-3"])
 def test_kink_paths_start_inside_the_origin_bubble(spec, radius):
-    # |f| crosses 1 on the circle |w| = origin_radius near w = 0, s^2 for
-    # one factor at s; paths that started at 1e-6, outside it, gave
-    # ky_numeric (kx_numeric for n = -1) 0 against -1
-    assert origin_radius(spec) == pytest.approx(radius, rel=1e-12)
+    # |f| crosses 1 on the circle |w| = b near w = 0, s^2 for one factor at
+    # s, which factor_scales lists last as (0, b); paths that started at
+    # 1e-6, outside it, gave ky_numeric (kx_numeric for n = -1) 0 against -1
+    w0, b = factor_scales(spec)[-1]
+    assert w0 == 0 and b == pytest.approx(radius, rel=1e-12)
     assert (numeric_kink_x(spec), numeric_kink_y(spec), numeric_kink_z(spec)) == kink_numbers(spec)
 
 
 def test_winding_tracker_samples_each_parameter_once(monkeypatch):
-    # the real path of n = -3 with a zero at 1e-4 refines in 19 rounds;
-    # each round samples only its new midpoints
-    spec = RationalMapSpec(1, -3, real_factors=((1e-4, 1),))
+    # the imaginary path of three factors crowding i refines in 20 rounds;
+    # each round samples only its new midpoints (the real path of n = -3
+    # with a zero at 1e-4 took 19 rounds until factor_scales gave the
+    # zero's own bubble, and now takes 2)
+    spec = RationalMapSpec(1, 1, real_factors=((4.4517782726092465e-05, -1),), imag_factors=(
+        (0.9999999944812519, -1), (0.9999723777096169, 1), (0.9976153713409643, 1)))
     calls = []
     track = nemprism.invariants._track_winding
 
@@ -213,10 +220,10 @@ def test_winding_tracker_samples_each_parameter_once(monkeypatch):
         return track(spec, sampled, *args)
 
     monkeypatch.setattr(nemprism.invariants, "_track_winding", counting)
-    assert numeric_kink_y(spec) == kink_numbers(spec)[1]
+    assert numeric_kink_x(spec) == kink_numbers(spec)[0]
     ts = np.concatenate(calls)
-    assert len(calls) == 20 and calls[0].size == 514
-    assert np.unique(ts).size == ts.size == 548
+    assert len(calls) == 21 and calls[0].size == 541
+    assert np.unique(ts).size == ts.size == 563
 
 
 def _origin_rows(kind):
@@ -259,14 +266,18 @@ ORIGIN_BUBBLES = [
 ]
 
 
-@pytest.mark.parametrize("payload", ORIGIN_BUBBLES, ids=["real-1e-6", "imag-1e-3-n-1", "real-1e-3",
-                                                         "real-1e-4-n-3", "complex-n-3"])
-def test_trapped_area_oracle_seeds_the_origin_bubble(payload, tmp_path, capsys):
-    # no radius cut lay at origin_radius (1e-12, 1e-6, 1e-6, 2.2e-3 and
-    # 0.339): omega0_numeric missed by 3.1, 2.6e-6, 2.6e-6, 3.1 and 2.2e-6
-    # at tol 1e-6
+@pytest.mark.parametrize("payload,radius", zip(ORIGIN_BUBBLES, [1e-12, 1e-6, 1e-6, 5e-9, abs(complex(
+    0.40831210882990704, 0.1758644288019021)) ** (4 / 3)]), ids=["real-1e-6", "imag-1e-3-n-1", "real-1e-3",
+                                                               "real-1e-4-n-3", "complex-n-3"])
+def test_trapped_area_oracle_seeds_the_origin_bubble(payload, radius, tmp_path, capsys):
+    # the narrowest bump of factor_scales is each row's bubble: w = 0 of
+    # radius b, or for real-1e-4-n-3, whose b = 2.2e-3 lies beyond its
+    # factor, the factor's own of radius s^2 / 2; with no radius cut at b
+    # (1e-12, 1e-6, 1e-6, 2.2e-3 and 0.339), omega0_numeric missed by 3.1,
+    # 2.6e-6, 2.6e-6, 3.1 and 2.2e-6 at tol 1e-6
     spec = RationalMapSpec.from_dict(payload)
-    assert origin_radius(spec) < 1.0
+    widths = [delta * abs(w0) if w0 else delta for w0, delta in factor_scales(spec)]
+    assert min(widths) == pytest.approx(radius, rel=1e-9)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(payload))
     assert run(["invariants", "--spec", str(path)]) == 0
@@ -309,6 +320,80 @@ def test_kink_oracles_near_0_near_1_and_near_each_other_answer_or_refuse():
         answered += None not in got
         refused += None in got
     assert refused >= 1 and 2 * answered >= len(specs), (answered, refused, len(specs))
+
+
+def _near_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        spec = near_spec(rng)
+        if spec is not None:
+            specs.append(spec)
+    return specs
+
+
+def _flux_on_the_cube(spec, tol):
+    return face_flux(make_prism(1.0, 1.0, 1.0), spec, "interior", tol=tol)
+
+
+# Each density oracle at tol 1e-6 answers within tol of omega0 or raises
+# AccuracyError.  The polar oracle runs every origin row; face_flux, the
+# costlier, the conformal unpaired rows with |n| = 3, whose factor of the
+# sign opposite to w^n carries its own bubble of radius about s^2 / 2, and
+# the first 20 draws.  Before factor_scales gave each factor's bubble and
+# face_flux seeded the origin's, numeric_trapped_area missed on 88 of the
+# 864 rows and on 4 of the first 40 seed-7 draws, and face_flux on 24 of
+# its 108 rows (row 4 of ORIGIN_BUBBLES gave 1.5707963 against 5 pi / 2,
+# with an estimate of 2.3e-8) and on 11 of its 20 draws.
+@pytest.mark.parametrize("oracle,rows,draws", [
+    (numeric_trapped_area, lambda spec: True, 40),
+    (_flux_on_the_cube, lambda spec: abs(spec.n) == 3 and not spec.is_anticonformal
+     and len(spec.real_factors) + len(spec.imag_factors) + len(spec.complex_factors) == 1, 20),
+], ids=["polar", "flux"])
+def test_density_oracles_answer_or_refuse_near_the_origin_and_on_crowded_specs(oracle, rows, draws):
+    specs = [spec for kind in ("real", "imag", "complex") for spec in _origin_rows(kind) if rows(spec)]
+    refused = 0
+    for spec in specs + _near_draws(7, draws):
+        try:
+            res = oracle(spec, tol=1e-6)
+        except AccuracyError:
+            refused += 1
+        else:
+            assert abs(res.value - trapped_area(spec)) <= 1e-6, spec
+    assert 2 * refused < len(specs) + draws
+
+
+def test_factor_scales_gives_a_factor_bubble_in_closed_form():
+    # f ~ C (w - s) near the zero s = 1e-4 of row 4 (n = -3), with |C| =
+    # 2 / (s^2 (1 - s^4)): |f| = 1 at rho0 = s^2 (1 - s^4) / 2, far inside
+    # the zero's width (1 - s^2) / s, so its width narrows to rho0 / s.  On
+    # that circle |f| is 1 to first order in rho0 / s: it swings by
+    # 2.5 rho0 / s = 1.25e-4 with the angle
+    spec = RationalMapSpec.from_dict(ORIGIN_BUBBLES[3])
+    (w0, delta), = factor_scales(spec)
+    rho0 = delta * abs(w0)
+    assert w0 == 1e-4 and rho0 == pytest.approx(5e-9, rel=1e-9)
+    for alpha in np.linspace(0.0, 2.0 * math.pi, 9):
+        hv = eval_f(spec, w0 + rho0 * np.exp(1j * alpha))
+        assert abs(abs(hv.P / hv.Q) - 1.0) <= 3.0 * delta
+
+
+def test_origin_bubble_radius_stays_a_normal_float():
+    # fourteen poles near 2e-12 put b = |C|^(-1/n) near 1e-327, which
+    # underflows to 0; the polar cuts ladder(0, 0.5) then never ended
+    spec = RationalMapSpec(1, 1, real_factors=tuple((2e-12 * (1.0 + 1e-3 * k), -1) for k in range(14)))
+    w0, b = factor_scales(spec)[-1]
+    assert w0 == 0 and b / 64.0 > 0.0
+
+
+def test_face_flux_refuses_below_the_rounding_floor_at_once():
+    # a factor within 2e-12 of the unit circle: the bump's relative width
+    # is 4e-12, so the flux is biased by up to about 1.1e-4; it spent
+    # 2,999,700 evaluations before it refused
+    spec = RationalMapSpec(1, 1, imag_factors=((1.0 - 2e-12, 1),))
+    with pytest.raises(AccuracyError, match="rounding floor") as exc:
+        _flux_on_the_cube(spec, 1e-6)
+    assert exc.value.evaluations == 0 and math.isnan(exc.value.value)
 
 
 def test_invariants_dict_round_trip():
