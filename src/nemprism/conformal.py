@@ -32,8 +32,8 @@ half the Fubini-Study potential, from Pt and Qt alone), ``_log_norm_gradient``
 (its derivative in w), ``_lift`` (the
 unit vector of a pair) and ``_project`` (a point to w, the -z axis to
 infinity).  The director, flux and density functions below, the energy
-and flux face integrands, the trapped-area integrand and the winding
-sampler all call it.  ``_spec_points`` lets one
+integrand, the trapped-area integrand and the winding sampler all call
+it.  ``_spec_points`` lets one
 kernel call evaluate many specs of one structure, each point under its
 own spec (a batched family scan).
 """
@@ -624,7 +624,9 @@ def check_rounding_floor(scales: Sequence[Tuple[complex, float]], tol: float) ->
     eps / delta, and a density quadrature is biased by up to about
     2 eps / delta, which its error estimate does not see.  The origin bubble
     has no such floor: w is as fine near 0 as b.  A ``tol`` that is not
-    positive is left to the quadrature's DomainError.
+    positive is left to the quadrature's DomainError.  Its one caller is
+    ``invariants._trapped_area``, the density quadrature of
+    ``numeric_trapped_area`` and ``energy.face_flux``.
     """
     floor = 2.0 * sys.float_info.epsilon / min((delta for w0, delta in scales if w0), default=math.inf)
     if 0.0 < tol < 4.0 * floor:

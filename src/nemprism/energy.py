@@ -57,8 +57,11 @@ potentials with difference bounds given by vertex distances.
 
 ``conformal_energies`` integrates many configurations of one structure (a
 family scan) in one batched quadrature, and ``conformal_energy`` is its
-one-spec case.  ``face_flux`` integrates the flux D . nhat of the area
-density over the faces, which totals the trapped solid angle.
+one-spec case.  ``face_flux`` gives the flux D . nhat of the area density
+through the interior faces, which subtend the whole octant of directions:
+the trapped solid angle, by the polar quadrature of
+``numeric_trapped_area`` at a budget of 3,000,000 evaluations; through the
+exterior faces, planes through the vertex, the radial D gives 0.
 ``energy_report`` refuses, with AccuracyError, an energy that falls outside
 its bounds by more than its error estimate.
 """
@@ -79,17 +82,12 @@ from .conformal import (
     _log_norm_gradient,
     _project,
     _spec_points,
-    bracket,
-    check_rounding_floor,
-    factor_scales,
     ladder,
-    sphere_density,
-    stereo_lift,
 )
 from .errors import AccuracyError, DomainError, SumRuleError
 from .geometry import Prism, edge_length
-from .invariants import trapped_area
-from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d, quad2d_many
+from .invariants import _trapped_area, trapped_area
+from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d_many
 
 __all__ = [
     "ElasticConstants",
@@ -262,41 +260,8 @@ def prism_lp_certificate(
 
 
 # ----------------------------------------------------------------------
-# Exact energy by Green's identity, flux by face quadrature
+# Exact energy by Green's identity
 # ----------------------------------------------------------------------
-
-def _face_cuts(scales, k: int, half) -> Tuple[List[float], List[float]]:
-    """Cuts on face k (at x_k = h_k, ``half`` the half sides) through and
-    around the rays of the bumps of ``scales`` (``factor_scales``), in the
-    face's own (u, v).
-
-    The sphere density peaks around the factor positions and, when listed,
-    in the origin bubble; where such a ray pierces the face, the flux
-    integrand carries a bump that can be narrower than the node spacing of
-    a large quadrature cell, so cell boundaries are seeded there
-    (``bracket``).  A ray on the face's edge (a factor on an axis, whose
-    direction lies in a coordinate plane) is seeded too: its bump is half
-    inside the face.  The origin bubble's ray is face z's corner u = v = 0,
-    and its bracket is a ladder toward that corner.
-    """
-    i, j = [m for m in range(3) if m != k]
-    cuts_u, cuts_v = [], []
-    for w0, delta in scales:
-        d = stereo_lift(w0)
-        if d[k] <= 1e-12:
-            continue
-        t = half[k] / d[k]
-        u0, v0 = t * d[i], t * d[j]
-        if 0.0 <= u0 < half[i] and 0.0 <= v0 < half[j]:
-            # a bump of radius delta |w0| in w (delta at w = 0) subtends
-            # 2 / (1 + |w0|^2) = 1 + d_z times that angle seen from the
-            # vertex, so its footprint at distance t has at least that
-            # angle times t
-            width = (1.0 + d[2]) * (delta * abs(w0) if w0 else delta) * t
-            cuts_u += bracket(u0, width, max(half[i], half[j]))
-            cuts_v += bracket(v0, width, max(half[i], half[j]))
-    return cuts_u, cuts_v
-
 
 # All three octant faces go to one quadrature, each face in its own
 # quadrant of the (u, v) plane: face x in (+, +), face y in (-, +), face z
@@ -317,52 +282,44 @@ _FACE_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0))
 _LONG = 64.0
 
 
-def _faces_domain(half: Tuple[float, float, float], scales=()):
+def _faces_domain(half: Tuple[float, float, float]):
     """(rectangles, initial splits) of the three octant faces, face k
     spanning half sides i along u and j along v in its quadrant of
-    ``_FACE_SIGNS``: each side cut at ``ladder(64 * the other side, side)``
-    and at the ``_face_cuts`` of the bumps of ``scales``."""
+    ``_FACE_SIGNS``: each side cut at ``ladder(64 * the other side, side)``.
+    The faces carry no cuts at density bumps: phi, the energy's face
+    integrand, has none (see the module docstring)."""
     rects, splits = [], []
     for k, (su, sv) in enumerate(_FACE_SIGNS):
         i, j = [m for m in range(3) if m != k]
         u, v = su * half[i], sv * half[j]
-        cuts_u, cuts_v = _face_cuts(scales, k, half)
         rects.append((min(0.0, u), max(0.0, u), min(0.0, v), max(0.0, v)))
-        splits.append(([su * c for c in ladder(_LONG * half[j], half[i]) + cuts_u],
-                       [sv * c for c in ladder(_LONG * half[i], half[j]) + cuts_v]))
+        splits.append(([su * c for c in ladder(_LONG * half[j], half[i])],
+                       [sv * c for c in ladder(_LONG * half[i], half[j])]))
     return rects, splits
 
 
-def _face_project(values, u, v, level: Optional[float] = None):
-    """(w, r2, r, z, part) at points (u, v) of the face rectangles: the
-    stereographic projection w, r^2 and |r| of the box point, face k lying
-    in the plane where coordinate k equals ``values[k]``, its z, and the
-    face index ``part`` (0, 1, 2 for faces x, y, z).  With ``level``, the
-    points with v <= -level come last and lie on the far box edges of
-    ``_green_domain``; their ``part`` is 3 + the edge's axis."""
+def _face_project(half, u, v, level: float):
+    """(w, r, z, part) at points (u, v) of ``_green_domain``: the
+    stereographic projection w and |r| of the box point, face k lying in
+    the plane where coordinate k equals ``half[k]``, its z, and the face
+    index ``part`` (0, 1, 2 for faces x, y, z).  The points with
+    v <= -``level`` come last and lie on the far box edges; their ``part``
+    is 3 + the edge's axis."""
     on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
     on_z = v < 0.0
-    x = np.where(on_x, values[0], -u)
-    y = np.where(on_x, u, np.where(on_z, -v, values[1]))
-    z = np.where(on_z, values[2], v)
+    x = np.where(on_x, half[0], -u)
+    y = np.where(on_x, u, np.where(on_z, -v, half[1]))
+    z = np.where(on_z, half[2], v)
     part = np.add(~on_x, on_z, dtype=np.intp)
-    if level is not None and v[-1] <= -level:  # the call ends with edge points
+    if v[-1] <= -level:  # the call ends with edge points
         n = np.count_nonzero(v <= -level)
         axis = np.rint(v[-n:] / -level).astype(np.intp) - 1
-        pts = np.asarray(values)[:, None].repeat(n, axis=1)
+        pts = np.asarray(half)[:, None].repeat(n, axis=1)
         pts[axis, np.arange(n)] = u[-n:]
         x[-n:], y[-n:], z[-n:] = pts
         part[-n:] = axis + 3
-    w, r2, r = _project(x, y, z)
-    return w, r2, r, z, part
-
-
-def _faces_density(spec, values, u, v):
-    """The signed flux D . nhat = value * density / r^3 at face points
-    (u, v) of ``_faces_domain``."""
-    w, r2, r, _, part = _face_project(values, u, v)
-    sign = -1.0 if spec.is_anticonformal else 1.0
-    return sign * np.asarray(values)[part] * sphere_density(spec, w) / (r2 * r)
+    w, _, r = _project(x, y, z)
+    return w, r, z, part
 
 
 # Face k takes the slope form when h_i h_j > _SLOPE_RATIO h_k^2 (see the
@@ -424,7 +381,7 @@ def _green_density(half: Tuple[float, float, float], weight: float):
     scales = np.array([4.0 * weight / h for h in half] + [-2.0 * weight * ci for ci in c])
 
     def density(spec, u, v):
-        w, _, r, z, part = _face_project(half, u, v, level)
+        w, r, z, part = _face_project(half, u, v, level)
         acc = _accumulate(spec, w, derivatives=derivatives)
         out = _log_norm(spec, acc)
         out *= scales[part]
@@ -519,7 +476,7 @@ def conformal_energies(
     return out
 
 
-_FLUX_EVALS = 3_000_000  # the budget of face_flux, shared by its three faces
+_FLUX_EVALS = 3_000_000  # the budget of the interior face_flux
 
 
 def face_flux(
@@ -530,30 +487,26 @@ def face_flux(
 ) -> QuadratureResult:
     """Signed flux of D through the interior (or exterior) octant faces.
 
-    Over the interior faces the total equals the trapped solid angle; over
-    an exterior face the integrand vanishes identically.  One adaptive
-    quadrature covers the three faces, sharing the absolute tolerance
-    ``tol`` and a budget of 3,000,000 evaluations; as in
-    ``conformal_energy``, every interior face side at least 64 times the
-    face's other side gets root cuts at 64, 256, 1024, ... of it, and the
-    bumps of ``factor_scales``, the origin bubble included, are cut and
-    bracketed (``_face_cuts``).  An interior ``tol`` below four times the
-    rounding floor of the narrowest bump raises AccuracyError before any
-    evaluation (``check_rounding_floor``), as in ``numeric_trapped_area``.
-    Each exterior face is one root rectangle.
+    The interior faces subtend the whole octant of directions, so their
+    flux is the trapped solid angle for every box: the polar quadrature of
+    the area density over the quarter disc of ``numeric_trapped_area``
+    (``invariants._trapped_area``), to the absolute tolerance ``tol``
+    within 3,000,000 evaluations, three times the oracle's budget, so that
+    it answers close zero/pole gaps the oracle refuses from its cut counts.
+    A ``tol`` below four times the rounding floor of the narrowest bump
+    raises AccuracyError before any evaluation (``check_rounding_floor``).
+
+    The exterior flux is QuadratureResult(0.0, 0.0, 0) without an
+    evaluation: D is radial, so D . nhat = 0 on every plane through the
+    vertex.  ``tol`` must be positive and finite (DomainError) either way.
     """
     if which not in ("interior", "exterior"):
         raise DomainError(f"which must be 'interior' or 'exterior', got {which!r}")
-    values = prism.octant.half_lengths
-    scales = factor_scales(spec) if which == "interior" else []
-    check_rounding_floor(scales, tol)
-    rects, splits = _faces_domain(values, scales)
-    if which == "exterior":  # whole faces: the integrand is 0
-        values, splits = (0.0, 0.0, 0.0), None
-    return quad2d(
-        lambda u, v: _faces_density(spec, values, u, v),
-        rects, tol=tol, max_evals=_FLUX_EVALS, initial_splits=splits,
-    )
+    if which == "exterior":
+        if not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+        return QuadratureResult(0.0, 0.0, 0)
+    return _trapped_area(spec, tol, _FLUX_EVALS)
 
 
 # ----------------------------------------------------------------------

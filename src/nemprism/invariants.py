@@ -168,8 +168,10 @@ def invariants_report(spec: RationalMapSpec, tol: float = 1e-6) -> dict:
 _TRAPPED_EVALS = 1_000_000  # the budget of numeric_trapped_area
 
 
-def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> QuadratureResult:
-    """Trapped solid angle by quadrature of the area density.
+def _trapped_area(spec: RationalMapSpec, tol: float, max_evals: int) -> QuadratureResult:
+    """Trapped solid angle by quadrature of the area density within
+    ``max_evals`` evaluations: ``numeric_trapped_area`` at 1,000,000 and
+    the interior ``energy.face_flux`` at 3,000,000.
 
     Integrates the pulled-back density over the quarter disc in polar
     coordinates (Jacobian rho); the orientation sign is structural (the
@@ -181,7 +183,7 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
     factor's own |f| = 1 bubble carries its covering mass in a bump narrow
     enough to slip between the nodes of an unseeded cell; and, when listed,
     at the radius b of the origin bubble and ``ladder(4 b, 0.5)`` beyond it,
-    where its tail decays.  The budget is 1,000,000 evaluations.
+    where its tail decays.
 
     A ``tol`` below four times the rounding floor of the narrowest bump
     raises AccuracyError before any evaluation (``check_rounding_floor``;
@@ -207,11 +209,23 @@ def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> Quadrature
         integrand,
         (0.0, 1.0, 0.0, 0.5 * math.pi),
         tol=tol,
-        max_evals=_TRAPPED_EVALS,
+        max_evals=max_evals,
         initial_splits=(rho_cuts, theta_cuts),
     )
     sign = -1.0 if spec.is_anticonformal else 1.0
     return QuadratureResult(sign * res.value, res.error_estimate, res.evaluations)
+
+
+def numeric_trapped_area(spec: RationalMapSpec, tol: float = 1e-6) -> QuadratureResult:
+    """Trapped solid angle by quadrature of the area density over the
+    quarter disc (``_trapped_area``), within 1,000,000 evaluations.
+
+    Its one caller in the package is ``invariants_report``, the numeric
+    cross-check of ``nemprism invariants``; the small budget lets it refuse
+    a spec whose root cells alone would overrun it at once, from their cut
+    counts.
+    """
+    return _trapped_area(spec, tol, _TRAPPED_EVALS)
 
 
 # ----------------------------------------------------------------------

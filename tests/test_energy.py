@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import nemprism.energy
-from nemprism.conformal import factor_scales
 from nemprism.numerics import _root_cells
 from helpers import random_prism, random_spec
 
@@ -27,6 +26,7 @@ from nemprism import (
     lower_bound_lp,
     lower_bound_prism,
     make_prism,
+    numeric_trapped_area,
     prism_lp_certificate,
     scaled_energy,
     stereo_lift,
@@ -250,6 +250,8 @@ def test_energy_and_flux_reject_a_tolerance_that_is_not_positive_and_finite(tol)
         conformal_energy(cube, spec, tol=tol)
     with pytest.raises(DomainError, match="tolerance"):
         face_flux(cube, spec, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        face_flux(cube, spec, "exterior", tol=tol)
 
 
 def test_face_flux_rejects_an_unknown_face_set():
@@ -362,8 +364,8 @@ _LIMIT_SLOPE = 1e3
 # computed before it used Green's identity: the flux integral
 # 16 K r (D . nhat) over the faces, each factor's bump seeded as a cell
 # boundary, at the tolerance named; "edge-seeded" ones seed the bumps on
-# face edges too, as ``_face_cuts`` now does.  Each carries its own error
-# estimate.
+# face edges too, as the face quadrature of ``face_flux`` did before it
+# became the polar one.  Each carries its own error estimate.
 # (id, prism, spec, [(reference, its uncertainty)])
 GREEN_TABLE = [
     ("identity-cube", CUBE, RationalMapSpec(1, 1), [(E0_CUBE, 1e-12)]),
@@ -426,20 +428,46 @@ def test_face_flux_equals_the_trapped_area_at_the_gaps(spec):
 
 
 @pytest.mark.parametrize("prism,spec,tol,pinned", [
-    (make_prism(1e50, 1.0, 1.0), RationalMapSpec(1, 1), 1e-8, (1.5707963267949123, 9.363321700365582e-09, 42525)),
-    (CUBE, _gap(1e-4), 1e-6, (20.420352248335, 9.816446458188915e-07, 385875)),
+    (make_prism(1e50, 1.0, 1.0), RationalMapSpec(1, 1), 1e-8, (1.5707963267948966, 2.6347812820404215e-12, 1125)),
+    (CUBE, _gap(1e-4), 1e-6, (20.420352248332204, 9.878991520218236e-07, 671175)),
 ], ids=["needle-1e50", "gap-1e-4"])
 def test_face_flux_is_pinned(prism, spec, tol, pinned):
-    # value, error estimate and evaluations, bit for bit: the same root
-    # cells whether the needle's long sides are cut into separate
-    # rectangles or carry their cuts as initial splits.  While a bump's
-    # footprint was taken as delta t, not 2 delta |w0| t / (1 + |w0|^2),
+    # value, error estimate and evaluations, bit for bit: the polar
+    # quadrature of the quarter disc, whatever the box.  As a quadrature of
+    # the three face rectangles it gave (1.5707963267949123,
+    # 9.363321700365582e-09, 42525) on the needle and (20.420352248335,
+    # 9.816446458188915e-07, 385875) on the gap; while a bump's footprint
+    # on a face was taken as delta t, not 2 delta |w0| t / (1 + |w0|^2),
     # the gap gave (20.42035224833563, 9.262825904473136e-07, 372825):
     # within the two estimates summed
     res = face_flux(prism, spec, "interior", tol=tol)
     assert (res.value, res.error_estimate, res.evaluations) == pinned
     if spec == _gap(1e-4):
         assert abs(res.value - 20.42035224833563) <= res.error_estimate + 9.262825904473136e-07
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0, 1.0), (1e50, 1.0, 1.0), (20.0, 10.0, 1.0)],
+                         ids=["cube", "needle-1e50", "slab"])
+def test_interior_flux_is_the_trapped_area_quadrature(sides):
+    # the interior faces subtend the whole octant of directions, so their
+    # flux is the quarter disc's trapped area on every box: criterion 04's
+    # two named specs and its first three random draws give the oracle's
+    # value, error estimate and evaluations
+    rng = np.random.default_rng(1728)
+    specs = [RationalMapSpec(1, 1), IMAG1.instantiate(0.5)] + [random_spec(rng, max_degree=9) for _ in range(3)]
+    for spec in specs:
+        assert face_flux(make_prism(*sides), spec, tol=1e-6) == numeric_trapped_area(spec, tol=1e-6)
+
+
+def test_face_flux_answers_a_gap_the_trapped_area_oracle_refuses():
+    # one quadrature at two budgets: the oracle's 1,000,000 evaluations
+    # refuse the gap from its cut counts before any evaluation, and the
+    # flux certificate's 3,000,000 answer it
+    with pytest.raises(AccuracyError, match="root cells"):
+        numeric_trapped_area(_gap(1e-6), tol=1e-6)
+    res = face_flux(CUBE, _gap(1e-6), tol=1e-6)
+    assert res.evaluations > 1_000_000
+    assert abs(res.value - trapped_area(_gap(1e-6))) <= res.error_estimate <= 1e-6
 
 
 @pytest.mark.parametrize("spec,references", [
@@ -550,27 +578,23 @@ def test_needle_flux_equals_the_trapped_area(spec, length):
     assert abs(res.value - trapped_area(spec)) <= res.error_estimate
 
 
-def test_needle_faces_are_cut_into_pieces_holding_their_cuts():
-    # as the energy's faces: root cells of the long sides at 64, 256, ...
-    # short sides, each cut further at the factor cuts inside it
+def test_needle_faces_are_cut_into_the_energy_face_cells():
+    # root cells of the long sides at 64, 256, ... short sides, and the
+    # energy's face cells are these
     half = NEEDLE.octant.half_lengths
-    scales = factor_scales(RationalMapSpec(1, 1, imag_factors=((0.5, 1),)))
-    cells = _root_cells(*nemprism.energy._faces_domain(half, scales))
+    cells = _root_cells(*nemprism.energy._faces_domain(half))
     faces = [cell for cell in _root_cells(*nemprism.energy._green_domain(half)) if cell[2] != cell[3]]
-    holders = [[f for f in faces if f[0] <= c[0] and c[1] <= f[1] and f[2] <= c[2] and c[3] <= f[3]]
-               for c in cells]
-    assert all(len(h) == 1 for h in holders)
-    assert sorted({tuple(h[0]) for h in holders}) == sorted(map(tuple, faces))
-    # faces y and z, in the u < 0 quadrants, hold factor cuts
-    assert len([c for c in cells if c[1] <= 0.0]) > len([f for f in faces if f[1] <= 0.0])
+    assert len(cells) > 3
+    assert sorted(map(tuple, cells)) == sorted(map(tuple, faces))
 
 
-def test_exterior_flux_takes_one_root_rectangle_per_face():
-    # D . nhat vanishes identically on the exterior faces; cut into the
-    # needle pieces of the interior faces, they took 37,125 evaluations on
-    # 1e50 x 1 x 1 to return 0.0
+def test_exterior_flux_is_zero_without_evaluations():
+    # D is radial, so D . nhat vanishes on every plane through the vertex;
+    # as a quadrature of the exterior faces it took 675 evaluations on
+    # 1e50 x 1 x 1 (37,125 when cut into the interior faces' needle pieces)
+    # to return 0.0
     res = face_flux(make_prism(1e50, 1.0, 1.0), RationalMapSpec(1, 1), "exterior")
-    assert (res.value, res.evaluations) == (0.0, 675)
+    assert (res.value, res.evaluations) == (0.0, 0)
 
 
 @pytest.mark.parametrize("spec", [RationalMapSpec(1, 3), RationalMapSpec(1, 1, imag_factors=((0.5, 1),))],

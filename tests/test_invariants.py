@@ -338,13 +338,15 @@ def _flux_on_the_cube(spec, tol):
 
 # Each density oracle at tol 1e-6 answers within tol of omega0 or raises
 # AccuracyError.  The polar oracle runs every origin row; face_flux, the
-# costlier, the conformal unpaired rows with |n| = 3, whose factor of the
-# sign opposite to w^n carries its own bubble of radius about s^2 / 2, and
-# the first 20 draws.  Before factor_scales gave each factor's bubble and
-# face_flux seeded the origin's, numeric_trapped_area missed on 88 of the
-# 864 rows and on 4 of the first 40 seed-7 draws, and face_flux on 24 of
-# its 108 rows (row 4 of ORIGIN_BUBBLES gave 1.5707963 against 5 pi / 2,
-# with an estimate of 2.3e-8) and on 11 of its 20 draws.
+# same quadrature at three times the budget, the conformal unpaired rows
+# with |n| = 3, whose factor of the sign opposite to w^n carries its own
+# bubble of radius about s^2 / 2, and the first 20 draws.  Before
+# factor_scales gave each factor's bubble and the origin's was seeded,
+# numeric_trapped_area missed on 88 of the 864 rows and on 4 of the first
+# 40 seed-7 draws, and face_flux, then a quadrature of the three face
+# rectangles, on 24 of its 108 rows (row 4 of ORIGIN_BUBBLES gave
+# 1.5707963 against 5 pi / 2, with an estimate of 2.3e-8) and on 11 of its
+# 20 draws.
 @pytest.mark.parametrize("oracle,rows,draws", [
     (numeric_trapped_area, lambda spec: True, 40),
     (_flux_on_the_cube, lambda spec: abs(spec.n) == 3 and not spec.is_anticonformal
