@@ -240,22 +240,35 @@ def _power(x, k: int):
     return out
 
 
-def _factors(spec: RationalMapSpec, zeta, derivatives: bool = True):
+def _factors(spec: RationalMapSpec, zeta, derivatives: bool = True, out=(None, None)):
     """(num, num', den, den', sign) of each zero factor at zeta = w^2, in the
     order real, imaginary, complex, with num' and den' the zeta-derivatives:
-    None is a derivative 1, and without ``derivatives`` a quartic's are None."""
+    None is a derivative 1, and without ``derivatives`` a quartic's are None.
+    num and den are written through ``out[0]`` and ``out[1]``, read anew for
+    each factor: arrays shaped as zeta, or None for fresh ones."""
     for r, sign in spec.real_factors:
         r2 = r * r
-        yield zeta - r2, None, r2 * zeta - 1.0, r2, sign
+        den = np.multiply(r2, zeta, out=out[1])
+        den -= 1.0
+        yield np.subtract(zeta, r2, out=out[0]), None, den, r2, sign
     for s, sign in spec.imag_factors:
         s2 = s * s
-        yield zeta + s2, None, s2 * zeta + 1.0, s2, sign
-    for u, v, sign in spec.quartics:
-        z2, uz = zeta * zeta, u * zeta
+        den = np.multiply(s2, zeta, out=out[1])
+        den += 1.0
+        yield np.add(zeta, s2, out=out[0]), None, den, s2, sign
+    quartics = spec.quartics
+    z2 = zeta * zeta if quartics else None
+    for u, v, sign in quartics:
+        uz = u * zeta
+        num = np.subtract(z2, uz, out=out[0])
+        num += v
+        den = np.multiply(v, z2, out=out[1])
+        den -= uz
+        den += 1.0
         if derivatives:
-            yield z2 - uz + v, 2.0 * zeta - u, v * z2 - uz + 1.0, 2.0 * v * zeta - u, sign
+            yield num, 2.0 * zeta - u, den, 2.0 * v * zeta - u, sign
         else:
-            yield z2 - uz + v, None, v * z2 - uz + 1.0, None, sign
+            yield num, None, den, None, sign
 
 
 def _accumulate(spec: RationalMapSpec, w, derivatives: bool = True) -> tuple:
@@ -263,18 +276,23 @@ def _accumulate(spec: RationalMapSpec, w, derivatives: bool = True) -> tuple:
     eps w^n Pt(zeta)/Qt(zeta), zeta = w^2, with Pt, Qt the products of the
     factor numerators and denominators and dPt, dQt their zeta-derivatives
     (None without ``derivatives``, whose products are then skipped).
-    ``spec`` may also be a per-point view from ``_spec_points``."""
+    ``spec`` may also be a per-point view from ``_spec_points``.  The first
+    factor's arrays become the products; every later factor is written
+    over one pair of temporaries."""
     w = np.asarray(w, dtype=complex)
     if spec.is_anticonformal:
         # asarray keeps a 0-d input an array: numpy scalars round differently
         w = np.asarray(np.conj(w))
     zeta = w * w
     parts = None
-    for num, dnum, den, dden, sign in _factors(spec, zeta, derivatives):
+    out = [None, None]
+    for num, dnum, den, dden, sign in _factors(spec, zeta, derivatives, out):
         if sign < 0:
             num, dnum, den, dden = den, dden, num, dnum
         if parts is None:
             parts = [num, 1.0 if dnum is None else dnum, den, 1.0 if dden is None else dden]
+            if isinstance(zeta, np.ndarray):  # a numpy scalar keeps its own arithmetic
+                out[:] = np.empty_like(zeta), np.empty_like(zeta)
             continue
         # (T t)' = T' t + T t', in place on the arrays made here
         Pt, dPt, Qt, dQt = parts

@@ -87,7 +87,7 @@ from .conformal import (
 from .errors import AccuracyError, DomainError, SumRuleError
 from .geometry import Prism, edge_length
 from .invariants import _trapped_area, trapped_area
-from .numerics import QuadratureResult, appell_f2_restricted, lp_solve, quad2d_many
+from .numerics import _CELL_EVALS, _SEGMENT_EVALS, QuadratureResult, appell_f2_restricted, lp_solve, quad2d_many
 
 __all__ = [
     "ElasticConstants",
@@ -298,28 +298,27 @@ def _faces_domain(half: Tuple[float, float, float]):
     return rects, splits
 
 
-def _face_project(half, u, v, level: float):
-    """(w, r, z, part) at points (u, v) of ``_green_domain``: the
-    stereographic projection w and |r| of the box point, face k lying in
-    the plane where coordinate k equals ``half[k]``, its z, and the face
-    index ``part`` (0, 1, 2 for faces x, y, z).  The points with
-    v <= -``level`` come last and lie on the far box edges; their ``part``
-    is 3 + the edge's axis."""
-    on_x = u > 0.0  # face x; v < 0 is face z, the rest face y
-    on_z = v < 0.0
-    x = np.where(on_x, half[0], -u)
-    y = np.where(on_x, u, np.where(on_z, -v, half[1]))
-    z = np.where(on_z, half[2], v)
-    part = np.add(~on_x, on_z, dtype=np.intp)
-    if v[-1] <= -level:  # the call ends with edge points
-        n = np.count_nonzero(v <= -level)
-        axis = np.rint(v[-n:] / -level).astype(np.intp) - 1
-        pts = np.asarray(half)[:, None].repeat(n, axis=1)
-        pts[axis, np.arange(n)] = u[-n:]
-        x[-n:], y[-n:], z[-n:] = pts
-        part[-n:] = axis + 3
-    w, _, r = _project(x, y, z)
-    return w, r, z, part
+def _layout(u, v, level: float) -> Tuple[List[List[int]], Optional[np.ndarray]]:
+    """(runs, axes) of an integrand call at points (u, v) of
+    ``_green_domain``, laid out as ``quad2d_many`` lays out a call: its
+    rectangles' 225 points each, then its segments' 15 points each.  A run
+    [start, stop, k] is a stretch of consecutive rectangles on face k (0,
+    1, 2 for faces x, y, z), read from the signs of each rectangle's first
+    point, as every cell lies in its face's quadrant of ``_FACE_SIGNS``;
+    ``axes`` holds the axis m of each segment, on the far box edge at
+    v = -(m + 1) ``level``, or is None when the call holds no segment."""
+    runs: List[List[int]] = []
+    for a, u0, v0 in zip(range(0, len(u), _CELL_EVALS), u[::_CELL_EVALS].tolist(), v[::_CELL_EVALS].tolist()):
+        if v0 <= -level:  # the first segment
+            break
+        face = 0 if u0 > 0.0 else 2 if v0 < 0.0 else 1
+        if runs and runs[-1][2] == face:
+            runs[-1][1] += _CELL_EVALS
+        else:
+            runs.append([a, a + _CELL_EVALS, face])
+    end = runs[-1][1] if runs else 0
+    ys = v[end::_SEGMENT_EVALS]
+    return runs, np.add(ys < -1.5 * level, ys < -2.5 * level, dtype=np.intp) if len(ys) else None
 
 
 # Face k takes the slope form when h_i h_j > _SLOPE_RATIO h_k^2 (see the
@@ -353,13 +352,16 @@ def _slope_faces(half: Tuple[float, float, float]) -> Tuple[bool, bool, bool]:
 
 def _green_density(half: Tuple[float, float, float], weight: float):
     """``density(spec, u, v)``: ``weight`` times the integrand of Green's
-    second identity at points (u, v) of ``_green_domain``, the edge points
-    last: (2/h_k) phi on face k and -c_ij phi on the edge where the faces i
-    and j meet, c_ij = h_i/h_j + h_j/h_i, with phi = 2 log |(P, Q)|; a face
-    in the slope form (``_slope_faces``) has d phi/dx_k instead, and the
-    edges lose its parts of their c_ij (see the module docstring).  ``spec``
-    may be a per-point view from ``_spec_points``.  What depends on the box
-    alone is computed here, once per quadrature."""
+    second identity at points (u, v) of ``_green_domain``, laid out as
+    ``quad2d_many`` lays out an integrand call (``_layout``): (2/h_k) phi on
+    face k and -c_ij phi on the edge where the faces i and j meet, c_ij =
+    h_i/h_j + h_j/h_i, with phi = 2 log |(P, Q)|; a face in the slope form
+    (``_slope_faces``) has d phi/dx_k instead, and the edges lose its parts
+    of their c_ij (see the module docstring).  ``spec`` may be a per-point
+    view from ``_spec_points``.  What depends on the box alone is computed
+    here, once per quadrature; each run of rectangles on one face takes
+    that face's coordinates and scale at once, and the edges theirs by
+    segment."""
     hx, hy, hz = half
     slope = _slope_faces(half)
     level = _edge_level(half)
@@ -367,30 +369,52 @@ def _green_density(half: Tuple[float, float, float], weight: float):
     if derivatives:  # the edge between faces i and j keeps h_j/h_i unless face i takes it
         c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
              for a, b in ((1, 2), (0, 2), (0, 1))]
-        # by ``part``, as ``scales``: face k's point moves by
-        # dw = (e_k - w (h_k/r + [k = z])) / (r + z) along x_k, with
-        # e = (1, i, 0); the kernel evaluates anticonformal maps at conj(w)
-        sides = np.array([hx, hy, hz, hy, hy, hy])
-        unit = np.array([1.0, 1j, 0.0, 0.0, 0.0, 0.0])
-        on_z = np.array([False, False, True, False, False, False])
-        sloped = np.array(slope + (False,) * 3)
     else:  # c_ij of the edges along x, y and z
         c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
-    # by ``part``: faces x, y, z, then the edges along x, y, z; the scales
-    # carry phi's factor 2 over log |(P, Q)|
-    scales = np.array([4.0 * weight / h for h in half] + [-2.0 * weight * ci for ci in c])
+    # the scales of faces x, y, z and of the edges along x, y, z carry
+    # phi's factor 2 over log |(P, Q)|
+    scales = [4.0 * weight / h for h in half]
+    edge_scales = np.array([-2.0 * weight * ci for ci in c])
+    corner = np.array(half)[:, None, None]
+    # face k's point moves by dw = (e_k - w (h_k/r + [k = z])) / (r + z)
+    # along x_k, with e = (1, i, 0); the kernel evaluates anticonformal maps
+    # at conj(w)
+    units = (1.0 + 0j, 1j, 0j)
 
     def density(spec, u, v):
-        w, r, z, part = _face_project(half, u, v, level)
+        runs, axes = _layout(u, v, level)
+        end = runs[-1][1] if runs else 0
+        points = np.empty((3, len(u)))
+        x, y, z = points
+        for a, b, k in runs:  # face x at (h_x, u, v), face y at (-u, h_y, v), face z at (-u, -v, h_z)
+            if k == 0:
+                x[a:b], y[a:b], z[a:b] = hx, u[a:b], v[a:b]
+            elif k == 1:
+                x[a:b], y[a:b], z[a:b] = -u[a:b], hy, v[a:b]
+            else:
+                x[a:b], y[a:b], z[a:b] = -u[a:b], -v[a:b], hz
+        if axes is not None:  # the edge along axis m at half, coordinate m replaced by u
+            edges = points[:, end:].reshape(3, len(axes), _SEGMENT_EVALS)
+            edges[...] = corner
+            edges[axes, np.arange(len(axes))] = u[end:].reshape(len(axes), _SEGMENT_EVALS)
+        w, _, r = _project(*points)
         acc = _accumulate(spec, w, derivatives=derivatives)
         out = _log_norm(spec, acc)
-        out *= scales[part]
-        if derivatives:
-            dw = (unit[part] - w * (sides[part] / r + on_z[part])) / (r + z)
+        grad = _log_norm_gradient(spec, acc) if derivatives else None
+        for a, b, k in runs:
+            if not slope[k]:
+                out[a:b] *= scales[k]
+                continue
+            t = half[k] / r[a:b]
+            if k == 2:
+                t += 1.0
+            dw = (units[k] - w[a:b] * t) / (r[a:b] + z[a:b])
             if spec.is_anticonformal:
                 dw = np.conj(dw)
-            d_phi = 2.0 * weight * (_log_norm_gradient(spec, acc) * dw).real
-            out = np.where(sloped[part], d_phi, out)
+            out[a:b] = 2.0 * weight * (grad[a:b] * dw).real
+        if axes is not None:
+            on_edges = out[end:].reshape(len(axes), _SEGMENT_EVALS)
+            on_edges *= edge_scales[axes, None]
         return out
 
     return density

@@ -189,18 +189,24 @@ def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float
     seg = [row[2] == row[3] for row in rows]
     order = sorted(range(len(rows)), key=seg.__getitem__)  # rectangles, then segments
     m, r = len(rows), seg.count(False)
-    cells = np.array(rows)[order]
-    k = np.array(tags)[order].repeat([_CELL_EVALS] * r + [_SEGMENT_EVALS] * (m - r))
+    # per row in rating order: centre and half-width along x, then along y
+    # (Python floats round as numpy's do)
+    shapes = [(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.5 * (y0 + y1), 0.5 * (y1 - y0))
+              for x0, x1, y0, y1 in map(rows.__getitem__, order)]
+    total = _CELL_EVALS * r + _SEGMENT_EVALS * (m - r)
+    if len(set(tags)) == 1:
+        k = np.full(total, tags[0])
+    else:
+        k = np.array(tags)[order].repeat([_CELL_EVALS] * r + [_SEGMENT_EVALS] * (m - r))
     rated = [None] * m
     starts = list(range(0, r, _BATCH_CELLS)) or [0]
     first = 0  # the block's first point
     for a, b in zip(starts, starts[1:] + [m]):
         n = min(b, r) - a  # rectangles in the block, then b - a - n segments
         last = first + _CELL_EVALS * n + _SEGMENT_EVALS * (b - a - n)
-        lo, hi = cells[a:b, 0::2], cells[a:b, 1::2]
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)  # (b - a, 2): centres and half-widths along x and y
-        nodes = c[:, :, None] + h[:, :, None] * _XK  # (b - a, 2, 15); y + 0 x = y on a segment
-        widths = h.tolist()
+        block = np.array(shapes[a:b])
+        nodes = block[:, 1::2, None] * _XK  # (b - a, 2, 15): c + h x_k along x and y
+        nodes += block[:, 0::2, None]  # y + 0 x_k = y on a segment
         # points of rectangle i at [i, p, q] of a (2, n, 15, 15) grid, x
         # varying along p and y along q, then the segments' 15 points each
         points = np.empty((2, last - first))
@@ -218,17 +224,17 @@ def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float
         vals = values[:_CELL_EVALS * n].reshape(n, _CELL_EVALS)
         kron, gauss, gauss_x, gauss_y = np.einsum("mp,qp->qm", vals, _W).tolist()
         axes = []
-        for s, gx, gy, (lx, ly) in zip(kron, gauss_x, gauss_y, widths):
+        for s, gx, gy, (_, lx, _, ly) in zip(kron, gauss_x, gauss_y, shapes[a:a + n]):
             ex, ey = abs(s - gx), abs(s - gy)  # the errors along x and along y
             axes.append(0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else _TIE + (ly > lx))
         # a rectangle's Jacobian is hx hy
-        jacs = [lx * ly for lx, ly in widths[:n]]
+        jacs = [lx * ly for _, lx, _, ly in shapes[a:a + n]]
         if n < b - a:
             line = values[_CELL_EVALS * n:].reshape(b - a - n, 15)
             kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
             gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
             axes += [0] * (b - a - n)
-            jacs += [lx for lx, _ in widths[n:]]  # a segment's is hx
+            jacs += [lx for _, lx, _, _ in shapes[a + n:b]]  # a segment's is hx
         for i, j, s, g, code in zip(order[a:b], jacs, kron, gauss, axes):
             rated[i] = (j * s, abs(j * s - j * g), code)
     return rated
@@ -428,17 +434,22 @@ def quad2d_many(
     Only the integrand calls are shared.  A round rates the new cells of
     every problem still refining in one pass, rectangles first and then
     segments: blocks of at most 16 rectangles (3600 points), one integrand
-    call each, with all the round's segments (15 points each) at the end
-    of the last block, so a call holds the points of its rectangles first
-    and then those of its segments, and rates segments alone only in a
-    round without rectangles.  Root cells are blocked the same way, since
-    larger calls page-fault their freed temporaries back in on every call.
-    Most rounds rate 2 to 6 cells, so a round costs mostly its fixed numpy
-    and Python work, not its points: the round's cell array and point tags
-    are built once, the nodes of a block come from one array, the four rule
-    sums of its rectangles (value, error estimate and both split-axis
-    errors) from one weight contraction, and the per-cell results are
-    finished in Python.
+    call each, with all the round's segments at the end of the last block,
+    and segments alone only in a round without rectangles.  Root cells are
+    blocked the same way, since larger calls page-fault their freed
+    temporaries back in on every call.  So every call of ``f`` is laid
+    out alike, and an integrand may rely on it (``energy._layout`` reads
+    each cell's face from its first point): at most 16 rectangles, each as
+    225 contiguous points, its 15 x 15 tensor grid of Kronrod nodes with x
+    at the p-th node and y at the q-th at 15 p + q, then the segments, each
+    as 15 contiguous points in x; all points of a cell carry its problem's
+    tag.  Most rounds rate 2 to 6 cells, so a round costs mostly its fixed
+    numpy and Python work, not its points: the round's point tags are built
+    once (one ``np.full`` when the round has one problem), each cell's
+    centre and half-widths are taken in Python, the nodes of a block come
+    from one small array, the four rule sums of its rectangles (value,
+    error estimate and both split-axis errors) from one weight
+    contraction, and the per-cell results are finished in Python.
     A problem leaves the loop when it converges or fails.  Many shallow
     problems (a family scan) then take few, full integrand calls instead
     of many small ones (QUADPACK and Berntsen, Espelid & Genz, ACM TOMS 17,

@@ -630,6 +630,30 @@ def test_energy_artifact_bytes_are_pinned(tmp_path, capsys, payload, expected):
     assert capsys.readouterr().out == expected
 
 
+# `energy --tol 1e-7` stdout on boxes of three different sides, where the
+# cube of ENERGY_BYTES cannot tell h_x from h_y: the CI spec3.json on
+# 3 x 2 x 1 (the faces and edges in the potential form; CI checks its exact
+# through the installed console script) and the identity on the flat
+# 1e4 x 1e4 x 1 (face z in the slope form), whose unwrapped_energy is
+# 129.6895408379419.  Recorded before the energy integrand read its faces
+# by runs of cells.
+BOX_ENERGY_BYTES = [
+    ("3,2,1", {"epsilon": 1, "n": 1, "real": [[0.4, 1]], "imag": [[0.7, -1]], "complex": [[0.3, 0.4, 1]]},
+     '{\n  "exact": 289.22733661425485,\n  "exact_err": 4.672288733686969e-08,\n  "lower": 113.09733552923255,\n'
+     '  "ratio": 3.7416573867739413,\n  "scaled": 159.16793731530444,\n  "upper": 423.1714809074039\n}\n'),
+    ("1e4,1e4,1", {"epsilon": 1, "n": 1},
+     '{\n  "exact": 129.6895408379496,\n  "exact_err": 9.451567281604234e-08,\n  "lower": 12.566370614359172,\n'
+     '  "ratio": 14142.135659086289,\n  "scaled": 0.2794076457155854,\n  "upper": 177715.3179706229\n}\n'),
+]
+
+
+@pytest.mark.parametrize("prism,payload,expected", BOX_ENERGY_BYTES, ids=["spec3-3-2-1", "identity-flat"])
+def test_energy_artifact_bytes_are_pinned_on_boxes_of_three_sides(tmp_path, capsys, prism, payload, expected):
+    path = write_spec(tmp_path, payload)
+    assert run(["energy", "--prism", prism, "--spec", path, "--tol", "1e-7"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # the pins above as they stood while quad2d bisected every cell: (exact,
 # exact_err) per ENERGY_BYTES spec, the slab's min_value, and (E, E_err) of
 # each README_SWEEP_BYTES row

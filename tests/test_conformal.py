@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_spec, reference_area_density, reference_parts
 
-from nemprism.conformal import _accumulate, _log_norm
+from nemprism.conformal import _accumulate, _log_norm, _spec_points
 
 from nemprism import (
     InvalidSpecError,
@@ -236,6 +236,55 @@ def test_kernel_matches_the_w_form_reference_at_extremes():
     stacked = RationalMapSpec(-1, 3, real_factors=((a, 1), (math.nextafter(a, 1.0), -1)) * 3)
     near = a * rng.uniform(0.0, 3.0, 100) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 100))
     _check_against_reference(stacked, np.concatenate([near, ws]))
+
+
+def _products(spec, w, derivatives):
+    """``_accumulate`` with a fresh array for every factor expression and
+    product: Pt, Qt and their zeta-derivatives over (zeta - r^2, r^2 zeta - 1),
+    (zeta + s^2, s^2 zeta + 1) and (zeta^2 - u zeta + v, v zeta^2 - u zeta + 1)."""
+    w = np.asarray(w, dtype=complex)
+    if spec.is_anticonformal:
+        w = np.asarray(np.conj(w))
+    zeta = w * w
+    factors = [(zeta - r * r, None, r * r * zeta - 1.0, r * r, sign) for r, sign in spec.real_factors]
+    factors += [(zeta + s * s, None, s * s * zeta + 1.0, s * s, sign) for s, sign in spec.imag_factors]
+    factors += [(zeta * zeta - u * zeta + v, 2.0 * zeta - u, v * (zeta * zeta) - u * zeta + 1.0,
+                 2.0 * v * zeta - u, sign) for u, v, sign in spec.quartics]
+    parts = None
+    for num, dnum, den, dden, sign in factors:
+        if sign < 0:
+            num, dnum, den, dden = den, dden, num, dnum
+        if parts is None:
+            parts = [num, 1.0 if dnum is None else dnum, den, 1.0 if dden is None else dden]
+            continue
+        Pt, dPt, Qt, dQt = parts
+        if derivatives:
+            dPt = dPt * num + (Pt if dnum is None else Pt * dnum)
+            dQt = dQt * den + (Qt if dden is None else Qt * dden)
+        parts = [Pt * num, dPt, Qt * den, dQt]
+    Pt, dPt, Qt, dQt = parts or (1.0, 0.0, 1.0, 0.0)
+    return (w, zeta, Pt, dPt, Qt, dQt) if derivatives else (w, zeta, Pt, None, Qt, None)
+
+
+def test_accumulate_over_reused_temporaries_matches_fresh_products_bit_for_bit():
+    # every factor after the first is written over one pair of temporaries;
+    # the products must round as those of fresh arrays do, for arrays, a
+    # 0-d point (numpy scalars) and per-point views of several specs
+    rng = np.random.default_rng(29)
+    ws = rng.uniform(0.0, 2.0, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+    for _ in range(40):
+        spec = random_spec(rng, max_degree=15)
+        for w in (ws, ws[0], np.asarray(ws[1])):
+            for derivatives in (True, False):
+                got, want = _accumulate(spec, w, derivatives), _products(spec, w, derivatives)
+                assert [type(g) for g in got] == [type(x) for x in want]
+                assert all(np.asarray(g).tobytes() == np.asarray(x).tobytes() for g, x in zip(got, want)), spec
+    view = _spec_points([RationalMapSpec(1, -3, ((0.3, 1), (0.6, -1)), ((0.5, 1),), ((0.2 + 0.4j, -1), (0.5 + 0.1j, 1))),
+                         RationalMapSpec(1, -3, ((0.4, 1), (0.7, -1)), ((0.2, 1),), ((0.6 + 0.3j, -1), (0.1 + 0.5j, 1)))])
+    at = view(rng.integers(0, 2, ws.size))
+    for derivatives in (True, False):
+        got, want = _accumulate(at, ws, derivatives), _products(at, ws, derivatives)
+        assert all(np.asarray(g).tobytes() == np.asarray(x).tobytes() for g, x in zip(got, want))
 
 
 def test_log_norm_skips_the_derivatives_and_matches_the_reference():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nemprism.energy
-from nemprism.numerics import _root_cells
+from nemprism.conformal import _accumulate, _log_norm, _log_norm_gradient, _project, _spec_points
+from nemprism.numerics import _rate_cells, _root_cells
 from helpers import random_prism, random_spec
 
 from nemprism import (
@@ -678,3 +679,173 @@ def test_energy_of_a_close_imag_pair_lies_within_its_estimate():
     })
     res = conformal_energy(make_prism(6.258439655406666, 1.6012005055646197, 1.0), spec, tol=1e-7)
     assert abs(res.value - 220.97638033382395) <= res.error_estimate <= 1e-7
+
+
+# ----------------------------------------------------------------------
+# The Green integrand by runs, bit for bit against a per-point decode
+# ----------------------------------------------------------------------
+
+def _reference_green_density(half, weight):
+    """The energy integrand with a per-point decode: each face point's face
+    from the signs of (u, v), each edge point's axis from rint(v / -L), the
+    scales and slope data gathered per point by part, and the potential
+    and slope forms over the whole call."""
+    hx, hy, hz = half
+    slope = tuple(half[i] * half[j] > 256.0 * half[k] ** 2 for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    level = 1.0 + hx + hy + hz
+    derivatives = any(slope)
+    if derivatives:
+        c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
+             for a, b in ((1, 2), (0, 2), (0, 1))]
+    else:
+        c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
+    scales = np.array([4.0 * weight / h for h in half] + [-2.0 * weight * ci for ci in c])
+    sides = np.array([hx, hy, hz, hy, hy, hy])
+    unit = np.array([1.0, 1j, 0.0, 0.0, 0.0, 0.0])
+    on_z = np.array([False, False, True, False, False, False])
+    sloped = np.array(slope + (False,) * 3)
+
+    def density(spec, u, v):
+        on_x, on_zface = u > 0.0, v < 0.0
+        x = np.where(on_x, hx, -u)
+        y = np.where(on_x, u, np.where(on_zface, -v, hy))
+        z = np.where(on_zface, hz, v)
+        part = np.add(~on_x, on_zface, dtype=np.intp)
+        edge = v <= -level
+        if edge.any():
+            n = np.count_nonzero(edge)
+            axis = np.rint(v[-n:] / -level).astype(np.intp) - 1
+            pts = np.asarray(half)[:, None].repeat(n, axis=1)
+            pts[axis, np.arange(n)] = u[-n:]
+            x[-n:], y[-n:], z[-n:] = pts
+            part[-n:] = axis + 3
+        w, _, r = _project(x, y, z)
+        acc = _accumulate(spec, w, derivatives=derivatives)
+        out = _log_norm(spec, acc) * scales[part]
+        if derivatives:
+            dw = (unit[part] - w * (sides[part] / r + on_z[part])) / (r + z)
+            if spec.is_anticonformal:
+                dw = np.conj(dw)
+            out = np.where(sloped[part], 2.0 * weight * (_log_norm_gradient(spec, acc) * dw).real, out)
+        return out
+
+    return density
+
+
+def _every_structure_spec(rng, max_degree=9):
+    """A spec of each factor structure of degree <= max_degree, each sign of
+    epsilon and each orientation, with random positions and factor signs."""
+    for n in [s * m for m in range(1, max_degree + 1, 2) for s in (1, -1)]:
+        for c in range((max_degree - abs(n)) // 4 + 1):
+            for a in range((max_degree - abs(n) - 4 * c) // 2 + 1):
+                for b in range((max_degree - abs(n) - 4 * c) // 2 - a + 1):
+                    for eps in (1, -1):
+                        for orientation in ("conformal", "anticonformal"):
+                            yield _structure_specs(rng, eps, n, a, b, c, orientation, 1)[0]
+
+
+def _structure_specs(rng, eps, n, a, b, c, orientation, count):
+    """``count`` specs of one structure: the factor signs drawn once, the
+    positions per spec."""
+    signs = [int(s) for s in rng.choice([-1, 1], size=a + b + c)]
+    specs = []
+    for _ in range(count):
+        pos = rng.uniform(0.1, 0.9, size=a + b + c)
+        theta = rng.uniform(0.2, 0.5 * math.pi - 0.2, size=c)
+        specs.append(RationalMapSpec(
+            eps, n,
+            tuple((float(p), s) for p, s in zip(pos[:a], signs[:a])),
+            tuple((float(p), s) for p, s in zip(pos[a:a + b], signs[a:a + b])),
+            tuple((complex(p * math.cos(t), p * math.sin(t)), s) for p, t, s in zip(pos[a + b:], theta, signs[a + b:])),
+            orientation,
+        ))
+    return specs
+
+
+def _green_layouts(half):
+    """Named cell-row lists of ``_green_domain`` in orders that the rounds
+    of ``quad2d_many`` can rate: the root cells (the faces in order, then
+    the edges), the face quarters interleaved x, z, y, ... (over 16
+    rectangles, so two calls) with edge halves of mixed axes, the edges
+    alone, and one cell of each face alone."""
+    roots = _root_cells(*nemprism.energy._green_domain(half))
+    faces = [row for row in roots if row[2] != row[3]]
+    edges = [row for row in roots if row[2] == row[3]]
+
+    def quarters(row):
+        x0, x1, y0, y1 = row
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        return [[x0, xm, y0, ym], [x0, xm, ym, y1], [xm, x1, y0, ym], [xm, x1, ym, y1]]
+
+    def halves(row):
+        x0, x1, y, _ = row
+        xm = 0.5 * (x0 + x1)
+        return [[x0, xm, y, y], [xm, x1, y, y]]
+
+    # one root rectangle per face, and one root segment per edge axis
+    by_face = [next(row for row in faces if (row[0] >= 0.0, row[2] >= 0.0) == key)
+               for key in ((True, True), (False, True), (False, False))]
+    by_edge = [next(row for row in edges if row[2] == y) for y in sorted({row[2] for row in edges}, reverse=True)]
+    cut = [quarters(row) for row in by_face]
+    mixed = [row for group in zip(cut[0], cut[2], cut[1], cut[0][::-1], cut[2][::-1]) for row in group]
+    mixed += cut[1] + [row for pair in zip(halves(by_edge[2]), halves(by_edge[0]), halves(by_edge[1])) for row in pair]
+    edge_mix = [by_edge[1], by_edge[2], by_edge[0], by_edge[2]]
+    return {"roots": roots, "mixed": mixed, "edges": edge_mix,
+            **{f"face-{name}": [row] for name, row in zip("xyz", by_face)}}
+
+
+def _integrand_calls(rows, tags):
+    """The integrand calls (u, v, k) that the rating of ``rows`` makes."""
+    calls = []
+
+    def record(u, v, k):
+        calls.append((u.copy(), v.copy(), k.copy()))
+        return np.zeros(len(u))
+
+    _rate_cells(record, rows, tags)
+    return calls
+
+
+GREEN_BOXES = {"3-2-1": make_prism(3.0, 2.0, 1.0), "flat": make_prism(1e4, 1e4, 1.0),
+               "needle": make_prism(1e6, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("box", GREEN_BOXES)
+def test_green_density_matches_the_per_point_decode_bit_for_bit(box):
+    # every structure of degree <= 9 with both signs of epsilon and both
+    # orientations (on the flat box and the needle, each structure once),
+    # in calls that mix the faces, mix the edges' axes, hold edges alone or
+    # one cell alone; the flat box takes face z in the slope form and the
+    # needle faces y and z, and 3 x 2 x 1 tells every half side apart
+    half = GREEN_BOXES[box].octant.half_lengths
+    density = nemprism.energy._green_density(half, 16.0)
+    reference = _reference_green_density(half, 16.0)
+    layouts = _green_layouts(half)
+    calls = {name: _integrand_calls(rows, [0] * len(rows)) for name, rows in layouts.items()}
+    assert len(calls["mixed"]) == 2
+    specs = list(_every_structure_spec(np.random.default_rng(29)))
+    assert len(specs) == 4 * 92
+    if box != "3-2-1":  # each structure once, epsilon and orientation cycling
+        specs = [specs[4 * i + i % 4] for i in range(92)]
+    for spec in specs:
+        for name, layout_calls in calls.items():
+            for u, v, _ in layout_calls:
+                got, want = density(spec, u, v), reference(spec, u, v)
+                assert got.tobytes() == want.tobytes(), (box, name, spec)
+
+
+@pytest.mark.parametrize("box", GREEN_BOXES)
+def test_green_density_of_batched_specs_matches_the_per_point_decode(box):
+    # _spec_points views of three specs per structure, the rows of each
+    # layout spread over the specs
+    half = GREEN_BOXES[box].octant.half_lengths
+    density = nemprism.energy._green_density(half, 16.0)
+    reference = _reference_green_density(half, 16.0)
+    rng = np.random.default_rng(31)
+    layouts = _green_layouts(half)
+    for eps, n, a, b, c, orientation in [(1, 1, 1, 1, 1, "conformal"), (-1, -3, 2, 1, 0, "anticonformal"),
+                                         (1, -1, 0, 0, 2, "anticonformal"), (-1, 5, 0, 2, 0, "conformal")]:
+        at = _spec_points(_structure_specs(rng, eps, n, a, b, c, orientation, 3))
+        for name, rows in layouts.items():
+            for u, v, k in _integrand_calls(rows, [i % 3 for i in range(len(rows))]):
+                assert density(at(k), u, v).tobytes() == reference(at(k), u, v).tobytes(), (box, name, n)

@@ -946,3 +946,46 @@ def test_quad2d_refuses_to_bisect_a_side_one_float_spacing_wide(segment):
     lo, hi = (x0, x1) if segment else (y0, y1)
     assert hi == math.nextafter(lo, math.inf) and 0.5 in (lo, hi)
     assert math.isfinite(info.value.value) and info.value.evaluations > 0
+
+
+def test_integrand_calls_follow_the_documented_layout():
+    # the layout of quad2d_many's docstring, on which energy._layout reads
+    # each cell's face from its first point: a call holds at most 16
+    # rectangles, each as its 15 x 15 tensor grid of 225 contiguous points
+    # (x at the p-th Kronrod node and y at the q-th at 15 p + q), then the
+    # segments, 15 contiguous points each; every cell's points carry one tag
+    xk = nemprism.numerics._XK
+    seen = []
+
+    def f(x, y, k):
+        seen.append((x.copy(), y.copy(), k.copy()))
+        return np.exp(np.sin(7.0 * x) * np.cos(5.0 * y)) + np.cos(9.0 * x) * (y < 0.0)
+
+    def problem(shift, cut):
+        rects = [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 0.5), (-3.0, -2.0, 0.5, 2.0)]
+        segments = [(0.0, 2.0, -1.0, -1.0), (0.5, 1.5, -2.0, -2.0)]
+        return ([(x0 + shift, x1 + shift, y0, y1) for x0, x1, y0, y1 in rects] + segments,
+                [([0.25, 0.5], [0.5]), None, None, cut, None])
+
+    results = quad2d_many(f, [problem(0.0, ([1.0], None)), problem(0.25, None)], tol=1e-9)
+    assert all(isinstance(res, nemprism.numerics.QuadratureResult) for res in results)
+    assert len(seen) >= 8
+    shapes = []  # (rectangles, segments) per call
+    for x, y, k in seen:
+        rects = int(np.count_nonzero(y[::225] >= 0.0))
+        shapes.append((rects, (x.size - 225 * rects) // 15))
+        assert rects <= 16
+        assert np.all(y[:225 * rects] >= 0.0) and np.all(y[225 * rects:] < 0.0)  # rectangles, then segments
+        assert (x.size - 225 * rects) % 15 == 0
+        for a in range(0, 225 * rects, 225):
+            gx, gy = x[a:a + 225].reshape(15, 15), y[a:a + 225].reshape(15, 15)
+            assert np.all(gx == gx[:, :1]) and np.all(gy == gy[:1, :])  # x by rows, y by columns
+            for nodes in (gx[:, 0], gy[0]):
+                centre, half = nodes[7], 0.5 * (nodes[14] - nodes[0]) / xk[14]
+                assert np.allclose(nodes, centre + half * xk, rtol=0.0, atol=1e-12 * abs(half) + 1e-15)
+            assert np.all(k[a:a + 225] == k[a])
+        for a in range(225 * rects, x.size, 15):
+            assert np.all(y[a:a + 15] == y[a]) and np.all(np.diff(x[a:a + 15]) > 0.0) and np.all(k[a:a + 15] == k[a])
+    # the calls include full blocks, segments behind rectangles, and two problems in one call
+    assert (16, 0) in shapes and any(r and n for r, n in shapes)
+    assert any(len(set(k.tolist())) == 2 for _, _, k in seen)
