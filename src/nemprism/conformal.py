@@ -28,22 +28,21 @@ density stays finite everywhere.  It is written once, in a shared kernel:
 derivatives accumulated as polynomials in w^2, w conjugated first for
 anticonformal maps), ``_parts`` (the projective parts), ``_density`` (the
 area or sphere density in one fused pass), ``_log_norm`` (log |(P, Q)|,
-half the Fubini-Study potential, from Pt and Qt alone), ``_log_norm_gradient``
-(its derivative in w), ``_lift`` (the
-unit vector of a pair) and ``_project`` (a point to w, the -z axis to
-infinity).  The director, flux and density functions below, the energy
-integrand, the trapped-area integrand and the winding sampler all call
-it.  ``_spec_points`` lets one
-kernel call evaluate many specs of one structure, each point under its
-own spec (a batched family scan).
+half the Fubini-Study potential, from Pt and Qt alone), ``_potential``
+(the same from w in one fused pass, the energy's phi kernel),
+``_log_norm_gradient`` (its derivative in w), ``_lift`` (the unit vector
+of a pair) and ``_project`` (a point to w, the -z axis to infinity).
+The director, flux and density functions below, the energy integrand,
+the trapped-area integrand and the winding sampler all call it.
+``_spec_points`` lets one kernel call evaluate many specs of one
+structure, each point under its own spec (a batched family scan).
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -138,6 +137,11 @@ class RationalMapSpec:
     @property
     def is_anticonformal(self) -> bool:
         return self.orientation == "anticonformal"
+
+    @cached_property
+    def pair_factors(self) -> list:
+        """``_pair_factors`` of this spec, built once."""
+        return _pair_factors(self.real_factors, self.imag_factors, self.quartics)
 
     @property
     def quartics(self) -> Tuple[Tuple[float, float, int], ...]:
@@ -366,16 +370,82 @@ def _log_norm(spec: RationalMapSpec, acc: tuple):
     square over- or underflows at zeros and poles; it is also several times
     faster than ``np.hypot``."""
     w, _, Pt, _, Qt, _ = acc
-    mono = _power(np.abs(w), abs(spec.n))  # |w|^|n|
     pair = np.empty(np.shape(w), dtype=complex)
     np.abs(Pt, out=pair.real)
     np.abs(Qt, out=pair.imag)
-    if spec.n > 0:
-        pair.real *= mono
-    else:
-        pair.imag *= mono
+    return _log_pair(spec, w, pair)
+
+
+def _log_pair(spec: RationalMapSpec, w, pair: np.ndarray):
+    """log |(P, Q)| from ``pair`` = |Pt| + i |Qt|, which it overwrites."""
+    row = pair.real if spec.n > 0 else pair.imag
+    row *= _power(np.abs(w), abs(spec.n))
     out = np.abs(pair)
     return np.log(out, out=out)
+
+
+def _pair_factors(real, imag, quartics) -> list:
+    """Per factor, in the order real, imaginary, complex, the data from which
+    ``_potential`` writes the factor's numerator and denominator: (q, u,
+    shift, sign), q = r^2 on a real factor (shift np.subtract), s^2 on an
+    imaginary one (np.add) and the quartic's v on a complex one, whose u is
+    also held (None on the others).  The factors come as a spec holds them,
+    (position, sign) and (u, v, sign); a position, u or v may also be an
+    array over several specs.  q and u are complex (0-d for one spec), so
+    that numpy neither converts a Python scalar nor casts an array on each
+    call."""
+    terms = [(r * r, None, np.subtract, sign) for r, sign in real]
+    terms += [(s * s, None, np.add, sign) for s, sign in imag]
+    terms += [(v, u, np.add, sign) for u, v, sign in quartics]
+    return [(np.array(q, dtype=complex), u if u is None else np.array(u, dtype=complex), shift, sign)
+            for q, u, shift, sign in terms]
+
+
+# 1 as a 0-d complex operand, which numpy takes faster than a Python float
+_ONE = np.array(1.0 + 0.0j)
+
+
+def _potential(spec: RationalMapSpec, w: np.ndarray) -> np.ndarray:
+    """log |(P, Q)| at a 1-d array of points w, bit for bit as
+    ``_log_norm(spec, _accumulate(spec, w, derivatives=False))``, in one
+    pass over ``spec.pair_factors``: Pt and Qt are the two rows of one
+    (2, N) array, each later factor writes its numerator and denominator
+    over the two rows of one more, and both products take one
+    multiplication.  w is not conjugated for anticonformal maps, since
+    conjugation changes no modulus (every product rounds symmetrically in
+    the sign of an imaginary part).  ``spec`` may be a per-point view from
+    ``_spec_points``."""
+    zeta = w * w
+    pair = np.empty(len(w), dtype=complex)
+    factors = spec.pair_factors
+    if not factors:
+        pair.fill(1.0 + 1.0j)
+        return _log_pair(spec, w, pair)
+    work = np.empty((4, len(w)), dtype=complex)  # Pt, Qt, then a factor's pair
+    rows = work[0], work[1], work[2], work[3]
+    z2 = None
+    for i, (q, u, shift, sign) in enumerate(factors):
+        num, den = rows[2:] if i else rows[:2]
+        if sign < 0:
+            num, den = den, num
+        if u is None:  # (zeta -+ q, q zeta -+ 1)
+            shift(zeta, q, out=num)
+            np.multiply(q, zeta, out=den)
+            shift(den, _ONE, out=den)
+        else:  # (zeta^2 - u zeta + v, v zeta^2 - u zeta + 1), q = v
+            if z2 is None:
+                z2 = zeta * zeta
+            uz = u * zeta
+            np.subtract(z2, uz, out=num)
+            num += q
+            np.multiply(q, z2, out=den)
+            den -= uz
+            den += _ONE
+        if i:
+            work[:2] *= work[2:]
+    np.abs(rows[0], out=pair.real)
+    np.abs(rows[1], out=pair.imag)
+    return _log_pair(spec, w, pair)
 
 
 def _log_norm_gradient(spec: RationalMapSpec, acc: tuple):
@@ -400,18 +470,20 @@ def _structure(spec: RationalMapSpec) -> tuple:
     )
 
 
-def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], SimpleNamespace]:
+def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], object]:
     """A per-point view of specs that share one structure.
 
     The specs must agree in epsilon, n, orientation and the sign of every
     factor; only factor positions may differ (DomainError otherwise).
-    Returns ``at(k)``: a stand-in for a spec in the kernel (``_accumulate``
-    and the functions that read its result) with the attributes it reads
-    (epsilon, n, is_anticonformal, real_factors, imag_factors, quartics),
-    where the factor data of point i are those of ``specs[k[i]]``.  The
-    data are computed per spec as the spec itself computes them and only
-    gathered per point, so every density is bit-identical to the one the
-    spec gives.  One spec is its own view: nothing is gathered.
+    Returns ``at(k)``: a stand-in for a spec in the kernel (``_accumulate``,
+    ``_potential`` and the functions that read their results) with the
+    attributes they read (epsilon, n, is_anticonformal, pair_factors,
+    real_factors, imag_factors, quartics), where the factor data of point i
+    are those of ``specs[k[i]]``.  The data are computed per spec as the
+    spec itself computes them and only gathered per point, so every density
+    is bit-identical to the one the spec gives; the pair factors are
+    gathered at once, the others when first read.  One spec is its own
+    view: nothing is gathered.
     """
     first = specs[0]
     key = _structure(first)
@@ -431,18 +503,23 @@ def _spec_points(specs: Sequence[RationalMapSpec]) -> Callable[[np.ndarray], Sim
     imag = columns([[pos for pos, _ in spec.imag_factors] for spec in specs])
     quartics = columns([[(u, v) for u, v, _ in spec.quartics] for spec in specs])
     real_signs, imag_signs, complex_signs = key[3:]
+    # per factor: its q and u of all the specs, (specs,)
+    pairs = _pair_factors(zip(real, real_signs), zip(imag, imag_signs),
+                          [(col[:, 0], col[:, 1], sign) for col, sign in zip(quartics, complex_signs)])
 
-    def at(k: np.ndarray) -> SimpleNamespace:
-        return SimpleNamespace(
-            epsilon=first.epsilon,
-            n=first.n,
-            is_anticonformal=first.is_anticonformal,
-            real_factors=[(col[k], sign) for col, sign in zip(real, real_signs)],
-            imag_factors=[(col[k], sign) for col, sign in zip(imag, imag_signs)],
-            quartics=[(col[k, 0], col[k, 1], sign) for col, sign in zip(quartics, complex_signs)],
-        )
+    class At:
+        epsilon, n, is_anticonformal = first.epsilon, first.n, first.is_anticonformal
 
-    return at
+        def __init__(self, k: np.ndarray):
+            self.k = k
+            self.pair_factors = [(q[k], u if u is None else u[k], shift, sign) for q, u, shift, sign in pairs]
+
+        real_factors = cached_property(lambda self: [(col[self.k], sign) for col, sign in zip(real, real_signs)])
+        imag_factors = cached_property(lambda self: [(col[self.k], sign) for col, sign in zip(imag, imag_signs)])
+        quartics = cached_property(lambda self: [(col[self.k, 0], col[self.k, 1], sign)
+                                                 for col, sign in zip(quartics, complex_signs)])
+
+    return At
 
 
 def _lift(P, Q):

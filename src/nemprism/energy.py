@@ -78,9 +78,8 @@ from ._json import Record
 from .conformal import (
     RationalMapSpec,
     _accumulate,
-    _log_norm,
     _log_norm_gradient,
-    _project,
+    _potential,
     _spec_points,
     ladder,
 )
@@ -298,27 +297,33 @@ def _faces_domain(half: Tuple[float, float, float]):
     return rects, splits
 
 
-def _layout(u, v, level: float) -> Tuple[List[List[int]], Optional[np.ndarray]]:
-    """(runs, axes) of an integrand call at points (u, v) of
-    ``_green_domain``, laid out as ``quad2d_many`` lays out a call: its
-    rectangles' 225 points each, then its segments' 15 points each.  A run
-    [start, stop, k] is a stretch of consecutive rectangles on face k (0,
-    1, 2 for faces x, y, z), read from the signs of each rectangle's first
-    point, as every cell lies in its face's quadrant of ``_FACE_SIGNS``;
-    ``axes`` holds the axis m of each segment, on the far box edge at
-    v = -(m + 1) ``level``, or is None when the call holds no segment."""
+def _layout(u, v, level: float) -> List[List[int]]:
+    """The runs of an integrand call at points (u, v) of ``_green_domain``,
+    laid out as ``quad2d_many`` lays out a call: its rectangles' 225 points
+    each, then its segments' 15 points each.  A run [start, stop, k] is a
+    stretch of consecutive cells on one part k: face x, y or z (0, 1, 2),
+    read from the signs of each rectangle's first point, as every cell lies
+    in its face's quadrant of ``_FACE_SIGNS``, or the far box edge along
+    axis m (k = 3 + m), read from each segment's level v = -(m + 1)
+    ``level``."""
     runs: List[List[int]] = []
-    for a, u0, v0 in zip(range(0, len(u), _CELL_EVALS), u[::_CELL_EVALS].tolist(), v[::_CELL_EVALS].tolist()):
+    end = len(u)
+    for a, u0, v0 in zip(range(0, end, _CELL_EVALS), u[::_CELL_EVALS].tolist(), v[::_CELL_EVALS].tolist()):
         if v0 <= -level:  # the first segment
+            end = a
             break
-        face = 0 if u0 > 0.0 else 2 if v0 < 0.0 else 1
-        if runs and runs[-1][2] == face:
+        k = 0 if u0 > 0.0 else 2 if v0 < 0.0 else 1
+        if runs and runs[-1][2] == k:
             runs[-1][1] += _CELL_EVALS
         else:
-            runs.append([a, a + _CELL_EVALS, face])
-    end = runs[-1][1] if runs else 0
-    ys = v[end::_SEGMENT_EVALS]
-    return runs, np.add(ys < -1.5 * level, ys < -2.5 * level, dtype=np.intp) if len(ys) else None
+            runs.append([a, a + _CELL_EVALS, k])
+    for a, y in zip(range(end, len(u), _SEGMENT_EVALS), v[end::_SEGMENT_EVALS].tolist()):
+        k = 3 if y > -1.5 * level else 4 if y > -2.5 * level else 5
+        if runs and runs[-1][2] == k:
+            runs[-1][1] += _SEGMENT_EVALS
+        else:
+            runs.append([a, a + _SEGMENT_EVALS, k])
+    return runs
 
 
 # Face k takes the slope form when h_i h_j > _SLOPE_RATIO h_k^2 (see the
@@ -359,52 +364,64 @@ def _green_density(half: Tuple[float, float, float], weight: float):
     (``_slope_faces``) has d phi/dx_k instead, and the edges lose its parts
     of their c_ij (see the module docstring).  ``spec`` may be a per-point
     view from ``_spec_points``.  What depends on the box alone is computed
-    here, once per quadrature; each run of rectangles on one face takes
-    that face's coordinates and scale at once, and the edges theirs by
-    segment."""
+    here, once per quadrature; each run of cells on one face or edge takes
+    that part's coordinates and scale at once, and phi comes from the fused
+    kernel ``conformal._potential``."""
     hx, hy, hz = half
-    slope = _slope_faces(half)
+    slope = _slope_faces(half) + (False,) * 3  # and the edges never
     level = _edge_level(half)
-    derivatives = any(slope)
-    if derivatives:  # the edge between faces i and j keeps h_j/h_i unless face i takes it
+    if any(slope):  # the edge between faces i and j keeps h_j/h_i unless face i takes it
         c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
              for a, b in ((1, 2), (0, 2), (0, 1))]
     else:  # c_ij of the edges along x, y and z
         c = [(hy * hy + hz * hz) / (hy * hz), (hx * hx + hz * hz) / (hx * hz), (hx * hx + hy * hy) / (hx * hy)]
     # the scales of faces x, y, z and of the edges along x, y, z carry
     # phi's factor 2 over log |(P, Q)|
-    scales = [4.0 * weight / h for h in half]
-    edge_scales = np.array([-2.0 * weight * ci for ci in c])
-    corner = np.array(half)[:, None, None]
+    # (0-d arrays, which numpy multiplies by faster than Python floats)
+    scales = [np.array(s) for s in [4.0 * weight / h for h in half] + [-2.0 * weight * ci for ci in c]]
+    corner = np.array(half)[:, None]
     # face k's point moves by dw = (e_k - w (h_k/r + [k = z])) / (r + z)
     # along x_k, with e = (1, i, 0); the kernel evaluates anticonformal maps
     # at conj(w)
     units = (1.0 + 0j, 1j, 0j)
 
     def density(spec, u, v):
-        runs, axes = _layout(u, v, level)
-        end = runs[-1][1] if runs else 0
+        runs = _layout(u, v, level)
         points = np.empty((3, len(u)))
-        x, y, z = points
+        x, y, z = points[0], points[1], points[2]
         for a, b, k in runs:  # face x at (h_x, u, v), face y at (-u, h_y, v), face z at (-u, -v, h_z)
             if k == 0:
-                x[a:b], y[a:b], z[a:b] = hx, u[a:b], v[a:b]
+                x[a:b] = hx
+                y[a:b] = u[a:b]
+                z[a:b] = v[a:b]
             elif k == 1:
-                x[a:b], y[a:b], z[a:b] = -u[a:b], hy, v[a:b]
-            else:
-                x[a:b], y[a:b], z[a:b] = -u[a:b], -v[a:b], hz
-        if axes is not None:  # the edge along axis m at half, coordinate m replaced by u
-            edges = points[:, end:].reshape(3, len(axes), _SEGMENT_EVALS)
-            edges[...] = corner
-            edges[axes, np.arange(len(axes))] = u[end:].reshape(len(axes), _SEGMENT_EVALS)
-        w, _, r = _project(*points)
-        acc = _accumulate(spec, w, derivatives=derivatives)
-        out = _log_norm(spec, acc)
-        grad = _log_norm_gradient(spec, acc) if derivatives else None
+                np.negative(u[a:b], out=x[a:b])
+                y[a:b] = hy
+                z[a:b] = v[a:b]
+            elif k == 2:
+                np.negative(u[a:b], out=x[a:b])
+                np.negative(v[a:b], out=y[a:b])
+                z[a:b] = hz
+            else:  # the edge along axis m = k - 3 at half, coordinate m replaced by u
+                points[:, a:b] = corner
+                points[k - 3, a:b] = u[a:b]
+        # w = (x + i y)/(|r| + z) as _project builds it, |r|^2 as (x x + y y) + z z
+        # (a reduction over the rows adds them in order)
+        r = np.add.reduce(points * points, axis=0)
+        np.sqrt(r, out=r)
+        inv = r + z
+        np.divide(1.0, inv, out=inv)
+        w = np.empty(len(u), dtype=complex)
+        np.multiply(x, inv, out=w.real)
+        np.multiply(y, inv, out=w.imag)
+        out = _potential(spec, w)
+        grad = None
         for a, b, k in runs:
             if not slope[k]:
                 out[a:b] *= scales[k]
                 continue
+            if grad is None:
+                grad = _log_norm_gradient(spec, _accumulate(spec, w))
             t = half[k] / r[a:b]
             if k == 2:
                 t += 1.0
@@ -412,9 +429,6 @@ def _green_density(half: Tuple[float, float, float], weight: float):
             if spec.is_anticonformal:
                 dw = np.conj(dw)
             out[a:b] = 2.0 * weight * (grad[a:b] * dw).real
-        if axes is not None:
-            on_edges = out[end:].reshape(len(axes), _SEGMENT_EVALS)
-            on_edges *= edge_scales[axes, None]
         return out
 
     return density

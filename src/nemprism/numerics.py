@@ -39,8 +39,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import count
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -142,6 +143,8 @@ _WG = np.array([
 _WG15 = np.zeros(15)
 _WG15[1::2] = _WG
 _W = np.stack([np.outer(a, b).ravel() for a, b in ((_WK, _WK), (_WG15, _WG15), (_WG15, _WK), (_WK, _WG15))])
+# and over a segment's 15 values: Kronrod-15, and Gauss-7 on the odd nodes
+_W_LINE = np.stack((_WK, _WG15))
 
 
 # Integrand evaluations per cell (a rectangle) and per segment; the most
@@ -186,57 +189,61 @@ def _rate_cells(f, rows: List[List[float]], tags: List[int]) -> List[Tuple[float
     side and are reported, so that ``quad2d_many`` may split such a cell in
     four.  A segment is always split along x.
     """
+    m = len(rows)
     seg = [row[2] == row[3] for row in rows]
-    order = sorted(range(len(rows)), key=seg.__getitem__)  # rectangles, then segments
-    m, r = len(rows), seg.count(False)
+    r = seg.count(False)
+    order = range(m) if r == m else sorted(range(m), key=seg.__getitem__)  # rectangles, then segments
     # per row in rating order: centre and half-width along x, then along y
     # (Python floats round as numpy's do)
     shapes = [(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.5 * (y0 + y1), 0.5 * (y1 - y0))
               for x0, x1, y0, y1 in map(rows.__getitem__, order)]
     total = _CELL_EVALS * r + _SEGMENT_EVALS * (m - r)
-    if len(set(tags)) == 1:
-        k = np.full(total, tags[0])
+    if tags.count(tags[0]) == m:  # one problem: zeros, its index filled in unless 0
+        k = np.zeros(total, dtype=np.intp)
+        if tags[0]:
+            k.fill(tags[0])
     else:
         k = np.array(tags)[order].repeat([_CELL_EVALS] * r + [_SEGMENT_EVALS] * (m - r))
+    # the nodes of every row, built once for the round: c + h x_k along x
+    # and y, (m, 2, 15), where y + 0 x_k = y on a segment
+    cells = np.array(shapes)
+    nodes = cells[:, 1::2, None] * _XK
+    nodes += cells[:, 0::2, None]
     rated = [None] * m
-    starts = list(range(0, r, _BATCH_CELLS)) or [0]
     first = 0  # the block's first point
-    for a, b in zip(starts, starts[1:] + [m]):
-        n = min(b, r) - a  # rectangles in the block, then b - a - n segments
-        last = first + _CELL_EVALS * n + _SEGMENT_EVALS * (b - a - n)
-        block = np.array(shapes[a:b])
-        nodes = block[:, 1::2, None] * _XK  # (b - a, 2, 15): c + h x_k along x and y
-        nodes += block[:, 0::2, None]  # y + 0 x_k = y on a segment
+    for a in range(0, r, _BATCH_CELLS) if r else (0,):
+        b = min(a + _BATCH_CELLS, r)  # rectangles a..b, then, in the last block, the segments
+        n = b - a
+        last = first + _CELL_EVALS * n + (_SEGMENT_EVALS * (m - r) if b == r else 0)
         # points of rectangle i at [i, p, q] of a (2, n, 15, 15) grid, x
         # varying along p and y along q, then the segments' 15 points each
         points = np.empty((2, last - first))
         grid = points[:, :_CELL_EVALS * n].reshape(2, n, 15, 15)
-        grid[0] = nodes[:n, 0, :, None]
-        grid[1] = nodes[:n, 1, None, :]
-        if n < b - a:
-            points[:, _CELL_EVALS * n:] = nodes[n:].transpose(1, 0, 2).reshape(2, -1)
+        grid[0] = nodes[a:b, 0, :, None]
+        grid[1] = nodes[a:b, 1, None, :]
+        if b == r < m:
+            points[:, _CELL_EVALS * n:] = nodes[r:].transpose(1, 0, 2).reshape(2, -1)
         values = np.asarray(f(points[0], points[1], k[first:last]), dtype=float)
         first = last
 
         # per rectangle, the four rule sums of the sampled values (times the
-        # Jacobian below) from one einsum over the block, which sums each
+        # Jacobian hx hy) from one einsum over the block, which sums each
         # rectangle alike whatever the block; a BLAS matmul does not
         vals = values[:_CELL_EVALS * n].reshape(n, _CELL_EVALS)
-        kron, gauss, gauss_x, gauss_y = np.einsum("mp,qp->qm", vals, _W).tolist()
-        axes = []
-        for s, gx, gy, (_, lx, _, ly) in zip(kron, gauss_x, gauss_y, shapes[a:a + n]):
+        sums = np.einsum("mp,qp->qm", vals, _W).tolist()
+        for i, s, g, gx, gy, (_, lx, _, ly) in zip(order[a:b], *sums, shapes[a:b]):
             ex, ey = abs(s - gx), abs(s - gy)  # the errors along x and along y
-            axes.append(0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else _TIE + (ly > lx))
-        # a rectangle's Jacobian is hx hy
-        jacs = [lx * ly for _, lx, _, ly in shapes[a:a + n]]
-        if n < b - a:
-            line = values[_CELL_EVALS * n:].reshape(b - a - n, 15)
-            kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
-            gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
-            axes += [0] * (b - a - n)
-            jacs += [lx for _, lx, _, _ in shapes[a + n:b]]  # a segment's is hx
-        for i, j, s, g, code in zip(order[a:b], jacs, kron, gauss, axes):
-            rated[i] = (j * s, abs(j * s - j * g), code)
+            j = lx * ly
+            value = j * s
+            rated[i] = (value, abs(value - j * g),
+                        0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else _TIE + (ly > lx))
+        if b == r < m:  # a segment's Jacobian is hx, and it is split along x
+            # each segment's Kronrod and Gauss products from one multiplication,
+            # each sum taken left to right
+            products = (values[_CELL_EVALS * n:].reshape(m - r, 1, 15) * _W_LINE).tolist()
+            for i, (kron, gauss), (_, lx, _, _) in zip(order[r:], products, shapes[r:]):
+                value = lx * reduce(add, kron)
+                rated[i] = (value, abs(value - lx * reduce(add, gauss[1::2])), 0)
     return rated
 
 
@@ -444,12 +451,17 @@ def quad2d_many(
     at the p-th node and y at the q-th at 15 p + q, then the segments, each
     as 15 contiguous points in x; all points of a cell carry its problem's
     tag.  Most rounds rate 2 to 6 cells, so a round costs mostly its fixed
-    numpy and Python work, not its points: the round's point tags are built
-    once (one ``np.full`` when the round has one problem), each cell's
-    centre and half-widths are taken in Python, the nodes of a block come
-    from one small array, the four rule sums of its rectangles (value,
-    error estimate and both split-axis errors) from one weight
-    contraction, and the per-cell results are finished in Python.
+    numpy and Python work, not its points: the round's point tags (zeros
+    when the round has one problem) and the nodes of all its cells are
+    built once, each cell's centre and half-widths are taken in Python, the
+    four rule sums of a block's rectangles (value, error estimate and both
+    split-axis errors) come from one weight contraction, each segment's
+    Kronrod and Gauss products from one multiplication, summed left to
+    right in Python, and the per-cell results are finished in Python.  On
+    an ``energy`` pass (2-CPU host) the rating costs about 30 us per round
+    besides its integrand call; an op's first (root) round costs about 40
+    us more than a repeat of it, as the caches refill after the work
+    between quadratures.
     A problem leaves the loop when it converges or fails.  Many shallow
     problems (a family scan) then take few, full integrand calls instead
     of many small ones (QUADPACK and Berntsen, Espelid & Genz, ACM TOMS 17,

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import time
 
 import pytest
@@ -652,6 +653,48 @@ def test_energy_artifact_bytes_are_pinned_on_boxes_of_three_sides(tmp_path, caps
     path = write_spec(tmp_path, payload)
     assert run(["energy", "--prism", prism, "--spec", path, "--tol", "1e-7"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Every factor structure (n, real count, imag count, complex count) of
+# degree |n| + 2(a + b) + 4c <= 9 with |n| in (1, 3), as the benchmark's
+# energy workload visits them.
+STRUCTURES = [(sign * m, a, b, c) for m in (1, 3) for sign in (1, -1) for c in range(3)
+              for a in range(5) for b in range(5) if m + 2 * (a + b) + 4 * c <= 9]
+
+
+def _structure_spec(rng, n, a, b, c):
+    """A spec of one structure, its signs, positions and orientation drawn
+    from ``rng``."""
+    spec = {"epsilon": rng.choice((-1, 1)), "n": n,
+            "real": [[rng.uniform(0.08, 0.92), rng.choice((-1, 1))] for _ in range(a)],
+            "imag": [[rng.uniform(0.08, 0.92), rng.choice((-1, 1))] for _ in range(b)],
+            "orientation": rng.choice(("conformal", "anticonformal"))}
+    spec["complex"] = []
+    for _ in range(c):
+        m, th = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.5 * math.pi - 0.15)
+        spec["complex"].append([m * math.cos(th), m * math.sin(th), rng.choice((-1, 1))])
+    return spec
+
+
+# sha256 of the exit codes and `energy --tol 1e-7` stdout of one seeded spec
+# per structure, on a box of three sides and on a long one, in order;
+# recorded before the fused face kernel and the leaner rating pass
+STRUCTURE_ENERGY_DIGESTS = {
+    "3,2,1": "b52566fd320ef0eb87e18de8b719e7523bdf56f85b6d159f1801b83136726087",
+    "8,1.5,1": "abd8e615015e602d6bbba1eadadc1718dccde24be5b5475db8c93f132d658489",
+}
+
+
+@pytest.mark.parametrize("prism", STRUCTURE_ENERGY_DIGESTS)
+def test_energy_artifact_bytes_are_pinned_for_every_factor_structure(tmp_path, capsys, prism):
+    rng = random.Random(30)
+    digest = hashlib.sha256()
+    assert len(STRUCTURES) == 70
+    for structure in STRUCTURES:
+        path = write_spec(tmp_path, _structure_spec(rng, *structure))
+        code = run(["energy", "--prism", prism, "--spec", path, "--tol", "1e-7"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == STRUCTURE_ENERGY_DIGESTS[prism]
 
 
 # the pins above as they stood while quad2d bisected every cell: (exact,

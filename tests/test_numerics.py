@@ -270,6 +270,87 @@ def test_cell_ratings_match_the_tensor_rules():
     assert {0, 1} < set(codes)  # both axes, and a near-tie
 
 
+def _reference_rate_cells(f, rows, tags):
+    """The rating pass as it stood before the leaner one: tags, nodes and
+    points built per block, each segment's sums by ``cumsum``."""
+    from nemprism.numerics import _BATCH_CELLS, _CELL_EVALS, _SEGMENT_EVALS, _TIE, _W, _WG, _WK, _XK
+
+    seg = [row[2] == row[3] for row in rows]
+    order = sorted(range(len(rows)), key=seg.__getitem__)
+    m, r = len(rows), seg.count(False)
+    shapes = [(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.5 * (y0 + y1), 0.5 * (y1 - y0))
+              for x0, x1, y0, y1 in map(rows.__getitem__, order)]
+    total = _CELL_EVALS * r + _SEGMENT_EVALS * (m - r)
+    if len(set(tags)) == 1:
+        k = np.full(total, tags[0])
+    else:
+        k = np.array(tags)[order].repeat([_CELL_EVALS] * r + [_SEGMENT_EVALS] * (m - r))
+    rated = [None] * m
+    starts = list(range(0, r, _BATCH_CELLS)) or [0]
+    first = 0
+    for a, b in zip(starts, starts[1:] + [m]):
+        n = min(b, r) - a
+        last = first + _CELL_EVALS * n + _SEGMENT_EVALS * (b - a - n)
+        block = np.array(shapes[a:b])
+        nodes = block[:, 1::2, None] * _XK
+        nodes += block[:, 0::2, None]
+        points = np.empty((2, last - first))
+        grid = points[:, :_CELL_EVALS * n].reshape(2, n, 15, 15)
+        grid[0] = nodes[:n, 0, :, None]
+        grid[1] = nodes[:n, 1, None, :]
+        if n < b - a:
+            points[:, _CELL_EVALS * n:] = nodes[n:].transpose(1, 0, 2).reshape(2, -1)
+        values = np.asarray(f(points[0], points[1], k[first:last]), dtype=float)
+        first = last
+        vals = values[:_CELL_EVALS * n].reshape(n, _CELL_EVALS)
+        kron, gauss, gauss_x, gauss_y = np.einsum("mp,qp->qm", vals, _W).tolist()
+        axes = []
+        for s, gx, gy, (_, lx, _, ly) in zip(kron, gauss_x, gauss_y, shapes[a:a + n]):
+            ex, ey = abs(s - gx), abs(s - gy)
+            axes.append(0 if ex > 1.5 * ey else 1 if ey > 1.5 * ex else _TIE + (ly > lx))
+        jacs = [lx * ly for _, lx, _, ly in shapes[a:a + n]]
+        if n < b - a:
+            line = values[_CELL_EVALS * n:].reshape(b - a - n, 15)
+            kron += (line * _WK).cumsum(axis=1)[:, -1].tolist()
+            gauss += (line[:, 1::2] * _WG).cumsum(axis=1)[:, -1].tolist()
+            axes += [0] * (b - a - n)
+            jacs += [lx for _, lx, _, _ in shapes[a + n:b]]
+        for i, j, s, g, code in zip(order[a:b], jacs, kron, gauss, axes):
+            rated[i] = (j * s, abs(j * s - j * g), code)
+    return rated
+
+
+def test_cell_ratings_match_the_reference_rating_bit_for_bit():
+    # seeded rounds of 1-16 rectangles (and, past one block, up to 40) with
+    # 0-3 segments, rows and segments interleaved, of one problem (tag 0 or
+    # not) and of several: every rating and every integrand call (x, y, k)
+    rng = random.Random(30)
+
+    def integrand(calls):
+        def f(x, y, k):
+            calls.append((x.tobytes(), y.tobytes(), k.tobytes(), k.dtype))
+            return np.exp(np.sin(7.0 * x) * np.cos(5.0 * y + k)) / (0.1 + x * x + y * y)
+        return f
+
+    for case in range(400):
+        rects = rng.randint(0, 16) if case < 360 else rng.randint(17, 40)
+        segs = rng.randint(0 if rects else 1, 3)
+        rows = []
+        for _ in range(rects):
+            x0, y0 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            rows.append([x0, x0 + rng.uniform(1e-3, 1.0), y0, y0 + rng.uniform(1e-3, 1.0)])
+        for _ in range(segs):
+            x0, y = rng.uniform(-2.0, 2.0), rng.uniform(-9.0, -3.0)
+            rows.insert(rng.randint(0, len(rows)), [x0, x0 + rng.uniform(1e-3, 1.0), y, y])
+        problems = rng.choice((1, 1, 3))
+        tags = [rng.randrange(problems) if problems > 1 else case % 2 for _ in rows]
+        got_calls, want_calls = [], []
+        got = _rate_cells(integrand(got_calls), rows, tags)
+        want = _reference_rate_cells(integrand(want_calls), rows, tags)
+        assert got == want, (case, rows, tags)
+        assert got_calls == want_calls, (case, rows, tags)
+
+
 def test_quad2d_splits_across_a_feature_the_rules_do_not_resolve():
     # a slope along y, which both rules integrate exactly, and a narrow
     # Lorentzian across x: split across the larger total variation, the
