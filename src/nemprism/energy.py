@@ -78,8 +78,10 @@ from ._json import Record
 from .conformal import (
     RationalMapSpec,
     _accumulate,
+    _log_norm,
     _log_norm_gradient,
     _potential,
+    _project,
     _spec_points,
     ladder,
 )
@@ -365,12 +367,15 @@ def _green_density(half: Tuple[float, float, float], weight: float):
     of their c_ij (see the module docstring).  ``spec`` may be a per-point
     view from ``_spec_points``.  What depends on the box alone is computed
     here, once per quadrature; each run of cells on one face or edge takes
-    that part's coordinates and scale at once, and phi comes from the fused
-    kernel ``conformal._potential``."""
+    that part's coordinates and scale at once.  phi comes from the fused
+    kernel ``conformal._potential``, or, in a call that holds a slope-form
+    face, from the one ``_accumulate`` pass whose derivatives that face
+    needs."""
     hx, hy, hz = half
     slope = _slope_faces(half) + (False,) * 3  # and the edges never
     level = _edge_level(half)
-    if any(slope):  # the edge between faces i and j keeps h_j/h_i unless face i takes it
+    sloped = any(slope)
+    if sloped:  # the edge between faces i and j keeps h_j/h_i unless face i takes it
         c = [sum(half[j] / half[i] for i, j in ((a, b), (b, a)) if not slope[i])
              for a, b in ((1, 2), (0, 2), (0, 1))]
     else:  # c_ij of the edges along x, y and z
@@ -405,23 +410,17 @@ def _green_density(half: Tuple[float, float, float], weight: float):
             else:  # the edge along axis m = k - 3 at half, coordinate m replaced by u
                 points[:, a:b] = corner
                 points[k - 3, a:b] = u[a:b]
-        # w = (x + i y)/(|r| + z) as _project builds it, |r|^2 as (x x + y y) + z z
-        # (a reduction over the rows adds them in order)
-        r = np.add.reduce(points * points, axis=0)
-        np.sqrt(r, out=r)
-        inv = r + z
-        np.divide(1.0, inv, out=inv)
-        w = np.empty(len(u), dtype=complex)
-        np.multiply(x, inv, out=w.real)
-        np.multiply(y, inv, out=w.imag)
-        out = _potential(spec, w)
-        grad = None
+        w, _, r = _project(x, y, z)
+        if sloped and any(slope[k] for _, _, k in runs):  # one pass with derivatives gives phi and its gradient
+            acc = _accumulate(spec, w)
+            out = _log_norm(spec, acc)
+            grad = _log_norm_gradient(spec, acc)
+        else:
+            out = _potential(spec, w)
         for a, b, k in runs:
             if not slope[k]:
                 out[a:b] *= scales[k]
                 continue
-            if grad is None:
-                grad = _log_norm_gradient(spec, _accumulate(spec, w))
             t = half[k] / r[a:b]
             if k == 2:
                 t += 1.0
